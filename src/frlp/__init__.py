@@ -10,7 +10,7 @@ from .covering import (AGGREGATED, PER_ROUTE, AggregationOverflowError,
                        ConstructionError, CutSetFamily, WitnessUndefinedError,
                        aggregate_cut_sets, cut_sets_for_cycle,
                        cut_sets_for_path, minimality_witness, minimalize)
-from .feasibility import (CycleQuery, Label, extend_label,
+from .feasibility import (CycleQuery, Label, corridor, extend_label,
                           find_traversable_cycle, find_traversable_path,
                           is_served, search_cycle)
 from .generators import (gen_example, gen_prop5a, gen_prop5b, gen_random,

@@ -348,7 +348,9 @@ def build_parser() -> _Parser:
                    help="comma-separated node names")
     p.add_argument("--demand", type=int, default=0)
     p.add_argument("--trace", action="store_true",
-                   help="print the labeling step log (disables dominance)")
+                   help="print the labeling step log (disables dominance; "
+                        "labels that cannot close within the route budget "
+                        "are not listed)")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("generate", help="write a constructed instance")

@@ -4,6 +4,17 @@ The cyclic variant uses a best-first labeling search for a repeatable cycle
 through the destination; the original variant reduces to a shortest-path
 search on a refueling network built over origin, destination and stations
 (depart half-charged, arrive at least half-charged).
+
+Both checks look only at the demand's corridor: the nodes whose shortest
+detour fits the route budget tau. For the original variant that is
+d(o,j) + d(j,t) <= tau; for the cyclic variant, j must fit on a closed walk
+through o and t, before the destination (d(o,j) + d(j,t) + d(t,o) <= tau) or
+after it (d(o,t) + d(t,j) + d(j,o) <= tau). No admissible route leaves the
+corridor, so a station outside it never changes a verdict. The labeling
+search enforces the same bound label by label: a label is dropped when its
+length so far plus the shortest completion back to the origin exceeds tau.
+The replay of `frlp check --trace` (dominance off) therefore no longer lists
+labels that cannot close within tau.
 """
 
 from __future__ import annotations
@@ -14,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
-from .network import CYCLIC, DIST_TOL, ORIGINAL, Demand, Instance, shortest_distance
+from .network import CYCLIC, DIST_TOL, ORIGINAL, Demand, Instance, Network
 from .routes import CYCLE, PATH, Route, is_traversable, make_route, route_budget
 
 INF = math.inf
@@ -105,12 +116,12 @@ def search_cycle(query: CycleQuery) -> CycleSearch:
     d = instance.travel_range
     tau = query.tau
 
-    dist_to_dest = [network.distances_from(j)[dest] for j in range(network.num_nodes)]
-    dist_to_origin = [network.distances_from(j)[origin]
-                      for j in range(network.num_nodes)]
+    dist_to_dest = network.distances_to(dest)
+    dist_to_origin = network.distances_to(origin)
     dest_to_origin = dist_to_origin[dest]
 
-    def score(label: Label) -> float:
+    def completion(label: Label) -> float:
+        """Shortest remaining length back to the origin via the destination."""
         if label.delta_dest:
             return dist_to_origin[label.node]
         return dist_to_dest[label.node] + dest_to_origin
@@ -120,28 +131,40 @@ def search_cycle(query: CycleQuery) -> CycleSearch:
     else:
         seed = Label(0, 0, 0.0, 0.0, INF, node=origin)
 
+    # Heap entries are [score, tie, label, alive]; a label superseded while
+    # queued is marked dead in place and skipped when popped.
     counter = itertools.count()
-    heap = [(score(seed), next(counter), seed)]
-    kept = [[] for _ in range(network.num_nodes)]  # dominance bookkeeping
-    kept[origin].append(seed)
+    entry = [completion(seed), next(counter), seed, True]
+    heap = [entry]
+    kept = [[] for _ in range(network.num_nodes)]  # live entries per node
+    kept[origin].append(entry)
     selected = []
 
     def try_insert(label: Label):
+        score = completion(label)
+        if label.l_start + score > tau + DIST_TOL:
+            return  # cannot close within the budget
         store = kept[label.node]
         if query.dominance:
-            if any(_dominates(old, label) for old in store):
+            if any(_dominates(old[2], label) for old in store):
                 return
-            store[:] = [old for old in store if not _dominates(label, old)]
-        else:
-            if any(old.tuple5() == label.tuple5() for old in store):
-                return  # identical duplicates kept once
-        store.append(label)
-        heapq.heappush(heap, (score(label), next(counter), label))
+            live = []
+            for old in store:
+                if _dominates(label, old[2]):
+                    old[3] = False
+                else:
+                    live.append(old)
+            store[:] = live
+        elif any(old[2].tuple5() == label.tuple5() for old in store):
+            return  # identical duplicates kept once
+        entry = [score, next(counter), label, True]
+        store.append(entry)
+        heapq.heappush(heap, entry)
 
     while heap:
-        _, _, label = heapq.heappop(heap)
-        if query.dominance and label not in kept[label.node]:
-            continue  # superseded while queued
+        _, _, label, alive = heapq.heappop(heap)
+        if not alive:
+            continue
         selected.append(label)
         if label.node == origin and label.delta_dest:
             # Zero-length arc to the sink, allowed only from the origin.
@@ -176,7 +199,8 @@ def find_traversable_path(instance: Instance, demand: Demand, stations,
     origin, dest = demand.origin, demand.destination
     d = instance.travel_range
 
-    hubs = sorted(stations | {origin, dest})
+    hubs = sorted((stations & _detour_nodes(network, origin, dest, tau_path))
+                  | {origin, dest})
     dist = {a: network.distances_from(a) for a in hubs}
 
     def cap(a: int, b: int) -> Optional[float]:
@@ -224,6 +248,29 @@ def find_traversable_path(instance: Instance, demand: Demand, stations,
         segment = network.shortest_path(a, b)
         visits.extend(segment[1:])
     return make_route(network, visits, PATH)
+
+
+def _detour_nodes(network: Network, a: int, b: int, budget: float) -> frozenset:
+    """Nodes j with d(a,j) + d(j,b) <= budget."""
+    out, back = network.distances_from(a), network.distances_to(b)
+    return frozenset(j for j in range(network.num_nodes)
+                     if out[j] + back[j] <= budget + DIST_TOL)
+
+
+def corridor(instance: Instance, demand: Demand, variant: str) -> frozenset:
+    """Nodes that can lie on an admissible route of the demand; stations
+    outside this set never change its servedness."""
+    network = instance.network
+    if demand.routes is not None:
+        return frozenset(j for route in demand.routes for j in route)
+    origin, dest = demand.origin, demand.destination
+    tau = route_budget(instance, demand, variant)
+    if variant == ORIGINAL:
+        return _detour_nodes(network, origin, dest, tau)
+    out = network.distances_from(origin)[dest]
+    back = network.distances_from(dest)[origin]
+    return (_detour_nodes(network, origin, dest, tau - back)
+            | _detour_nodes(network, dest, origin, tau - out))
 
 
 def is_served(instance: Instance, demand: Demand, stations,

@@ -123,6 +123,18 @@ class Network:
         self._dist_cache[key] = result
         return result
 
+    def distances_to(self, target: int):
+        """All shortest distances to `target` along arc directions, cached per
+        target; entry j is `distances_from(j)[target]`."""
+        self._check_node(target)
+        key = ("to", target)
+        cached = self._dist_cache.get(key)
+        if cached is None:
+            cached = tuple(self.distances_from(j)[target]
+                           for j in range(self.num_nodes))
+            self._dist_cache[key] = cached
+        return cached
+
     def shortest_path(self, source: int, target: int, respect_direction: bool = True):
         """A shortest node sequence source -> target, or None if unreachable."""
         self._check_node(source)

@@ -90,8 +90,8 @@ def enumerate_routes(instance: Instance, demand: Demand, variant: str,
 
     tau = route_budget(instance, demand, variant)
     origin, dest = demand.origin, demand.destination
-    dist_to_dest = [_dist_to(network, j, dest) for j in range(network.num_nodes)]
-    dist_to_origin = [_dist_to(network, j, origin) for j in range(network.num_nodes)]
+    dist_to_dest = network.distances_to(dest)
+    dist_to_origin = network.distances_to(origin)
     dest_to_origin = dist_to_origin[dest]
 
     results = []
@@ -139,10 +139,6 @@ def enumerate_routes(instance: Instance, demand: Demand, variant: str,
     dfs(origin, 0.0, origin == dest)
     results.sort(key=lambda r: (r.length, r.visits))
     return results
-
-
-def _dist_to(network: Network, source: int, target: int) -> float:
-    return network.distances_from(source)[target]
 
 
 def is_traversable(route: Route, stations, travel_range: float) -> bool:

@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from .feasibility import is_served
+from .feasibility import corridor, is_served
 from .lp import (GE, LE, INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram,
                  NumericalError, solve_lp)
 from .network import Instance
@@ -55,6 +55,8 @@ class SolveStats:
     separation_time: float = 0.0
     bb_nodes: int = 0
     cuts: int = 0
+    served_calls: int = 0  # servedness verdicts asked for
+    served_memo_hits: int = 0  # ... of which answered from the per-solve memo
 
 
 @dataclass
@@ -67,27 +69,59 @@ class Solution:
     stats: SolveStats
 
 
-def separate(instance: Instance, variant: str, x, y) -> List[Tuple[int, FrozenSet[int]]]:
+class _Verdicts:
+    """Servedness verdicts of one solve, memoised per demand and set of open
+    nodes inside the demand's corridor (kept as a bitmask, which is far
+    smaller than a frozenset key)."""
+
+    def __init__(self, instance: Instance, variant: str, stats: SolveStats):
+        self.instance = instance
+        self.variant = variant
+        self.stats = stats
+        self.corridors = [corridor(instance, q, variant)
+                          for q in instance.demands]
+        self.memo: List[Dict[int, bool]] = [{} for _ in instance.demands]
+
+    def served(self, qi: int, stations) -> bool:
+        open_zone = self.corridors[qi].intersection(stations)
+        key = sum(1 << j for j in open_zone)
+        self.stats.served_calls += 1
+        verdict = self.memo[qi].get(key)
+        if verdict is None:
+            verdict = is_served(self.instance, self.instance.demands[qi],
+                                open_zone, self.variant)
+            self.memo[qi][key] = verdict
+        else:
+            self.stats.served_memo_hits += 1
+        return verdict
+
+
+def separate(instance: Instance, variant: str, x, y,
+             verdicts: Optional[_Verdicts] = None) -> List[Tuple[int, FrozenSet[int]]]:
     """One-pass lazy separation on an integral candidate.
 
-    For each demand claimed served (y_q = 1): let S' be the closed nodes; if
-    the demand is actually served the claim stands, otherwise shrink S' by a
-    single ascending-id pass (drop a node iff the demand stays unserved when
-    that node is also opened) and emit the violated covering cut (q, S').
+    For each demand claimed served (y_q = 1): let S' be the closed nodes of
+    the demand's corridor; if the demand is actually served the claim stands,
+    otherwise shrink S' by a single ascending-id pass (drop a node iff the
+    demand stays unserved when that node is also opened) and emit the
+    violated covering cut (q, S'). Closed nodes outside the corridor are
+    left out of S' without a check: opening one never serves the demand, so
+    the shrink pass would drop it anyway. `verdicts` carries the memo of a
+    solve across calls.
     """
-    n = instance.num_nodes
+    if verdicts is None:
+        verdicts = _Verdicts(instance, variant, SolveStats())
     cuts = []
-    for qi, demand in enumerate(instance.demands):
+    for qi in range(len(instance.demands)):
         if y[qi] < 0.5:
             continue
-        closed = [j for j in range(n) if x[j] < 0.5]
-        open_set = frozenset(j for j in range(n) if x[j] >= 0.5)
-        if is_served(instance, demand, open_set, variant):
+        zone = verdicts.corridors[qi]
+        closed = sorted(j for j in zone if x[j] < 0.5)
+        if verdicts.served(qi, zone.difference(closed)):
             continue
         kept = set(closed)
-        for j in sorted(closed):
-            if not is_served(instance, demand, frozenset(range(n)) - (kept - {j}),
-                             variant):
+        for j in closed:
+            if not verdicts.served(qi, zone - (kept - {j})):
                 kept.discard(j)
         cuts.append((qi, frozenset(kept)))
     return cuts
@@ -122,13 +156,13 @@ def _root_lp(request: SolveRequest, n: int, nq: int):
     return lp
 
 
-def _check_servable(request: SolveRequest):
+def _check_servable(request: SolveRequest, verdicts: _Verdicts):
     """Full-coverage requests fail fast when a demand is unservable even with
     every allowed node opened."""
     instance = request.instance
     all_open = frozenset(range(instance.num_nodes)) - instance.placement.forced_closed
-    bad = [qi for qi, q in enumerate(instance.demands)
-           if not is_served(instance, q, all_open, request.variant)]
+    bad = [qi for qi in range(len(instance.demands))
+           if not verdicts.served(qi, all_open)]
     if bad:
         raise UnservableError(instance, bad)
 
@@ -146,11 +180,12 @@ def solve(request: SolveRequest) -> Solution:
     maximize = request.objective == MAX_COVER
     if request.objective not in (MAX_COVER, MIN_STATIONS):
         raise ValueError(f"unknown objective {request.objective!r}")
-    if request.objective == MIN_STATIONS and request.coverage >= 1.0:
-        _check_servable(request)
-
     stats = SolveStats()
     start = time.perf_counter()
+    verdicts = _Verdicts(instance, request.variant, stats)
+    if request.objective == MIN_STATIONS and request.coverage >= 1.0:
+        _check_servable(request, verdicts)
+
     base_lp = _root_lp(request, n, nq)
     cut_pool: List[Tuple[int, FrozenSet[int]]] = []
     cut_keys = set()
@@ -217,7 +252,8 @@ def solve(request: SolveRequest) -> Solution:
                 if not cut or all(x_int[j] == 0 for j in cut):
                     y_claim[qi] = 0
             sep_start = time.perf_counter()
-            cuts = separate(instance, request.variant, x_int, y_claim)
+            cuts = separate(instance, request.variant, x_int, y_claim,
+                            verdicts)
             stats.separation_time += time.perf_counter() - sep_start
             new = [(qi, cut) for qi, cut in cuts if (qi, cut) not in cut_keys]
             if not new:
@@ -245,8 +281,7 @@ def solve(request: SolveRequest) -> Solution:
 
         # Integral and separation-clean: record the incumbent.
         stations = frozenset(j for j, v in enumerate(x) if v > 0.5)
-        served = tuple(is_served(instance, q, stations, request.variant)
-                       for q in instance.demands)
+        served = tuple(verdicts.served(qi, stations) for qi in range(nq))
         if maximize:
             value = sum(q.volume for q, s in zip(instance.demands, served) if s)
         else:

@@ -3,9 +3,10 @@ import math
 import pytest
 
 from frlp import (CYCLIC, ORIGINAL, CycleQuery, Demand, Edge, Label,
-                  build_instance, extend_label, find_traversable_cycle,
-                  find_traversable_path, gen_example, is_served, route_budget)
-from frlp.feasibility import search_cycle
+                  build_instance, enumerate_routes, extend_label,
+                  find_traversable_cycle, find_traversable_path, gen_example,
+                  gen_random, is_served, route_budget)
+from frlp.feasibility import corridor, search_cycle
 from frlp.oracle import exhaustive_served
 
 D = 12.0
@@ -126,3 +127,76 @@ def test_witnesses_are_valid(small_pool):
                     assert q.destination in witness.visits
                     assert is_traversable(witness, stations,
                                           inst.travel_range)
+
+
+def _assert_corridor_sound(inst, variant):
+    """Stations outside the corridor never change a verdict, and no
+    admissible route leaves the corridor."""
+    n = inst.num_nodes
+    for q in inst.demands:
+        zone = corridor(inst, q, variant)
+        for route in enumerate_routes(inst, q, variant):
+            assert set(route.visits) <= zone, (q, route.visits)
+        for bits in range(1 << n):
+            stations = frozenset(j for j in range(n) if bits >> j & 1)
+            assert is_served(inst, q, stations, variant) == \
+                is_served(inst, q, stations & zone, variant), \
+                (q, sorted(stations), variant)
+
+
+def test_corridor_sound_on_small_pool(small_pool):
+    for inst in small_pool:
+        for variant in (ORIGINAL, CYCLIC):
+            _assert_corridor_sound(inst, variant)
+
+
+def one_way_ring():
+    """Directed ring 0->1->...->5->0 with two one-way chords, so distances
+    to a node differ from distances from it."""
+    arcs = [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0), (4, 5, 1.0),
+            (5, 0, 1.0), (2, 5, 1.5), (4, 1, 2.0)]
+    return build_instance(
+        [str(i) for i in range(6)],
+        [Edge(u, v, length, directed=True) for u, v, length in arcs],
+        [Demand(0, 3, 1.0, alpha=1.0), Demand(1, 4, 2.0, alpha=1.5),
+         Demand(5, 2, 1.0, alpha=1.2)],
+        2.5, variant_default=CYCLIC)
+
+
+def test_corridor_sound_on_directed_network():
+    inst = one_way_ring()
+    # 0 -> 3 -> 0 around the ring uses every node once, in arc direction.
+    assert corridor(inst, inst.demands[0], CYCLIC) == frozenset(range(6))
+    for variant in (ORIGINAL, CYCLIC):
+        _assert_corridor_sound(inst, variant)
+    for q in inst.demands:
+        for bits in range(1 << 6):
+            stations = frozenset(j for j in range(6) if bits >> j & 1)
+            assert is_served(inst, q, stations, CYCLIC) == \
+                exhaustive_served(inst, q, stations, CYCLIC)
+
+
+def test_corridor_of_explicit_routes():
+    d = 10.0
+    inst = build_instance(
+        ["1", "2", "3", "4", "5", "6"],
+        [Edge(0, 1, d / 2), Edge(1, 2, d / 2), Edge(1, 3, d / 2),
+         Edge(2, 3, d / 2), Edge(3, 4, d / 2), Edge(2, 5, d / 2)],
+        [Demand(0, 4, 1.0, routes=((0, 1, 3, 4), (0, 1, 2, 3, 4)))], d)
+    assert corridor(inst, inst.demands[0], ORIGINAL) == frozenset(range(5))
+    for variant in (ORIGINAL, CYCLIC):
+        _assert_corridor_sound(inst, variant)
+
+
+def test_superseded_label_does_not_hide_witness():
+    # A superseded label must not be mistaken for a live one (or vice versa)
+    # when its queue entry is popped.
+    inst = gen_random(469, num_nodes=12, density=0.3, num_demands=6)
+    q = inst.demands[0]
+    stations = frozenset({3, 4, 5})
+    assert is_served(inst, q, stations, CYCLIC)
+    assert exhaustive_served(inst, q, stations, CYCLIC)
+    tau = route_budget(inst, q, CYCLIC)
+    for dominance in (True, False):
+        assert find_traversable_cycle(
+            CycleQuery(inst, q, stations, tau, dominance=dominance)) is not None

@@ -139,6 +139,23 @@ def test_distance_symmetry_and_triangle():
                     + shortest_distance(net, b, c) + 1e-9)
 
 
+def test_distances_to_respects_direction():
+    # One-way ring a -> b -> c -> a plus a two-way chord a - c.
+    net = Network(("a", "b", "c"),
+                  (Edge(0, 1, 1.0, directed=True), Edge(1, 2, 1.0, directed=True),
+                   Edge(2, 0, 5.0, directed=True), Edge(0, 2, 3.0)))
+    assert net.distances_to(0) == (0.0, 4.0, 3.0)
+    assert net.distances_to(2) == (2.0, 1.0, 0.0)
+    with pytest.raises(UnknownNodeError):
+        net.distances_to(3)
+    for inst in (gen_random(3, num_nodes=8, density=0.5, num_demands=1), fig7()):
+        net = inst.network
+        n = net.num_nodes
+        for t in range(n):
+            assert net.distances_to(t) == tuple(
+                shortest_distance(net, j, t) for j in range(n))
+
+
 def test_serialize_round_trip():
     for builder in (lambda: fig7(), lambda: gen_example("fig2", 10.0),
                     lambda: gen_random(5, num_nodes=6, num_demands=2)):

@@ -1,8 +1,11 @@
+import random
+
 import pytest
 
 from frlp import (CYCLIC, ORIGINAL, SolveRequest, UnservableError,
                   brute_force_solve, gen_example, gen_random, is_served,
                   reevaluate, separate, solve)
+from frlp import solver as solver_module
 from frlp.solver import MAX_COVER, MIN_STATIONS
 
 
@@ -127,3 +130,54 @@ def test_small_oracle_agreement():
                 want = brute_force_solve(inst, variant, "max_cover",
                                          budget=budget)
                 assert got.objective == pytest.approx(want.objective)
+
+
+def full_shrink_separate(instance, variant, x, y):
+    """Reference separation: shrink over every closed node of the network."""
+    n = instance.num_nodes
+    cuts = []
+    for qi, demand in enumerate(instance.demands):
+        if y[qi] < 0.5:
+            continue
+        closed = [j for j in range(n) if x[j] < 0.5]
+        open_set = frozenset(j for j in range(n) if x[j] >= 0.5)
+        if is_served(instance, demand, open_set, variant):
+            continue
+        kept = set(closed)
+        for j in sorted(closed):
+            if not is_served(instance, demand,
+                             frozenset(range(n)) - (kept - {j}), variant):
+                kept.discard(j)
+        cuts.append((qi, frozenset(kept)))
+    return cuts
+
+
+def test_corridor_separation_matches_full_shrink(small_pool):
+    rng = random.Random(7)
+    for inst in small_pool:
+        n, nq = inst.num_nodes, len(inst.demands)
+        for variant in (ORIGINAL, CYCLIC):
+            for _ in range(6):
+                x = [int(rng.random() < 0.3) for _ in range(n)]
+                y = [int(rng.random() < 0.8) for _ in range(nq)]
+                assert separate(inst, variant, x, y) == \
+                    full_shrink_separate(inst, variant, x, y), (x, y, variant)
+
+
+def test_servedness_counters(monkeypatch):
+    checks = []
+
+    def counting_is_served(*args):
+        checks.append(args)
+        return is_served(*args)
+
+    monkeypatch.setattr(solver_module, "is_served", counting_is_served)
+    inst = gen_random(71, num_nodes=8, density=0.3, num_demands=4)
+    for variant in (ORIGINAL, CYCLIC):
+        for request in (SolveRequest(inst, variant, MAX_COVER, budget=2),
+                        SolveRequest(inst, variant, MIN_STATIONS)):
+            checks.clear()
+            stats = solve(request).stats
+            assert 0 < stats.served_memo_hits < stats.served_calls
+            assert stats.served_calls - stats.served_memo_hits == len(checks)
+            assert len(set(checks)) == len(checks)  # no check is repeated
