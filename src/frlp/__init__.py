@@ -15,15 +15,15 @@ from .feasibility import (CycleQuery, Label, corridor, extend_label,
                           is_served, search_cycle)
 from .generators import (gen_example, gen_prop5a, gen_prop5b, gen_random,
                          prop5b_analytic_family)
-from .lp import (AGG, DISAGG, MAX_COVER, MIN_STATIONS, DemandRoutes,
-                 LinearProgram, LpSolution, MipModel, NumericalError,
-                 build_model, eval_v_agg, eval_v_disagg, eval_v_tight,
-                 lp_bound, prepare_families, prepare_route_data, solve_lp)
-from .network import (CYCLIC, ORIGINAL, Demand, Edge, Instance, Network,
-                      ParseError, PlacementConstraints, UnknownNodeError,
-                      ValidationError, build_instance, parse_instance,
-                      serialize_instance, shortest_distance,
-                      validate_instance)
+from .lp import (AGG, DISAGG, DemandRoutes, LinearProgram, LpSolution,
+                 MipModel, NumericalError, build_model, covering_lp,
+                 eval_v_agg, eval_v_disagg, eval_v_tight, lp_bound,
+                 prepare_families, prepare_route_data, solve_lp)
+from .network import (CYCLIC, MAX_COVER, MIN_STATIONS, ORIGINAL, Demand,
+                      Edge, Instance, Network, ParseError,
+                      PlacementConstraints, UnknownNodeError, ValidationError,
+                      build_instance, parse_instance, serialize_instance,
+                      shortest_distance, validate_instance)
 from .oracle import OracleResult, OracleSizeError, brute_force_solve, exhaustive_served
 from .routes import (EnumerationOverflowError, NoRouteError, Route,
                      enumerate_routes, is_traversable, make_route,

@@ -10,24 +10,20 @@ from __future__ import annotations
 import argparse
 import csv
 import logging
-import math
 import os
 import sys
 from dataclasses import replace
 
 from . import generators
-from .covering import minimalize
 from .feasibility import CycleQuery, search_cycle, is_served
-from .lp import (AGG, DISAGG, MIN_STATIONS as LP_MIN_STATIONS, NumericalError,
-                 TIGHT_NODE_CAP, build_model, lp_bound, prepare_families,
-                 prepare_route_data)
-from .network import (CYCLIC, ORIGINAL, Demand, Instance, ParseError,
-                      ValidationError, parse_instance, serialize_instance,
-                      shortest_distance, validate_instance)
+from .lp import (AGG, DISAGG, NumericalError, TIGHT_NODE_CAP, build_model,
+                 lp_bound, prepare_route_data)
+from .network import (CYCLIC, MAX_COVER, MIN_STATIONS, ORIGINAL, Instance,
+                      ParseError, ValidationError, build_instance,
+                      parse_instance, serialize_instance, shortest_distance)
 from .oracle import OracleSizeError, brute_force_solve
 from .routes import enumerate_routes, route_budget
-from .solver import (MAX_COVER, MIN_STATIONS, SolveRequest, UnservableError,
-                     reevaluate, solve)
+from .solver import SolveRequest, UnservableError, reevaluate, solve
 
 log = logging.getLogger("frlp")
 
@@ -67,12 +63,18 @@ def _usage(message: str) -> int:
 
 
 def _override_alpha(instance: Instance, alpha) -> Instance:
+    """The instance with every deviation demand's alpha replaced, validated
+    again as a loaded instance is."""
     if alpha is None:
         return instance
-    demands = tuple(
-        replace(q, alpha=float(alpha)) if q.alpha is not None else q
-        for q in instance.demands)
-    return replace(instance, demands=demands)
+    demands = [replace(q, alpha=float(alpha)) if q.alpha is not None else q
+               for q in instance.demands]
+    try:
+        return build_instance(instance.network.node_names, instance.network.edges,
+                              demands, instance.travel_range, instance.placement,
+                              instance.variant_default)
+    except ValidationError as exc:
+        raise SystemExit(_usage(f"alpha {alpha:g}: {exc}"))
 
 
 def _add_instance_arg(p):
@@ -216,7 +218,7 @@ def cmd_bounds(args) -> int:
     if instance.num_nodes <= TIGHT_NODE_CAP:
         # The tightest concave bound over an integral placement polytope is
         # attained at an integer vertex, i.e. at the exact optimum.
-        tight = brute_force_solve(instance, variant, "max_cover",
+        tight = brute_force_solve(instance, variant, MAX_COVER,
                                   budget=budget).objective
         print(f"tight bound:     {tight:g}")
         if tight > 0:
@@ -227,8 +229,7 @@ def cmd_bounds(args) -> int:
 def _run_solve(instance, variant, args):
     objective = MAX_COVER if args.objective == "maxcover" else MIN_STATIONS
     request = SolveRequest(instance, variant, objective, budget=args.budget,
-                           coverage=args.coverage, time_limit=args.time_limit,
-                           seed=args.seed)
+                           coverage=args.coverage, time_limit=args.time_limit)
     return solve(request)
 
 
@@ -261,7 +262,7 @@ def cmd_solve(args) -> int:
 def cmd_oracle(args) -> int:
     instance = _override_alpha(_load(args.instance), args.alpha_override)
     variant = args.variant or instance.variant_default
-    objective = "max_cover" if args.objective == "maxcover" else "min_stations"
+    objective = MAX_COVER if args.objective == "maxcover" else MIN_STATIONS
     try:
         result = brute_force_solve(instance, variant, objective,
                                    budget=args.budget, coverage=args.coverage)
@@ -328,7 +329,6 @@ def build_parser() -> _Parser:
         p.add_argument("--budget", type=int)
         p.add_argument("--coverage", type=float, default=1.0)
         p.add_argument("--time-limit", type=float)
-        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("validate", help="check an instance file")
     _add_instance_arg(p)
@@ -406,6 +406,8 @@ def run(argv=None) -> int:
     except (UnservableError, NumericalError, OracleSizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return SOLVE_ERROR
+    except ValueError as exc:  # an option value the library rejects
+        return _usage(str(exc))
 
 
 def main() -> None:

@@ -7,9 +7,7 @@ pools for property testing.
 from __future__ import annotations
 
 import itertools
-import math
 import random
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .covering import AGGREGATED, CutSetFamily

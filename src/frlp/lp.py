@@ -2,23 +2,24 @@
 
 The solver is a dense two-phase revised simplex: small deterministic models
 only, no external dependencies. Model builders transcribe the per-route
-(disaggregated), per-demand (aggregated) and minimum-station covering
-formulations; the evaluators compute the three concave servedness bounds
-(per-route LP value, aggregated closed form, tightest concave interpolant).
+(disaggregated) and per-demand (aggregated) covering formulations; the
+aggregated one, for either objective, comes from `covering_lp`, which the
+branch-and-cut solver also builds its relaxations with. The evaluators
+compute the three concave servedness bounds (per-route LP value, aggregated
+closed form, tightest concave interpolant).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .covering import CutSetFamily, aggregate_cut_sets, cut_sets_for_cycle, minimalize
+from .covering import CutSetFamily, aggregate_cut_sets, cut_sets_for_cycle
 from .feasibility import is_served
-from .network import Demand, Instance
+from .network import MAX_COVER, MIN_STATIONS, Demand, Instance
 from .routes import Route, enumerate_routes
 
 MAX = "max"
@@ -29,10 +30,10 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
+# Formulation tags of build_model; the aggregated min-station model is
+# tagged with its objective, MIN_STATIONS.
 DISAGG = "disagg"
 AGG = "agg"
-MIN_STATIONS = "min_stations"
-MAX_COVER = "max_cover"
 
 PRIMAL_TOL = 1e-7
 DUAL_TOL = 1e-6
@@ -76,13 +77,12 @@ class LpSolution:
 
 @dataclass
 class MipModel:
-    """A covering MIP: LP plus integrality markers and variable roles."""
+    """A covering MIP: its LP relaxation (every variable of the MIP is
+    binary) and the role of each variable."""
 
     lp: LinearProgram
-    integral: List[bool]
     roles: List[tuple]  # ("x", j) | ("y", q) | ("z", q, r)
     tag: str
-    volumes: Tuple[float, ...] = ()
 
 
 def _standard_form(lp: LinearProgram):
@@ -349,11 +349,55 @@ def prepare_families(instance: Instance, variant: str) -> List[CutSetFamily]:
     return [d.aggregated for d in prepare_route_data(instance, variant)]
 
 
-def _apply_placement(lp: LinearProgram, instance: Instance, num_x: int):
+def _apply_placement(lp: LinearProgram, instance: Instance):
     for j in instance.placement.forced_open:
         lp.bounds[j] = (1.0, 1.0)
     for j in instance.placement.forced_closed:
         lp.bounds[j] = (0.0, 0.0)
+
+
+def covering_lp(instance: Instance, objective: str,
+                rows: Iterable[Tuple[int, FrozenSet[int]]],
+                budget: Optional[int] = None,
+                coverage: float = 1.0) -> LinearProgram:
+    """Relaxation of the aggregated covering model over the given
+    (demand index, node set) rows.
+
+    Columns are the stations x_j, then the served flags y_q. The first row
+    is the station budget (MAX_COVER; the placement budget when `budget` is
+    None, no row when neither is set) or the coverage row (MIN_STATIONS with
+    coverage < 1; at full coverage every y_q is fixed to 1 instead). Then
+    one row x(S) - y_q >= 0 per pair, in the order given; an empty S gives
+    y_q <= 0. Forced placements become bounds on x.
+    """
+    n = instance.num_nodes
+    volumes = [q.volume for q in instance.demands]
+    nq = len(volumes)
+    if objective == MAX_COVER:
+        lp = LinearProgram(MAX, [0.0] * n + volumes, bounds=[(0.0, 1.0)] * (n + nq))
+        if budget is None:
+            budget = instance.placement.budget
+        if budget is not None:
+            lp.add_row([(j, 1.0) for j in range(n)], LE, float(budget))
+    elif objective == MIN_STATIONS:
+        if not 0.0 < coverage <= 1.0:
+            raise ValueError("coverage must lie in (0, 1]")
+        full = coverage == 1.0
+        lp = LinearProgram(MIN, [1.0] * n + [0.0] * nq,
+                           bounds=[(0.0, 1.0)] * n +
+                                  [(1.0, 1.0) if full else (0.0, 1.0)] * nq)
+        if not full:
+            lp.add_row([(n + qi, v) for qi, v in enumerate(volumes)],
+                       GE, coverage * sum(volumes))
+    else:
+        raise ValueError(f"unknown objective {objective!r}")
+    for qi, s in rows:
+        if s:
+            lp.add_row([(j, 1.0) for j in sorted(s)] + [(n + qi, -1.0)], GE, 0.0)
+        else:
+            lp.add_row([(n + qi, 1.0)], LE, 0.0)  # demand q cannot be served
+    _apply_placement(lp, instance)
+    return lp
 
 
 def build_model(instance: Instance, tag: str,
@@ -361,24 +405,17 @@ def build_model(instance: Instance, tag: str,
                 families: Optional[Sequence[CutSetFamily]] = None,
                 budget: Optional[int] = None,
                 coverage: float = 1.0) -> MipModel:
-    """Covering MIP for one of the four formulation tags.
+    """Covering MIP for one of the formulation tags DISAGG, AGG, MIN_STATIONS.
 
-    disagg/max_cover need route_data/families respectively; min_stations uses
-    families with y fixed to 1 (coverage 1) or kept with a volume row.
+    disagg needs route_data; agg (max-cover) and min_stations need one
+    covering family per demand and are built by `covering_lp`.
     """
     n = instance.num_nodes
-    demands = instance.demands
-    volumes = tuple(q.volume for q in demands)
-
-    if budget is None and instance.placement.budget is not None:
-        budget = instance.placement.budget
-
     if tag == DISAGG:
         if route_data is None:
             raise ValueError("disagg model requires route_data")
         roles = [("x", j) for j in range(n)]
-        objective = [0.0] * n
-        lp = LinearProgram(MAX, objective, bounds=[(0.0, 1.0)] * n)
+        lp = LinearProgram(MAX, [0.0] * n, bounds=[(0.0, 1.0)] * n)
         for qi, dr in enumerate(route_data):
             z_cols = []
             for ri, family in enumerate(dr.families):
@@ -391,54 +428,22 @@ def build_model(instance: Instance, tag: str,
                     lp.add_row([(j, 1.0) for j in sorted(s)] + [(col, -1.0)],
                                GE, 0.0)
             lp.add_row([(c, 1.0) for c in z_cols], LE, 1.0)
-        integral = [True] * n + [True] * (len(lp.objective) - n)
-    elif tag in (AGG, MAX_COVER):
-        if families is None:
-            raise ValueError(f"{tag} model requires families")
-        roles = [("x", j) for j in range(n)] + [("y", qi)
-                                                for qi in range(len(demands))]
-        objective = [0.0] * n + [q.volume for q in demands]
-        lp = LinearProgram(MAX, objective,
-                           bounds=[(0.0, 1.0)] * (n + len(demands)))
-        for qi, family in enumerate(families):
-            y_col = n + qi
-            for s in family.sets:
-                lp.add_row([(j, 1.0) for j in sorted(s)] + [(y_col, -1.0)],
-                           GE, 0.0)
-        integral = [True] * len(lp.objective)
-    elif tag == MIN_STATIONS:
-        if families is None:
-            raise ValueError("min_stations model requires families")
-        if not 0.0 < coverage <= 1.0:
-            raise ValueError("coverage must lie in (0, 1]")
-        if coverage >= 1.0:
-            roles = [("x", j) for j in range(n)]
-            lp = LinearProgram(MIN, [1.0] * n, bounds=[(0.0, 1.0)] * n)
-            for family in families:
-                for s in family.sets:
-                    lp.add_row([(j, 1.0) for j in sorted(s)], GE, 1.0)
-            integral = [True] * n
-        else:
-            roles = [("x", j) for j in range(n)] + [("y", qi)
-                                                    for qi in range(len(demands))]
-            lp = LinearProgram(MIN, [1.0] * n + [0.0] * len(demands),
-                               bounds=[(0.0, 1.0)] * (n + len(demands)))
-            for qi, family in enumerate(families):
-                y_col = n + qi
-                for s in family.sets:
-                    lp.add_row([(j, 1.0) for j in sorted(s)] + [(y_col, -1.0)],
-                               GE, 0.0)
-            total = sum(volumes)
-            lp.add_row([(n + qi, volumes[qi]) for qi in range(len(demands))],
-                       GE, coverage * total)
-            integral = [True] * len(lp.objective)
-    else:
+        if budget is None:
+            budget = instance.placement.budget
+        if budget is not None:
+            lp.add_row([(j, 1.0) for j in range(n)], LE, float(budget))
+        _apply_placement(lp, instance)
+        return MipModel(lp, roles, tag)
+    if tag not in (AGG, MIN_STATIONS):
         raise ValueError(f"unknown formulation tag {tag!r}")
-
-    if tag != MIN_STATIONS and budget is not None:
-        lp.add_row([(j, 1.0) for j in range(n)], LE, float(budget))
-    _apply_placement(lp, instance, n)
-    return MipModel(lp, integral, roles, tag, volumes)
+    if families is None:
+        raise ValueError(f"{tag} model requires families")
+    rows = [(qi, s) for qi, family in enumerate(families) for s in family.sets]
+    lp = covering_lp(instance, MAX_COVER if tag == AGG else MIN_STATIONS, rows,
+                     budget, coverage)
+    roles = [("x", j) for j in range(n)] + [("y", qi)
+                                            for qi in range(len(instance.demands))]
+    return MipModel(lp, roles, tag)
 
 
 def lp_bound(model: MipModel) -> float:

@@ -20,6 +20,11 @@ ORIGINAL = "original"
 CYCLIC = "cyclic"
 VARIANTS = (ORIGINAL, CYCLIC)
 
+# Objectives of the location problem: the demand volume served by at most a
+# budget of stations, or the fewest stations that serve a coverage share.
+MAX_COVER = "max_cover"
+MIN_STATIONS = "min_stations"
+
 
 class ParseError(ValueError):
     """Raised when an instance document is malformed."""
@@ -95,12 +100,17 @@ class Network:
     def _dist_cache(self):
         return {}
 
+    @cached_property
+    def _parent_cache(self):
+        return {}
+
     def _check_node(self, node: int):
         if not 0 <= node < self.num_nodes:
             raise UnknownNodeError(f"unknown node id {node}")
 
     def distances_from(self, source: int, respect_direction: bool = True):
-        """All shortest distances from `source` (Dijkstra), cached per source."""
+        """All shortest distances from `source` (Dijkstra), cached per source.
+        The same run records a shortest-path tree for `shortest_path`."""
         self._check_node(source)
         key = (source, respect_direction)
         cached = self._dist_cache.get(key)
@@ -108,6 +118,7 @@ class Network:
             return cached
         adj = self.adjacency if respect_direction else self.undirected_adjacency
         dist = [math.inf] * self.num_nodes
+        parent = [None] * self.num_nodes
         dist[source] = 0.0
         heap = [(0.0, source)]
         while heap:
@@ -118,9 +129,11 @@ class Network:
                 nd = d + length
                 if nd < dist[v] - DIST_TOL:
                     dist[v] = nd
+                    parent[v] = u
                     heapq.heappush(heap, (nd, v))
         result = tuple(dist)
         self._dist_cache[key] = result
+        self._parent_cache[key] = tuple(parent)
         return result
 
     def distances_to(self, target: int):
@@ -136,27 +149,12 @@ class Network:
         return cached
 
     def shortest_path(self, source: int, target: int, respect_direction: bool = True):
-        """A shortest node sequence source -> target, or None if unreachable."""
-        self._check_node(source)
+        """A shortest node sequence source -> target, or None if unreachable,
+        read off the shortest-path tree of `distances_from(source)`."""
         self._check_node(target)
-        adj = self.adjacency if respect_direction else self.undirected_adjacency
-        dist = {source: 0.0}
-        parent = {source: None}
-        heap = [(0.0, source)]
-        while heap:
-            d, u = heapq.heappop(heap)
-            if d > dist.get(u, math.inf) + DIST_TOL:
-                continue
-            if u == target:
-                break
-            for v, length in adj[u]:
-                nd = d + length
-                if nd < dist.get(v, math.inf) - DIST_TOL:
-                    dist[v] = nd
-                    parent[v] = u
-                    heapq.heappush(heap, (nd, v))
-        if target not in parent and target != source:
+        if math.isinf(self.distances_from(source, respect_direction)[target]):
             return None
+        parent = self._parent_cache[(source, respect_direction)]
         path = [target]
         while path[-1] != source:
             path.append(parent[path[-1]])
@@ -313,6 +311,16 @@ def _parse_node_ref(value, name_to_id, context):
     return name_to_id[key]
 
 
+def _parse_budget(value) -> Optional[int]:
+    """A station budget: a whole number (2 or 2.0), or None when absent."""
+    if value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or \
+            (isinstance(value, float) and not value.is_integer()):
+        raise ParseError(f"'placement.budget' must be a whole number, not {value!r}")
+    return int(value)
+
+
 def parse_instance(document: str) -> Instance:
     """Parse and validate an instance document, pruning long edges and
     demands with empty route sets (recorded in `pruning_report`)."""
@@ -387,11 +395,8 @@ def parse_instance(document: str) -> Instance:
         p = data["placement"]
         if not isinstance(p, dict):
             raise ParseError("'placement' must be an object")
-        budget = p.get("budget")
-        if budget is not None:
-            budget = int(budget)
         placement = PlacementConstraints(
-            budget=budget,
+            budget=_parse_budget(p.get("budget")),
             forced_open=frozenset(_parse_node_ref(x, name_to_id, "placement.open")
                                   for x in p.get("open", [])),
             forced_closed=frozenset(_parse_node_ref(x, name_to_id, "placement.closed")

@@ -12,14 +12,11 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Optional, Tuple
 
-from .network import Demand, Instance
+from .network import MAX_COVER, MIN_STATIONS, Demand, Instance
 from .routes import enumerate_routes, is_traversable
 
 ORACLE_NODE_CAP = 20
 OPTIMAL_SET_CAP = 64
-
-MAX_COVER = "max_cover"
-MIN_STATIONS = "min_stations"
 
 
 class OracleSizeError(ValueError):

@@ -1,7 +1,8 @@
 """Branch-and-cut over the aggregated covering formulation with lazy
-separation: the relaxation starts without covering rows, integral candidates
-are checked by the feasibility module, and violated (demand, node-set) cuts
-are pooled globally and shared across the tree.
+separation: the relaxation is `lp.covering_lp` over a cut pool that starts
+empty, integral candidates are checked by the feasibility module, and
+violated (demand, node-set) cuts are pooled globally and shared across the
+tree.
 """
 
 from __future__ import annotations
@@ -10,16 +11,12 @@ import heapq
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .feasibility import corridor, is_served
-from .lp import (GE, LE, INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram,
-                 NumericalError, solve_lp)
-from .network import Instance
-
-MAX_COVER = "max_cover"
-MIN_STATIONS = "min_stations"
+from .lp import INFEASIBLE, OPTIMAL, NumericalError, covering_lp, solve_lp
+from .network import MAX_COVER, MIN_STATIONS, Instance
 
 INT_TOL = 1e-6
 
@@ -46,7 +43,6 @@ class SolveRequest:
     coverage: float = 1.0
     time_limit: Optional[float] = None
     node_limit: Optional[int] = None
-    seed: int = 0
 
 
 @dataclass
@@ -127,35 +123,6 @@ def separate(instance: Instance, variant: str, x, y,
     return cuts
 
 
-def _root_lp(request: SolveRequest, n: int, nq: int):
-    """Relaxation without covering rows: objective, budget/coverage rows and
-    placement fixings only."""
-    instance = request.instance
-    if request.objective == MAX_COVER:
-        lp = LinearProgram("max", [0.0] * n + [q.volume for q in instance.demands],
-                           bounds=[(0.0, 1.0)] * (n + nq))
-        budget = request.budget
-        if budget is None:
-            budget = instance.placement.budget
-        if budget is not None:
-            lp.add_row([(j, 1.0) for j in range(n)], LE, float(budget))
-    else:
-        full = request.coverage >= 1.0
-        lp = LinearProgram("min", [1.0] * n + [0.0] * nq,
-                           bounds=[(0.0, 1.0)] * n +
-                                  [(1.0, 1.0) if full else (0.0, 1.0)] * nq)
-        if not full:
-            total = sum(q.volume for q in instance.demands)
-            lp.add_row([(n + qi, q.volume)
-                        for qi, q in enumerate(instance.demands)],
-                       GE, request.coverage * total)
-    for j in instance.placement.forced_open:
-        lp.bounds[j] = (1.0, 1.0)
-    for j in instance.placement.forced_closed:
-        lp.bounds[j] = (0.0, 0.0)
-    return lp
-
-
 def _check_servable(request: SolveRequest, verdicts: _Verdicts):
     """Full-coverage requests fail fast when a demand is unservable even with
     every allowed node opened."""
@@ -178,17 +145,22 @@ def solve(request: SolveRequest) -> Solution:
     n = instance.num_nodes
     nq = len(instance.demands)
     maximize = request.objective == MAX_COVER
-    if request.objective not in (MAX_COVER, MIN_STATIONS):
-        raise ValueError(f"unknown objective {request.objective!r}")
+    cut_pool: List[Tuple[int, FrozenSet[int]]] = []
+    cut_keys = set()
+
+    def relaxation(fixings):
+        lp = covering_lp(instance, request.objective, cut_pool, request.budget,
+                         request.coverage)
+        for j, val in fixings.items():
+            lp.bounds[j] = (float(val), float(val))
+        return lp
+
+    relaxation({})  # an unknown objective or coverage raises before any work
     stats = SolveStats()
     start = time.perf_counter()
     verdicts = _Verdicts(instance, request.variant, stats)
-    if request.objective == MIN_STATIONS and request.coverage >= 1.0:
+    if request.objective == MIN_STATIONS and request.coverage == 1.0:
         _check_servable(request, verdicts)
-
-    base_lp = _root_lp(request, n, nq)
-    cut_pool: List[Tuple[int, FrozenSet[int]]] = []
-    cut_keys = set()
 
     incumbent: Optional[Solution] = None
     incumbent_value = -math.inf if maximize else math.inf
@@ -196,20 +168,6 @@ def solve(request: SolveRequest) -> Solution:
     def better(value):
         return value > incumbent_value + 1e-9 if maximize else \
             value < incumbent_value - 1e-9
-
-    def lp_with_cuts(fixings):
-        lp = LinearProgram(base_lp.sense, list(base_lp.objective),
-                           rows=list(base_lp.rows),
-                           bounds=list(base_lp.bounds))
-        for qi, cut in cut_pool:
-            if cut:
-                lp.add_row([(j, 1.0) for j in sorted(cut)] + [(n + qi, -1.0)],
-                           GE, 0.0)
-            else:
-                lp.add_row([(n + qi, 1.0)], LE, 0.0)  # demand is unservable here
-        for j, val in fixings.items():
-            lp.bounds[j] = (float(val), float(val))
-        return lp
 
     # Node queue ordered by bound (best-bound first), then FIFO.
     counter = itertools.count()
@@ -232,7 +190,7 @@ def solve(request: SolveRequest) -> Solution:
         stats.bb_nodes += 1
 
         while True:  # re-solve the node after each round of new cuts
-            solution = solve_lp(lp_with_cuts(fixings))
+            solution = solve_lp(relaxation(fixings))
             if solution.status == INFEASIBLE:
                 solution = None
                 break

@@ -41,6 +41,31 @@ def test_validate_reports_violations(tmp_path, capsys):
     assert "non-positive" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("budget", ["x", 2.7])
+def test_validate_rejects_bad_budget(tmp_path, capsys, budget):
+    doc = json.loads(serialize_instance(gen_example("fig7", 12.0)))
+    doc["placement"] = {"budget": budget}
+    path = tmp_path / "budget.json"
+    path.write_text(json.dumps(doc))
+    assert run(["validate", str(path)]) == 1
+    assert "budget" in capsys.readouterr().out
+    assert run(["solve", str(path)]) == 1
+    assert "budget" in capsys.readouterr().err
+
+
+def test_alpha_override_below_one_is_a_usage_error(fig7_path, capsys):
+    assert run(["solve", fig7_path, "--alpha-override", "0.5"]) == 1
+    assert "alpha must be >= 1" in capsys.readouterr().err
+    assert run(["enumerate", fig7_path, "--alpha-override", "0.5"]) == 1
+    assert "alpha must be >= 1" in capsys.readouterr().err
+
+
+def test_solve_coverage_out_of_range_is_a_usage_error(fig7_path, capsys):
+    assert run(["solve", fig7_path, "--objective", "minstations",
+                "--coverage", "1.5"]) == 1
+    assert "coverage must lie in (0, 1]" in capsys.readouterr().err
+
+
 def test_enumerate_matches_tables(fig7_path, capsys):
     assert run(["enumerate", fig7_path, "--variant", "original"]) == 0
     out = capsys.readouterr().out

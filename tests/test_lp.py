@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from frlp import (AGG, CYCLIC, DISAGG, ORIGINAL, Demand, Edge, LinearProgram,
-                  build_instance, build_model, eval_v_agg, eval_v_disagg,
-                  eval_v_tight, gen_example, gen_prop5a, gen_random, lp_bound,
+                  PlacementConstraints, build_instance, build_model,
+                  covering_lp, eval_v_agg, eval_v_disagg, eval_v_tight,
+                  gen_example, gen_prop5a, gen_random, lp_bound,
                   prepare_families, prepare_route_data, solve_lp)
 from frlp.covering import CutSetFamily
-from frlp.lp import (EQ, GE, LE, MAX, MIN, MIN_STATIONS, DimensionCapError,
-                     LpSolution, served_vector)
+from frlp.lp import (EQ, GE, LE, MAX, MAX_COVER, MIN, MIN_STATIONS,
+                     DimensionCapError, LpSolution, served_vector)
 
 
 def line_instance(volume=1.0):
@@ -110,6 +111,58 @@ def test_build_model_min_stations_empty():
     empty = build_instance(["1", "2"], [Edge(0, 1, 1.0)], [], 2.0)
     model = build_model(empty, MIN_STATIONS, families=[])
     assert lp_bound(model) == pytest.approx(0.0)
+
+
+def placed_instance():
+    # a - b - c with two demands, a budget of 2, `a` forced open, `c` closed
+    return build_instance(["a", "b", "c"], [Edge(0, 1, 1.0), Edge(1, 2, 1.0)],
+                          [Demand(0, 2, 1.0, alpha=1.0),
+                           Demand(2, 0, 3.0, alpha=1.0)], 5.0,
+                          PlacementConstraints(budget=2, forced_open=frozenset({0}),
+                                               forced_closed=frozenset({2})))
+
+
+def test_covering_lp_row_order():
+    inst = placed_instance()
+    pairs = [(1, frozenset({2, 0})), (0, frozenset()), (0, frozenset({1}))]
+    cut_rows = [([(0, 1.0), (2, 1.0), (4, -1.0)], GE, 0.0),
+                ([(3, 1.0)], LE, 0.0),  # an empty set: y_0 <= 0
+                ([(1, 1.0), (3, -1.0)], GE, 0.0)]
+
+    lp = covering_lp(inst, MAX_COVER, pairs)  # the placement budget
+    assert lp.sense == MAX and lp.objective == [0.0, 0.0, 0.0, 1.0, 3.0]
+    assert lp.rows == [([(0, 1.0), (1, 1.0), (2, 1.0)], LE, 2.0)] + cut_rows
+    assert lp.bounds == [(1.0, 1.0), (0.0, 1.0), (0.0, 0.0), (0.0, 1.0), (0.0, 1.0)]
+    assert covering_lp(inst, MAX_COVER, pairs, budget=1).rows[0][2] == 1.0
+
+    lp = covering_lp(inst, MIN_STATIONS, pairs, coverage=0.5)
+    assert lp.sense == MIN and lp.objective == [1.0, 1.0, 1.0, 0.0, 0.0]
+    assert lp.rows == [([(3, 1.0), (4, 3.0)], GE, 2.0)] + cut_rows
+    assert lp.bounds[3:] == [(0.0, 1.0), (0.0, 1.0)]
+
+    lp = covering_lp(inst, MIN_STATIONS, pairs)  # full coverage fixes every y
+    assert lp.rows == cut_rows
+    assert lp.bounds[3:] == [(1.0, 1.0), (1.0, 1.0)]
+
+
+def test_covering_lp_rejects_bad_objective_and_coverage():
+    inst = placed_instance()
+    for coverage in (0.0, -0.5, 1.5):
+        with pytest.raises(ValueError, match="coverage"):
+            covering_lp(inst, MIN_STATIONS, [], coverage=coverage)
+    with pytest.raises(ValueError, match="objective"):
+        covering_lp(inst, "min_cost", [])
+
+
+def test_build_model_agg_is_the_covering_lp():
+    inst = gen_random(3, num_nodes=7, density=0.4, num_demands=3)
+    families = prepare_families(inst, ORIGINAL)
+    pairs = [(qi, s) for qi, f in enumerate(families) for s in f.sets]
+    for tag, objective in ((AGG, MAX_COVER), (MIN_STATIONS, MIN_STATIONS)):
+        model = build_model(inst, tag, families=families, budget=2)
+        assert model.lp == covering_lp(inst, objective, pairs, budget=2)
+        assert model.roles == [("x", j) for j in range(7)] + [("y", q)
+                                                              for q in range(3)]
 
 
 def test_no_covering_rows_max_cover_gives_total_volume():

@@ -156,6 +156,49 @@ def test_distances_to_respects_direction():
                 shortest_distance(net, j, t) for j in range(n))
 
 
+def test_shortest_path_follows_distances():
+    # One-way ring a -> b -> c -> a plus a two-way chord a - c; d is isolated.
+    ring = Network(("a", "b", "c", "d"),
+                   (Edge(0, 1, 1.0, directed=True), Edge(1, 2, 1.0, directed=True),
+                    Edge(2, 0, 5.0, directed=True), Edge(0, 2, 3.0)))
+    cases = [(gen_random(3, num_nodes=8, density=0.5, num_demands=1).network, True),
+             (fig7().network, True), (ring, True), (ring, False)]
+    for net, directed in cases:
+        adj = net.adjacency if directed else net.undirected_adjacency
+        for s in range(net.num_nodes):
+            dist = net.distances_from(s, directed)
+            for t in range(net.num_nodes):
+                path = net.shortest_path(s, t, directed)
+                if math.isinf(dist[t]):
+                    assert path is None
+                    continue
+                assert path[0] == s and path[-1] == t
+                hops = [min(length for w, length in adj[u] if w == v)
+                        for u, v in zip(path, path[1:])]  # every hop is an arc
+                assert sum(hops) == pytest.approx(dist[t])
+    assert ring.shortest_path(2, 1) == (2, 0, 1)
+    assert ring.shortest_path(2, 1, respect_direction=False) == (2, 1)
+    assert ring.shortest_path(0, 3) is None
+    assert ring.shortest_path(3, 3) == (3,)
+    with pytest.raises(UnknownNodeError):
+        ring.shortest_path(0, 4)
+
+
+@pytest.mark.parametrize("budget", ["x", 2.7, True, float("inf"), [2]])
+def test_parse_rejects_budget_that_is_not_a_whole_number(budget):
+    doc = json.loads(serialize_instance(fig7()))
+    doc["placement"] = {"budget": budget}
+    with pytest.raises(ParseError, match="budget"):
+        parse_instance(json.dumps(doc))
+
+
+def test_parse_accepts_whole_number_budget():
+    doc = json.loads(serialize_instance(fig7()))
+    for budget in (2, 2.0):
+        doc["placement"] = {"budget": budget}
+        assert parse_instance(json.dumps(doc)).placement.budget == 2
+
+
 def test_serialize_round_trip():
     for builder in (lambda: fig7(), lambda: gen_example("fig2", 10.0),
                     lambda: gen_random(5, num_nodes=6, num_demands=2)):

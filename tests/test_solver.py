@@ -93,12 +93,36 @@ def test_solution_invariants_and_stats():
 
 def test_determinism():
     inst = gen_random(5, num_nodes=8, density=0.3, num_demands=4)
-    a = solve(SolveRequest(inst, CYCLIC, MAX_COVER, budget=2, seed=1))
-    b = solve(SolveRequest(inst, CYCLIC, MAX_COVER, budget=2, seed=1))
+    a = solve(SolveRequest(inst, CYCLIC, MAX_COVER, budget=2))
+    b = solve(SolveRequest(inst, CYCLIC, MAX_COVER, budget=2))
     assert a.stations == b.stations
     assert a.objective == b.objective
     assert a.stats.bb_nodes == b.stats.bb_nodes
     assert a.stats.cuts == b.stats.cuts
+
+
+def test_node_relaxations_come_from_covering_lp(monkeypatch):
+    from frlp.lp import LE, covering_lp
+    solved = []
+    solve_lp = solver_module.solve_lp
+
+    def recording_solve_lp(lp):
+        solved.append(lp)
+        return solve_lp(lp)
+
+    monkeypatch.setattr(solver_module, "solve_lp", recording_solve_lp)
+    inst = gen_random(5, num_nodes=8, density=0.3, num_demands=4)
+    solution = solve(SolveRequest(inst, CYCLIC, MAX_COVER, budget=2))
+    assert solution.stats.cuts > 0
+    assert solved[0] == covering_lp(inst, MAX_COVER, [], budget=2)
+    for lp in solved:  # the budget row stays first as cut rows are added
+        assert lp.rows[0] == ([(j, 1.0) for j in range(8)], LE, 2.0)
+    assert len(solved[-1].rows) == 1 + solution.stats.cuts
+
+
+def test_solve_rejects_coverage_out_of_range():
+    with pytest.raises(ValueError, match="coverage"):
+        solve(SolveRequest(fig7(), CYCLIC, MIN_STATIONS, coverage=1.5))
 
 
 def test_min_stations_unservable_names_demand():
