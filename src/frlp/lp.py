@@ -73,6 +73,7 @@ class LpSolution:
     value: Optional[float]
     primal: Optional[Tuple[float, ...]]
     duals: Optional[Tuple[float, ...]]  # one per LinearProgram row
+    iterations: int = 0  # simplex pivots, both phases
 
 
 @dataclass
@@ -143,12 +144,20 @@ class _Simplex:
         self.A = A
         self.b = b
         self.m, self.n = A.shape
+        self.pivots = 0
 
     def _refactor(self):
         self.B_inv = np.linalg.inv(self.A[:, self.basis])
 
-    def _pivot(self, entering, leaving_pos):
-        d = self.B_inv @ self.A[:, entering]
+    def _pivot(self, entering, leaving_pos, d=None):
+        """Swap `entering` into the basis at `leaving_pos`; `d` is
+        B_inv @ A[:, entering] when the caller has it already.
+
+        The basis inverse gets one rank-1 update: row i loses d[i] times the
+        scaled pivot row, the same float operations as a row-by-row update.
+        """
+        if d is None:
+            d = self.B_inv @ self.A[:, entering]
         pivot = d[leaving_pos]
         if abs(pivot) < PIVOT_TOL:
             self._refactor()
@@ -157,10 +166,11 @@ class _Simplex:
             if abs(pivot) < PIVOT_TOL:
                 raise NumericalError("degenerate pivot element")
         self.basis[leaving_pos] = entering
+        self.pivots += 1
         self.B_inv[leaving_pos] /= pivot
-        for i in range(self.m):
-            if i != leaving_pos and abs(d[i]) > 0:
-                self.B_inv[i] -= d[i] * self.B_inv[leaving_pos]
+        d = d.copy()
+        d[leaving_pos] = 0.0
+        self.B_inv -= np.outer(d, self.B_inv[leaving_pos])
 
     def run(self, c, basis, allowed):
         """Minimize c'x from the given basis; returns (status, x, y)."""
@@ -200,7 +210,7 @@ class _Simplex:
             leaving_pos = int(min(ties, key=lambda i: self.basis[i]))
             if best < PIVOT_TOL:
                 degenerate += 1
-            self._pivot(entering, leaving_pos)
+            self._pivot(entering, leaving_pos, d)
         raise NumericalError("simplex iteration limit exceeded")
 
 
@@ -240,6 +250,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
             basis.append(total + len(art_cols))
             art_cols.append(total + len(art_cols))
     A1 = np.hstack(A_ext)
+    del A, A_ext  # A1 holds the only copy of the matrix both phases need
     simplex = _Simplex(A1, b)
 
     if art_cols:
@@ -248,7 +259,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         allowed = np.ones(A1.shape[1], dtype=bool)
         status, x1, _ = simplex.run(c1, basis, allowed)
         if status != OPTIMAL or float(c1 @ x1) > PRIMAL_TOL:
-            return LpSolution(INFEASIBLE, None, None, None)
+            return LpSolution(INFEASIBLE, None, None, None, simplex.pivots)
         basis = simplex.basis
         # Drive artificials out of the basis: a zero-valued degenerate pivot
         # onto any real column keeps feasibility. Artificials that cannot
@@ -272,7 +283,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         allowed[j] = False  # artificials may stay basic at zero but never enter
     status, x, y = simplex.run(c2, basis, allowed)
     if status == UNBOUNDED:
-        return LpSolution(UNBOUNDED, None, None, None)
+        return LpSolution(UNBOUNDED, None, None, None, simplex.pivots)
 
     u = x[:n]
     primal = lo + u
@@ -282,7 +293,8 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
 
     sense_sign = -1.0 if lp.sense == MAX else 1.0
     duals = tuple(float(sense_sign * row_sign[i] * y[i]) for i in range(user_rows))
-    return LpSolution(OPTIMAL, value, tuple(float(v) for v in primal), duals)
+    return LpSolution(OPTIMAL, value, tuple(float(v) for v in primal), duals,
+                      simplex.pivots)
 
 
 def _check_residuals(lp, primal, y, row_sign, A1, b, c2, x, allowed):

@@ -311,6 +311,17 @@ def _parse_node_ref(value, name_to_id, context):
     return name_to_id[key]
 
 
+def _parse_number(value, what: str) -> float:
+    """A finite JSON number (an int or a float, not a bool or a string)."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an int too large for a float
+            pass
+    raise ParseError(f"{what} must be a finite number, not {value!r}")
+
+
 def _parse_budget(value) -> Optional[int]:
     """A station budget: a whole number (2 or 2.0), or None when absent."""
     if value is None:
@@ -334,10 +345,10 @@ def parse_instance(document: str) -> Instance:
     for key in ("range", "nodes", "edges", "demands"):
         if key not in data:
             raise ParseError(f"missing required key {key!r}")
-    try:
-        travel_range = float(data["range"])
-    except (TypeError, ValueError):
-        raise ParseError("'range' must be a number")
+    travel_range = _parse_number(data["range"], "'range'")
+    for key in ("nodes", "edges", "demands"):
+        if not isinstance(data[key], list):
+            raise ParseError(f"{key!r} must be a list")
     variant = data.get("variant", ORIGINAL)
     if variant not in VARIANTS:
         raise ParseError(f"'variant' must be one of {VARIANTS}")
@@ -355,13 +366,9 @@ def parse_instance(document: str) -> Instance:
         try:
             u = _parse_node_ref(item["u"], name_to_id, ctx)
             v = _parse_node_ref(item["v"], name_to_id, ctx)
-            length = float(item["length"])
+            length = _parse_number(item["length"], f"{ctx}: 'length'")
         except KeyError as exc:
             raise ParseError(f"{ctx}: missing field {exc.args[0]!r}")
-        except ParseError:
-            raise
-        except (TypeError, ValueError):
-            raise ParseError(f"{ctx}: 'length' must be a number")
         edges.append(Edge(u, v, length, bool(item.get("directed", False))))
 
     demands = []
@@ -372,17 +379,13 @@ def parse_instance(document: str) -> Instance:
         try:
             origin = _parse_node_ref(item["origin"], name_to_id, ctx)
             dest = _parse_node_ref(item["destination"], name_to_id, ctx)
-            volume = float(item.get("volume", 1.0))
+            volume = _parse_number(item.get("volume", 1.0), f"{ctx}: 'volume'")
         except KeyError as exc:
             raise ParseError(f"{ctx}: missing field {exc.args[0]!r}")
-        except ParseError:
-            raise
-        except (TypeError, ValueError):
-            raise ParseError(f"{ctx}: 'volume' must be a number")
         alpha = item.get("alpha")
         routes = item.get("routes")
         if alpha is not None:
-            alpha = float(alpha)
+            alpha = _parse_number(alpha, f"{ctx}: 'alpha'")
         if routes is not None:
             routes = tuple(
                 tuple(_parse_node_ref(nref, name_to_id, f"{ctx}.routes[{j}]")

@@ -105,6 +105,8 @@ def brute_force_solve(instance: Instance, variant: str, objective: str,
 
     if objective != MIN_STATIONS:
         raise ValueError(f"unknown objective {objective!r}")
+    if not 0.0 < coverage <= 1.0:
+        raise ValueError("coverage must lie in (0, 1]")
     target = coverage * total_volume
     best_sets = []
     served_by_set = {}

@@ -53,6 +53,8 @@ class SolveStats:
     cuts: int = 0
     served_calls: int = 0  # servedness verdicts asked for
     served_memo_hits: int = 0  # ... of which answered from the per-solve memo
+    lp_solves: int = 0  # relaxations solved
+    lp_iterations: int = 0  # ... and their simplex pivots, summed
 
 
 @dataclass
@@ -191,6 +193,8 @@ def solve(request: SolveRequest) -> Solution:
 
         while True:  # re-solve the node after each round of new cuts
             solution = solve_lp(relaxation(fixings))
+            stats.lp_solves += 1
+            stats.lp_iterations += solution.iterations
             if solution.status == INFEASIBLE:
                 solution = None
                 break

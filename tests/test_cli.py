@@ -53,6 +53,15 @@ def test_validate_rejects_bad_budget(tmp_path, capsys, budget):
     assert "budget" in capsys.readouterr().err
 
 
+def test_validate_rejects_nan_edge_length(tmp_path, capsys):
+    doc = json.loads(serialize_instance(gen_example("fig7", 12.0)))
+    doc["edges"][0]["length"] = float("nan")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))
+    assert run(["validate", str(path)]) == 1
+    assert "'length' must be a finite number" in capsys.readouterr().out
+
+
 def test_alpha_override_below_one_is_a_usage_error(fig7_path, capsys):
     assert run(["solve", fig7_path, "--alpha-override", "0.5"]) == 1
     assert "alpha must be >= 1" in capsys.readouterr().err
@@ -62,6 +71,12 @@ def test_alpha_override_below_one_is_a_usage_error(fig7_path, capsys):
 
 def test_solve_coverage_out_of_range_is_a_usage_error(fig7_path, capsys):
     assert run(["solve", fig7_path, "--objective", "minstations",
+                "--coverage", "1.5"]) == 1
+    assert "coverage must lie in (0, 1]" in capsys.readouterr().err
+
+
+def test_oracle_coverage_out_of_range_is_a_usage_error(fig7_path, capsys):
+    assert run(["oracle", fig7_path, "--objective", "minstations",
                 "--coverage", "1.5"]) == 1
     assert "coverage must lie in (0, 1]" in capsys.readouterr().err
 

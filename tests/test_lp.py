@@ -9,9 +9,13 @@ from frlp import (AGG, CYCLIC, DISAGG, ORIGINAL, Demand, Edge, LinearProgram,
                   covering_lp, eval_v_agg, eval_v_disagg, eval_v_tight,
                   gen_example, gen_prop5a, gen_random, lp_bound,
                   prepare_families, prepare_route_data, solve_lp)
+from frlp import lp as lp_module
+from frlp import solver as solver_module
 from frlp.covering import CutSetFamily
 from frlp.lp import (EQ, GE, LE, MAX, MAX_COVER, MIN, MIN_STATIONS,
-                     DimensionCapError, LpSolution, served_vector)
+                     PIVOT_TOL, DimensionCapError, LpSolution, NumericalError,
+                     served_vector)
+from frlp.solver import SolveRequest, solve
 
 
 def line_instance(volume=1.0):
@@ -59,10 +63,10 @@ def test_equality_rows_and_duals():
     assert sol.duals[0] == pytest.approx(1.0)
 
 
-def test_random_lps_match_reference():
-    # cross-check against a naive vertex enumeration on tiny random LPs
-    rng = random.Random(2)
-    for _ in range(30):
+def random_lps(seed=2, count=30):
+    """Tiny random LPs: max c'x over the unit cube and two <= rows."""
+    rng = random.Random(seed)
+    for _ in range(count):
         n = 3
         c = [rng.uniform(-2, 2) for _ in range(n)]
         lp = LinearProgram(MAX, list(c), bounds=[(0.0, 1.0)] * n)
@@ -72,6 +76,13 @@ def test_random_lps_match_reference():
             rhs = rng.uniform(0.5, 2.0)
             lp.add_row(coeffs, LE, rhs)
             rows.append((coeffs, rhs))
+        yield lp, rows
+
+
+def test_random_lps_match_reference():
+    # cross-check against a naive vertex enumeration on tiny random LPs
+    for lp, rows in random_lps():
+        n = lp.num_vars
         sol = solve_lp(lp)
         assert sol.status == "optimal"
         # reference: dense grid of cube vertices + clipped scaling
@@ -84,8 +95,82 @@ def test_random_lps_match_reference():
                 if lhs > rhs:
                     scale = min(scale, rhs / lhs)
             x = [v * scale for v in x]
-            best = max(best, sum(ci * xi for ci, xi in zip(c, x)))
+            best = max(best, sum(ci * xi for ci, xi in zip(lp.objective, x)))
         assert sol.value >= best - 1e-7
+
+
+class RowLoopSimplex(lp_module._Simplex):
+    """Reference kernel: the basis inverse updated row by row in Python."""
+
+    def _pivot(self, entering, leaving_pos, d=None):
+        d = self.B_inv @ self.A[:, entering]
+        pivot = d[leaving_pos]
+        if abs(pivot) < PIVOT_TOL:
+            self._refactor()
+            d = self.B_inv @ self.A[:, entering]
+            pivot = d[leaving_pos]
+            if abs(pivot) < PIVOT_TOL:
+                raise NumericalError("degenerate pivot element")
+        self.basis[leaving_pos] = entering
+        self.pivots += 1
+        self.B_inv[leaving_pos] /= pivot
+        for i in range(self.m):
+            if i != leaving_pos and abs(d[i]) > 0:
+                self.B_inv[i] -= d[i] * self.B_inv[leaving_pos]
+
+
+def solve_with_kernel(kernel, lp, monkeypatch):
+    """solve_lp on `kernel`; returns its (entering, leaving) pivots and the
+    solution."""
+    pivots = []
+
+    class Recording(kernel):
+        def _pivot(self, entering, leaving_pos, d=None):
+            pivots.append((entering, self.basis[leaving_pos]))
+            super()._pivot(entering, leaving_pos, d)
+
+    monkeypatch.setattr(lp_module, "_Simplex", Recording)
+    return pivots, solve_lp(lp)
+
+
+def pinned_request():
+    inst = gen_random(3, num_nodes=14, density=0.25, num_demands=14,
+                      variant=ORIGINAL)
+    return SolveRequest(inst, ORIGINAL, MAX_COVER, budget=3)
+
+
+def test_rank1_update_is_pivot_identical_to_row_loop(monkeypatch):
+    kernel = lp_module._Simplex  # before solve_with_kernel patches it
+    relaxations = []
+    solve_lp_of_solver = solver_module.solve_lp
+
+    def recording_solve_lp(lp):
+        relaxations.append(lp)
+        return solve_lp_of_solver(lp)
+
+    monkeypatch.setattr(solver_module, "solve_lp", recording_solve_lp)
+    solve(pinned_request())
+    assert len(relaxations) > 10
+    phase1 = 0
+    for lp in [lp for lp, _ in random_lps()] + relaxations:
+        pivots, solution = solve_with_kernel(kernel, lp, monkeypatch)
+        ref_pivots, ref_solution = solve_with_kernel(RowLoopSimplex, lp,
+                                                     monkeypatch)
+        assert pivots == ref_pivots
+        # dataclass equality compares primals and duals entry by entry
+        assert solution == ref_solution
+        assert solution.iterations == len(pivots)
+        phase1 += any(rel != LE for _, rel, _ in lp.rows)
+    assert phase1 > 0  # some relaxations start from artificials
+
+
+def test_original_solve_is_pinned():
+    # bb_nodes, cuts and stations measured with the row-by-row kernel
+    solution = solve(pinned_request())
+    assert solution.stats.bb_nodes == 23
+    assert solution.stats.cuts == 27
+    assert solution.stations == frozenset({3, 4, 10})
+    assert solution.objective == 31.0
 
 
 def test_build_model_example1_disagg_rows():

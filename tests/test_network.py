@@ -192,6 +192,25 @@ def test_parse_rejects_budget_that_is_not_a_whole_number(budget):
         parse_instance(json.dumps(doc))
 
 
+@pytest.mark.parametrize("path, value", [
+    (("edges", 0, "length"), float("nan")),
+    (("range",), float("inf")),
+    (("demands", 0, "volume"), float("nan")),
+    (("demands", 0, "alpha"), float("nan")),
+    (("demands", 0, "alpha"), "x"),
+    (("nodes",), "abc"),
+], ids=["nan-length", "infinite-range", "nan-volume", "nan-alpha",
+        "string-alpha", "string-nodes"])
+def test_parse_rejects_values_that_are_not_finite_typed_numbers(path, value):
+    doc = json.loads(serialize_instance(fig7()))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with pytest.raises(ParseError, match=f"'{path[-1]}' must be"):
+        parse_instance(json.dumps(doc))  # NaN and Infinity as JSON allows
+
+
 def test_parse_accepts_whole_number_budget():
     doc = json.loads(serialize_instance(fig7()))
     for budget in (2, 2.0):

@@ -62,6 +62,13 @@ def test_size_cap():
         brute_force_solve(inst, CYCLIC, "max_cover", budget=1)
 
 
+def test_coverage_out_of_range_is_rejected():
+    inst = gen_example("fig7", 12.0)
+    for coverage in (1.5, 0.0, -1.0):
+        with pytest.raises(ValueError, match=r"coverage must lie in \(0, 1\]"):
+            brute_force_solve(inst, CYCLIC, "min_stations", coverage=coverage)
+
+
 def test_optimal_sets_attain_objective():
     inst = gen_random(13, num_nodes=7, density=0.35, num_demands=3)
     for variant in (ORIGINAL, CYCLIC):

@@ -205,3 +205,24 @@ def test_servedness_counters(monkeypatch):
             assert 0 < stats.served_memo_hits < stats.served_calls
             assert stats.served_calls - stats.served_memo_hits == len(checks)
             assert len(set(checks)) == len(checks)  # no check is repeated
+
+
+def test_lp_counters(monkeypatch):
+    solved = []
+    solve_lp = solver_module.solve_lp
+
+    def recording_solve_lp(lp):
+        solution = solve_lp(lp)
+        solved.append(solution.iterations)
+        return solution
+
+    monkeypatch.setattr(solver_module, "solve_lp", recording_solve_lp)
+    inst = gen_random(5, num_nodes=8, density=0.3, num_demands=4)
+    request = SolveRequest(inst, ORIGINAL, MAX_COVER, budget=2)
+    stats = solve(request).stats
+    assert stats.lp_solves > 0 and stats.lp_iterations > 0
+    assert stats.lp_solves == len(solved)
+    assert stats.lp_iterations == sum(solved)
+    again = solve(request).stats
+    assert (again.lp_solves, again.lp_iterations) == \
+        (stats.lp_solves, stats.lp_iterations)
