@@ -9,7 +9,7 @@ brute-force oracles for verification.
 from .covering import (AGGREGATED, PER_ROUTE, AggregationOverflowError,
                        ConstructionError, CutSetFamily, WitnessUndefinedError,
                        aggregate_cut_sets, cut_sets_for_cycle,
-                       cut_sets_for_path, minimality_witness, minimalize)
+                       minimality_witness, minimalize)
 from .feasibility import (CycleQuery, Label, corridor, extend_label,
                           find_traversable_cycle, find_traversable_path,
                           is_served, search_cycle)
@@ -23,7 +23,7 @@ from .network import (CYCLIC, MAX_COVER, MIN_STATIONS, ORIGINAL, Demand,
                       Edge, Instance, Network, ParseError,
                       PlacementConstraints, UnknownNodeError, ValidationError,
                       build_instance, parse_instance, serialize_instance,
-                      shortest_distance, validate_instance)
+                      shortest_distance, trip_length, validate_instance)
 from .oracle import OracleResult, OracleSizeError, brute_force_solve, exhaustive_served
 from .routes import (EnumerationOverflowError, NoRouteError, Route,
                      enumerate_routes, is_traversable, make_route,

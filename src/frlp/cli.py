@@ -20,7 +20,7 @@ from .lp import (AGG, DISAGG, NumericalError, TIGHT_NODE_CAP, build_model,
                  lp_bound, prepare_route_data)
 from .network import (CYCLIC, MAX_COVER, MIN_STATIONS, ORIGINAL, Instance,
                       ParseError, ValidationError, build_instance,
-                      parse_instance, serialize_instance, shortest_distance)
+                      parse_instance, serialize_instance, trip_length)
 from .oracle import OracleSizeError, brute_force_solve
 from .routes import enumerate_routes, route_budget
 from .solver import SolveRequest, UnservableError, reevaluate, solve
@@ -116,11 +116,7 @@ def cmd_enumerate(args) -> int:
         o = instance.network.name(demand.origin)
         t = instance.network.name(demand.destination)
         print(f"demand {qi}: {o} -> {t}")
-        base = shortest_distance(instance.network, demand.origin,
-                                 demand.destination)
-        if variant == CYCLIC:
-            base += shortest_distance(instance.network, demand.destination,
-                                      demand.origin)
+        base = trip_length(instance.network, demand, variant)
         for route in enumerate_routes(instance, demand, variant):
             visits = ",".join(instance.network.name(v) for v in route.visits)
             deviation = 100.0 * (route.length / base - 1.0) if base else 0.0

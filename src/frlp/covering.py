@@ -92,12 +92,6 @@ def cut_sets_for_cycle(cycle: Route, network: Network,
     return CutSetFamily(tuple(members), network.num_nodes, PER_ROUTE)
 
 
-def cut_sets_for_path(path: Route, network: Network,
-                      travel_range: float) -> CutSetFamily:
-    """Covering family of a path route, i.e. of its symmetric round trip."""
-    return cut_sets_for_cycle(path, network, travel_range)
-
-
 def minimalize(family: CutSetFamily) -> CutSetFamily:
     """Keep exactly the members that are not strict supersets of another."""
     kept = _minimal_sets(family.sets)

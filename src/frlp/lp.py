@@ -19,7 +19,8 @@ import numpy as np
 
 from .covering import CutSetFamily, aggregate_cut_sets, cut_sets_for_cycle
 from .feasibility import is_served
-from .network import MAX_COVER, MIN_STATIONS, Demand, Instance
+from .network import (MAX_COVER, MIN_STATIONS, Demand, Instance,
+                      ValidationError, budget_violations)
 from .routes import Route, enumerate_routes
 
 MAX = "max"
@@ -342,13 +343,11 @@ class DemandRoutes:
         return aggregate_cut_sets(self.families)
 
 
-def prepare_route_data(instance: Instance, variant: str,
-                       route_cap: Optional[int] = None) -> List[DemandRoutes]:
+def prepare_route_data(instance: Instance, variant: str) -> List[DemandRoutes]:
     """Enumerate routes and build per-route covering families for every demand."""
     data = []
     for demand in instance.demands:
-        kwargs = {} if route_cap is None else {"cap": route_cap}
-        routes = tuple(enumerate_routes(instance, demand, variant, **kwargs))
+        routes = tuple(enumerate_routes(instance, demand, variant))
         families = tuple(cut_sets_for_cycle(r, instance.network,
                                             instance.travel_range)
                          for r in routes)
@@ -359,6 +358,21 @@ def prepare_route_data(instance: Instance, variant: str,
 def prepare_families(instance: Instance, variant: str) -> List[CutSetFamily]:
     """Minimal aggregated covering family per demand."""
     return [d.aggregated for d in prepare_route_data(instance, variant)]
+
+
+def _add_budget_row(lp: LinearProgram, instance: Instance,
+                    budget: Optional[int]):
+    """Row sum x <= budget over the station columns (the placement budget
+    when `budget` is None; no row when neither is set), after the budget
+    rule of `network.budget_violations`."""
+    if budget is None:
+        budget = instance.placement.budget
+    violations = budget_violations(budget, instance.placement)
+    if violations:
+        raise ValidationError(violations)
+    if budget is not None:
+        lp.add_row([(j, 1.0) for j in range(instance.num_nodes)], LE,
+                   float(budget))
 
 
 def _apply_placement(lp: LinearProgram, instance: Instance):
@@ -380,17 +394,15 @@ def covering_lp(instance: Instance, objective: str,
     None, no row when neither is set) or the coverage row (MIN_STATIONS with
     coverage < 1; at full coverage every y_q is fixed to 1 instead). Then
     one row x(S) - y_q >= 0 per pair, in the order given; an empty S gives
-    y_q <= 0. Forced placements become bounds on x.
+    y_q <= 0. Forced placements become bounds on x. A budget that breaks
+    the rule of `network.budget_violations` raises ValidationError.
     """
     n = instance.num_nodes
     volumes = [q.volume for q in instance.demands]
     nq = len(volumes)
     if objective == MAX_COVER:
         lp = LinearProgram(MAX, [0.0] * n + volumes, bounds=[(0.0, 1.0)] * (n + nq))
-        if budget is None:
-            budget = instance.placement.budget
-        if budget is not None:
-            lp.add_row([(j, 1.0) for j in range(n)], LE, float(budget))
+        _add_budget_row(lp, instance, budget)
     elif objective == MIN_STATIONS:
         if not 0.0 < coverage <= 1.0:
             raise ValueError("coverage must lie in (0, 1]")
@@ -440,10 +452,7 @@ def build_model(instance: Instance, tag: str,
                     lp.add_row([(j, 1.0) for j in sorted(s)] + [(col, -1.0)],
                                GE, 0.0)
             lp.add_row([(c, 1.0) for c in z_cols], LE, 1.0)
-        if budget is None:
-            budget = instance.placement.budget
-        if budget is not None:
-            lp.add_row([(j, 1.0) for j in range(n)], LE, float(budget))
+        _add_budget_row(lp, instance, budget)
         _apply_placement(lp, instance)
         return MipModel(lp, roles, tag)
     if tag not in (AGG, MIN_STATIONS):

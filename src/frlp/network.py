@@ -10,7 +10,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Iterable, Optional, Tuple
 
@@ -80,14 +80,6 @@ class Network:
                 adj[e.v].append((e.u, e.length))
         return tuple(tuple(sorted(a)) for a in adj)
 
-    @cached_property
-    def undirected_adjacency(self):
-        adj = [[] for _ in range(self.num_nodes)]
-        for e in self.edges:
-            adj[e.u].append((e.v, e.length))
-            adj[e.v].append((e.u, e.length))
-        return tuple(tuple(sorted(a)) for a in adj)
-
     def arc_length(self, u: int, v: int) -> Optional[float]:
         """Length of the shortest direct arc u -> v, or None if absent."""
         best = None
@@ -108,15 +100,15 @@ class Network:
         if not 0 <= node < self.num_nodes:
             raise UnknownNodeError(f"unknown node id {node}")
 
-    def distances_from(self, source: int, respect_direction: bool = True):
-        """All shortest distances from `source` (Dijkstra), cached per source.
-        The same run records a shortest-path tree for `shortest_path`."""
+    def distances_from(self, source: int):
+        """All shortest distances from `source` along arc directions
+        (Dijkstra), cached per source. The same run records a shortest-path
+        tree for `shortest_path`."""
         self._check_node(source)
-        key = (source, respect_direction)
-        cached = self._dist_cache.get(key)
+        cached = self._dist_cache.get(source)
         if cached is not None:
             return cached
-        adj = self.adjacency if respect_direction else self.undirected_adjacency
+        adj = self.adjacency
         dist = [math.inf] * self.num_nodes
         parent = [None] * self.num_nodes
         dist[source] = 0.0
@@ -132,8 +124,8 @@ class Network:
                     parent[v] = u
                     heapq.heappush(heap, (nd, v))
         result = tuple(dist)
-        self._dist_cache[key] = result
-        self._parent_cache[key] = tuple(parent)
+        self._dist_cache[source] = result
+        self._parent_cache[source] = tuple(parent)
         return result
 
     def distances_to(self, target: int):
@@ -148,13 +140,13 @@ class Network:
             self._dist_cache[key] = cached
         return cached
 
-    def shortest_path(self, source: int, target: int, respect_direction: bool = True):
+    def shortest_path(self, source: int, target: int):
         """A shortest node sequence source -> target, or None if unreachable,
         read off the shortest-path tree of `distances_from(source)`."""
         self._check_node(target)
-        if math.isinf(self.distances_from(source, respect_direction)[target]):
+        if math.isinf(self.distances_from(source)[target]):
             return None
-        parent = self._parent_cache[(source, respect_direction)]
+        parent = self._parent_cache[source]
         path = [target]
         while path[-1] != source:
             path.append(parent[path[-1]])
@@ -162,11 +154,10 @@ class Network:
         return tuple(path)
 
 
-def shortest_distance(network: Network, source: int, target: int,
-                      respect_direction: bool = True) -> float:
+def shortest_distance(network: Network, source: int, target: int) -> float:
     """Shortest walk length from source to target; math.inf if unreachable."""
     network._check_node(target)
-    return network.distances_from(source, respect_direction)[target]
+    return network.distances_from(source)[target]
 
 
 @dataclass(frozen=True)
@@ -178,10 +169,6 @@ class Demand:
     volume: float
     alpha: Optional[float] = None
     routes: Optional[Tuple[Tuple[int, ...], ...]] = None
-
-    @property
-    def is_deviation(self) -> bool:
-        return self.alpha is not None
 
 
 @dataclass(frozen=True)
@@ -213,6 +200,8 @@ def _route_walks_network(network: Network, route: Iterable[int]) -> bool:
 
 
 def _explicit_route_violations(network: Network, demand: Demand, route, variant: str):
+    if not route:
+        return ["is empty"]
     problems = []
     if variant == ORIGINAL:
         if route[0] != demand.origin or route[-1] != demand.destination:
@@ -227,38 +216,51 @@ def _explicit_route_violations(network: Network, demand: Demand, route, variant:
     return problems
 
 
-def _demand_has_routes(network: Network, demand: Demand, travel_range: float,
-                       variant: str) -> bool:
+def trip_length(network: Network, demand: Demand, variant: str) -> float:
+    """Length of the demand's shortest trip, which its admissible routes may
+    exceed by the factor alpha: d(o,t), plus the return leg d(t,o) under
+    CYCLIC; math.inf when either leg is unreachable."""
+    length = shortest_distance(network, demand.origin, demand.destination)
+    if variant == CYCLIC:
+        length += shortest_distance(network, demand.destination, demand.origin)
+    return length
+
+
+def _demand_has_routes(network: Network, demand: Demand, variant: str) -> bool:
     if demand.routes is not None:
         return len(demand.routes) > 0
-    out = shortest_distance(network, demand.origin, demand.destination)
-    if not math.isfinite(out):
-        return False
-    if variant == CYCLIC:
-        back = shortest_distance(network, demand.destination, demand.origin)
-        return math.isfinite(back)
-    return True
+    return math.isfinite(trip_length(network, demand, variant))
 
 
-def validate_instance(instance: Instance):
-    """Return every invariant violation as a human-readable string."""
+def budget_violations(budget: Optional[int], placement: PlacementConstraints):
+    """The station budget rule (no rule when `budget` is None): a budget is
+    nonnegative and leaves room for every forced-open node."""
+    if budget is None:
+        return []
+    if not budget >= 0:
+        return ["budget must be nonnegative"]
+    if len(placement.forced_open) > budget:
+        return ["forced_open exceeds the budget"]
+    return []
+
+
+def _hard_violations(instance: Instance):
+    """Every violation that pruning cannot repair. No shortest path is
+    computed; the bounds are written so that NaN fails them."""
     violations = []
     net = instance.network
     n = net.num_nodes
-    if instance.travel_range <= 0:
-        violations.append("travel range must be positive")
+    if not 0 < instance.travel_range < math.inf:
+        violations.append("travel range must be positive and finite")
     for i, e in enumerate(net.edges):
-        where = f"edge #{i} ({net.name(e.u)}-{net.name(e.v)})" if (
-            0 <= e.u < n and 0 <= e.v < n) else f"edge #{i}"
         if not (0 <= e.u < n and 0 <= e.v < n):
-            violations.append(f"{where}: references an unknown node")
+            violations.append(f"edge #{i}: references an unknown node")
             continue
+        where = f"edge #{i} ({net.name(e.u)}-{net.name(e.v)})"
         if e.u == e.v:
             violations.append(f"{where}: self-loop")
-        if e.length <= 0:
-            violations.append(f"{where}: non-positive length {e.length}")
-        elif e.length > instance.travel_range + DIST_TOL:
-            violations.append(f"{where}: longer than the travel range")
+        if not 0 < e.length < math.inf:
+            violations.append(f"{where}: non-positive or non-finite length {e.length}")
     if instance.variant_default == ORIGINAL:
         if any(e.directed for e in net.edges):
             violations.append("original variant requires an undirected network")
@@ -269,33 +271,71 @@ def validate_instance(instance: Instance):
             continue
         if q.origin == q.destination:
             violations.append(f"{tag}: origin equals destination")
-        if q.volume < 0:
-            violations.append(f"{tag}: negative volume")
+        if not 0 <= q.volume < math.inf:
+            violations.append(f"{tag}: negative or non-finite volume")
         if (q.alpha is None) == (q.routes is None):
             violations.append(f"{tag}: exactly one of alpha/routes must be given")
-        elif q.alpha is not None and q.alpha < 1.0:
-            violations.append(f"{tag}: alpha must be >= 1")
+        elif q.alpha is not None and not 1.0 <= q.alpha < math.inf:
+            violations.append(f"{tag}: alpha must be >= 1 and finite")
         elif q.routes is not None:
             for j, route in enumerate(q.routes):
                 for problem in _explicit_route_violations(
                         net, q, route, instance.variant_default):
                     violations.append(f"{tag} route #{j}: {problem}")
-        if q.routes is None and q.alpha is not None:
-            if not _demand_has_routes(net, q, instance.travel_range,
-                                      instance.variant_default):
-                violations.append(f"{tag}: no admissible route exists")
     pc = instance.placement
     if pc.forced_open & pc.forced_closed:
         violations.append("forced_open and forced_closed overlap")
-    if pc.budget is not None:
-        if pc.budget < 0:
-            violations.append("budget must be nonnegative")
-        elif len(pc.forced_open) > pc.budget:
-            violations.append("forced_open exceeds the budget")
+    violations.extend(budget_violations(pc.budget, pc))
     for node in pc.forced_open | pc.forced_closed:
         if not 0 <= node < n:
             violations.append(f"placement references unknown node {node}")
     return violations
+
+
+def _pruned(instance: Instance) -> Instance:
+    """The instance without its edges longer than the travel range, the
+    explicit routes over them and the demands left without a route, each
+    removal recorded in `pruning_report`. When no edge goes, the input
+    network is kept, so the distances computed here stay in its cache."""
+    net, travel_range = instance.network, instance.travel_range
+    names = net.node_names
+    report = []
+    kept_edges = []
+    for e in net.edges:
+        if e.length > travel_range + DIST_TOL:
+            report.append(f"pruned edge {names[e.u]}-{names[e.v]} "
+                          f"(length {e.length} exceeds range {travel_range})")
+        else:
+            kept_edges.append(e)
+    network = net if len(kept_edges) == len(net.edges) else \
+        Network(names, tuple(kept_edges))
+
+    kept_demands = []
+    for i, q in enumerate(instance.demands):
+        if q.routes is not None:
+            valid_routes = []
+            for route in q.routes:
+                if _route_walks_network(network, route):
+                    valid_routes.append(tuple(route))
+                else:
+                    report.append(f"pruned route {route} of demand #{i} "
+                                  "(uses a pruned edge)")
+            q = replace(q, routes=tuple(valid_routes))
+        if _demand_has_routes(network, q, instance.variant_default):
+            kept_demands.append(q)
+        else:
+            report.append(f"pruned demand #{i} "
+                          f"({names[q.origin]}->{names[q.destination]}): "
+                          "empty route set")
+    return replace(instance, network=network, demands=tuple(kept_demands),
+                   pruning_report=tuple(report))
+
+
+def validate_instance(instance: Instance):
+    """Every invariant violation as a human-readable string: the structural
+    ones, or, when there are none, each removal load-time pruning would make.
+    A structurally broken instance lists only its structural violations."""
+    return _hard_violations(instance) or list(_pruned(instance).pruning_report)
 
 
 def _parse_node_ref(value, name_to_id, context):
@@ -412,52 +452,12 @@ def build_instance(node_names, edges, demands, travel_range,
                    placement=PlacementConstraints(),
                    variant_default=ORIGINAL) -> Instance:
     """Assemble a validated Instance, applying the load-time pruning rules."""
-    report = []
-    names = tuple(str(x) for x in node_names)
-
-    # Hard violations first: anything pruning cannot repair.
-    probe = Instance(Network(names, tuple(edges)), tuple(demands), travel_range,
-                     placement, variant_default)
-    hard = [v for v in validate_instance(probe)
-            if "longer than the travel range" not in v
-            and "no admissible route" not in v]
-    if hard:
-        raise ValidationError(hard)
-
-    kept_edges = []
-    for e in edges:
-        if e.length > travel_range + DIST_TOL:
-            report.append(f"pruned edge {names[e.u]}-{names[e.v]} "
-                          f"(length {e.length} exceeds range {travel_range})")
-        else:
-            kept_edges.append(e)
-    network = Network(names, tuple(kept_edges))
-
-    kept_demands = []
-    for i, q in enumerate(demands):
-        if q.routes is not None:
-            valid_routes = []
-            for route in q.routes:
-                if _route_walks_network(network, route):
-                    valid_routes.append(tuple(route))
-                else:
-                    report.append(f"pruned route {route} of demand #{i} "
-                                  "(uses a pruned edge)")
-            q = Demand(q.origin, q.destination, q.volume, None,
-                       tuple(valid_routes))
-        if _demand_has_routes(network, q, travel_range, variant_default):
-            kept_demands.append(q)
-        else:
-            report.append(f"pruned demand #{i} "
-                          f"({names[q.origin]}->{names[q.destination]}): "
-                          "empty route set")
-
-    instance = Instance(network, tuple(kept_demands), travel_range, placement,
-                        variant_default, tuple(report))
-    remaining = validate_instance(instance)
-    if remaining:
-        raise ValidationError(remaining)
-    return instance
+    raw = Instance(Network(tuple(str(x) for x in node_names), tuple(edges)),
+                   tuple(demands), travel_range, placement, variant_default)
+    violations = _hard_violations(raw)
+    if violations:
+        raise ValidationError(violations)
+    return _pruned(raw)
 
 
 def serialize_instance(instance: Instance) -> str:

@@ -12,7 +12,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Optional, Tuple
 
-from .network import MAX_COVER, MIN_STATIONS, Demand, Instance
+from .network import (MAX_COVER, MIN_STATIONS, Demand, Instance,
+                      ValidationError, budget_violations)
 from .routes import enumerate_routes, is_traversable
 
 ORACLE_NODE_CAP = 20
@@ -70,6 +71,9 @@ def brute_force_solve(instance: Instance, variant: str, objective: str,
             f"brute force capped at {ORACLE_NODE_CAP} nodes")
     if budget is None:
         budget = instance.placement.budget
+    violations = budget_violations(budget, instance.placement)
+    if violations:
+        raise ValidationError(violations)
     route_cache: dict = {}
     demands = instance.demands
     total_volume = sum(q.volume for q in demands)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .network import (CYCLIC, DIST_TOL, ORIGINAL, Demand, Instance, Network,
-                      shortest_distance)
+                      trip_length)
 
 PATH = "path"
 CYCLE = "cycle"
@@ -21,7 +21,8 @@ DEFAULT_ROUTE_CAP = 10 ** 6
 
 
 class NoRouteError(ValueError):
-    """Raised when a deviation demand has an unreachable destination."""
+    """Raised when a deviation demand has no trip: its destination, or under
+    the cyclic variant its way back, is unreachable."""
 
 
 class EnumerationOverflowError(RuntimeError):
@@ -64,17 +65,11 @@ def route_budget(instance: Instance, demand: Demand, variant: str) -> float:
     """Maximum admissible route length tau under the deviation factor."""
     if demand.alpha is None:
         raise ValueError("route_budget applies to deviation demands only")
-    out = shortest_distance(instance.network, demand.origin, demand.destination)
-    if not math.isfinite(out):
-        raise NoRouteError(
-            f"destination {demand.destination} unreachable from {demand.origin}")
-    if variant == ORIGINAL:
-        return demand.alpha * out
-    back = shortest_distance(instance.network, demand.destination, demand.origin)
-    if not math.isfinite(back):
-        raise NoRouteError(
-            f"origin {demand.origin} unreachable from {demand.destination}")
-    return demand.alpha * (out + back)
+    trip = trip_length(instance.network, demand, variant)
+    if math.isinf(trip):
+        raise NoRouteError(f"no {variant} trip {demand.origin}->"
+                           f"{demand.destination}: a leg is unreachable")
+    return demand.alpha * trip
 
 
 def enumerate_routes(instance: Instance, demand: Demand, variant: str,

@@ -15,7 +15,7 @@ import pytest
 from frlp import (CYCLIC, DISAGG, MIN_STATIONS, ORIGINAL, AGG, CycleQuery,
                   Demand, Edge, SolveRequest, UnservableError,
                   aggregate_cut_sets, brute_force_solve, build_instance,
-                  build_model, cut_sets_for_cycle, cut_sets_for_path,
+                  build_model, cut_sets_for_cycle,
                   enumerate_routes, eval_v_agg, eval_v_disagg, eval_v_tight,
                   find_traversable_cycle, gen_example, gen_prop5a, gen_prop5b,
                   gen_random, is_served, is_traversable, lp_bound, make_route,
@@ -53,8 +53,8 @@ def test_criterion_01_cut_set_goldens():
         net = inst.network
         r1 = make_route(net, (0, 1, 3, 4), kind="path")
         r2 = make_route(net, (0, 1, 2, 3, 4), kind="path")
-        d1 = cut_sets_for_path(r1, net, 10.0)
-        d2 = cut_sets_for_path(r2, net, 10.0)
+        d1 = cut_sets_for_cycle(r1, net, 10.0)
+        d2 = cut_sets_for_cycle(r2, net, 10.0)
         assert named(net, d1) == {frozenset({1, 2}), frozenset({2, 4}),
                                   frozenset({4, 5})}
         assert named(net, d2) == {frozenset({1, 2}), frozenset({2, 3}),
@@ -306,9 +306,9 @@ def test_criterion_12_minimalization_preserves_relaxation(small_pool):
         rng = random.Random(12)
         fig2 = gen_example("fig2", 10.0)
         net = fig2.network
-        d1 = cut_sets_for_path(make_route(net, (0, 1, 3, 4), kind="path"),
+        d1 = cut_sets_for_cycle(make_route(net, (0, 1, 3, 4), kind="path"),
                                net, 10.0)
-        d2 = cut_sets_for_path(make_route(net, (0, 1, 2, 3, 4), kind="path"),
+        d2 = cut_sets_for_cycle(make_route(net, (0, 1, 2, 3, 4), kind="path"),
                                net, 10.0)
         families = [aggregate_cut_sets([d1, d2], prune=False)]
         for inst in small_pool[:9]:

@@ -69,6 +69,30 @@ def test_alpha_override_below_one_is_a_usage_error(fig7_path, capsys):
     assert "alpha must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("alpha", ["nan", "inf"])
+def test_alpha_override_that_is_not_finite_is_a_usage_error(fig7_path, capsys,
+                                                           alpha):
+    assert run(["solve", fig7_path, "--alpha-override", alpha]) == 1
+    assert "alpha must be >= 1 and finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "oracle", "bounds"])
+def test_negative_budget_is_a_usage_error(fig7_path, capsys, command):
+    assert run([command, fig7_path, "--budget", "-1"]) == 1
+    assert "budget must be nonnegative" in capsys.readouterr().err
+
+
+def test_budget_below_forced_open_is_a_usage_error(tmp_path, capsys):
+    doc = json.loads(serialize_instance(gen_example("fig7", 12.0)))
+    doc["placement"] = {"open": ["3"]}
+    path = tmp_path / "forced.json"
+    path.write_text(json.dumps(doc))
+    assert run(["solve", str(path), "--budget", "0"]) == 1
+    assert "forced_open exceeds the budget" in capsys.readouterr().err
+    assert run(["solve", str(path), "--budget", "1"]) == 0
+    assert "stations: {3}" in capsys.readouterr().out
+
+
 def test_solve_coverage_out_of_range_is_a_usage_error(fig7_path, capsys):
     assert run(["solve", fig7_path, "--objective", "minstations",
                 "--coverage", "1.5"]) == 1

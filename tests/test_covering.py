@@ -5,7 +5,7 @@ import pytest
 
 from frlp import (CYCLIC, ORIGINAL, ConstructionError, CutSetFamily,
                   WitnessUndefinedError, aggregate_cut_sets,
-                  cut_sets_for_cycle, cut_sets_for_path, enumerate_routes,
+                  cut_sets_for_cycle, enumerate_routes,
                   gen_example, is_traversable, make_route, minimality_witness,
                   minimalize)
 from frlp.covering import AggregationOverflowError
@@ -25,14 +25,14 @@ def fam(*sets, n=5):
 
 def test_example1_first_path():
     route = make_route(NET, (0, 1, 3, 4), kind="path")
-    family = cut_sets_for_path(route, NET, D)
+    family = cut_sets_for_cycle(route, NET, D)
     assert sets_by_name(family) == {frozenset("12"), frozenset("24"),
                                     frozenset("45")}
 
 
 def test_example1_second_path():
     route = make_route(NET, (0, 1, 2, 3, 4), kind="path")
-    family = cut_sets_for_path(route, NET, D)
+    family = cut_sets_for_cycle(route, NET, D)
     assert sets_by_name(family) == {frozenset("12"), frozenset("23"),
                                     frozenset("34"), frozenset("45")}
 
@@ -40,7 +40,7 @@ def test_example1_second_path():
 def test_example1_cycle_entry_point_matches_path():
     path = make_route(NET, (0, 1, 3, 4), kind="path")
     cycle = make_route(NET, (0, 1, 3, 4, 3, 1, 0), kind="cycle")
-    assert set(cut_sets_for_path(path, NET, D).sets) == \
+    assert set(cut_sets_for_cycle(path, NET, D).sets) == \
         set(cut_sets_for_cycle(cycle, NET, D).sets)
 
 
@@ -51,7 +51,7 @@ def test_two_node_line_round_trip():
     line = build_instance(["1", "2"], [Edge(0, 1, 10.0)],
                           [Demand(0, 1, 1.0, alpha=1.0)], 10.0)
     route = make_route(line.network, (0, 1), kind="path")
-    family = cut_sets_for_path(route, line.network, 10.0)
+    family = cut_sets_for_cycle(route, line.network, 10.0)
     assert set(family.sets) == {frozenset({0}), frozenset({1})}
     # brute force over all 4 subsets
     for bits in range(4):
@@ -66,7 +66,7 @@ def test_edge_longer_than_range_rejected():
                           [Demand(0, 1, 1.0, alpha=1.0)], 8.0)
     route = make_route(wide.network, (0, 1), kind="path")
     with pytest.raises(ConstructionError):
-        cut_sets_for_path(route, wide.network, 5.0)
+        cut_sets_for_cycle(route, wide.network, 5.0)
 
 
 def test_empty_member_rejected():
@@ -77,8 +77,8 @@ def test_empty_member_rejected():
 def test_aggregate_example1():
     r1 = make_route(NET, (0, 1, 3, 4), kind="path")
     r2 = make_route(NET, (0, 1, 2, 3, 4), kind="path")
-    d1 = cut_sets_for_path(r1, NET, D)
-    d2 = cut_sets_for_path(r2, NET, D)
+    d1 = cut_sets_for_cycle(r1, NET, D)
+    d2 = cut_sets_for_cycle(r2, NET, D)
     full = aggregate_cut_sets([d1, d2], prune=False)
     assert len(full.sets) == 10
     assert sets_by_name(minimalize(full)) == {
@@ -113,8 +113,8 @@ def test_minimalize_preserves_min_row_value():
     rng = random.Random(7)
     r1 = make_route(NET, (0, 1, 3, 4), kind="path")
     r2 = make_route(NET, (0, 1, 2, 3, 4), kind="path")
-    full = aggregate_cut_sets([cut_sets_for_path(r1, NET, D),
-                               cut_sets_for_path(r2, NET, D)], prune=False)
+    full = aggregate_cut_sets([cut_sets_for_cycle(r1, NET, D),
+                               cut_sets_for_cycle(r2, NET, D)], prune=False)
     small = minimalize(full)
     for _ in range(200):
         x = [rng.random() for _ in range(5)]

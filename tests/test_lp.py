@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from frlp import (AGG, CYCLIC, DISAGG, ORIGINAL, Demand, Edge, LinearProgram,
-                  PlacementConstraints, build_instance, build_model,
+                  PlacementConstraints, ValidationError, build_instance, build_model,
                   covering_lp, eval_v_agg, eval_v_disagg, eval_v_tight,
                   gen_example, gen_prop5a, gen_random, lp_bound,
                   prepare_families, prepare_route_data, solve_lp)
@@ -182,11 +182,11 @@ def test_build_model_example1_disagg_rows():
 
 
 def test_build_model_example2_agg_rows():
-    from frlp import aggregate_cut_sets, cut_sets_for_path, make_route
+    from frlp import aggregate_cut_sets, cut_sets_for_cycle, make_route
     fig2 = gen_example("fig2", 10.0)
     net = fig2.network
-    d1 = cut_sets_for_path(make_route(net, (0, 1, 3, 4), kind="path"), net, 10.0)
-    d2 = cut_sets_for_path(make_route(net, (0, 1, 2, 3, 4), kind="path"), net, 10.0)
+    d1 = cut_sets_for_cycle(make_route(net, (0, 1, 3, 4), kind="path"), net, 10.0)
+    d2 = cut_sets_for_cycle(make_route(net, (0, 1, 2, 3, 4), kind="path"), net, 10.0)
     full = aggregate_cut_sets([d1, d2], prune=False)
     model = build_model(fig2, AGG, families=[full])
     assert len(model.lp.rows) == 10
@@ -237,6 +237,24 @@ def test_covering_lp_rejects_bad_objective_and_coverage():
             covering_lp(inst, MIN_STATIONS, [], coverage=coverage)
     with pytest.raises(ValueError, match="objective"):
         covering_lp(inst, "min_cost", [])
+
+
+@pytest.mark.parametrize("budget, message", [
+    (-1, "budget must be nonnegative"),
+    (0, "forced_open exceeds the budget"),  # node a is forced open
+])
+def test_budget_row_applies_the_budget_rule(budget, message):
+    inst = placed_instance()
+    route_data = prepare_route_data(inst, ORIGINAL)
+    with pytest.raises(ValidationError, match=message):
+        covering_lp(inst, MAX_COVER, [], budget=budget)
+    with pytest.raises(ValidationError, match=message):
+        build_model(inst, DISAGG, route_data=route_data, budget=budget)
+    with pytest.raises(ValidationError, match=message):
+        build_model(inst, AGG, families=[d.aggregated for d in route_data],
+                    budget=budget)
+    # The rule is the placement budget's; a budget of 1 leaves room for a.
+    assert covering_lp(inst, MAX_COVER, [], budget=1).rows[0][2] == 1.0
 
 
 def test_build_model_agg_is_the_covering_lp():

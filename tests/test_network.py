@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -161,14 +162,14 @@ def test_shortest_path_follows_distances():
     ring = Network(("a", "b", "c", "d"),
                    (Edge(0, 1, 1.0, directed=True), Edge(1, 2, 1.0, directed=True),
                     Edge(2, 0, 5.0, directed=True), Edge(0, 2, 3.0)))
-    cases = [(gen_random(3, num_nodes=8, density=0.5, num_demands=1).network, True),
-             (fig7().network, True), (ring, True), (ring, False)]
-    for net, directed in cases:
-        adj = net.adjacency if directed else net.undirected_adjacency
+    nets = [gen_random(3, num_nodes=8, density=0.5, num_demands=1).network,
+            fig7().network, ring]
+    for net in nets:
+        adj = net.adjacency
         for s in range(net.num_nodes):
-            dist = net.distances_from(s, directed)
+            dist = net.distances_from(s)
             for t in range(net.num_nodes):
-                path = net.shortest_path(s, t, directed)
+                path = net.shortest_path(s, t)
                 if math.isinf(dist[t]):
                     assert path is None
                     continue
@@ -177,7 +178,6 @@ def test_shortest_path_follows_distances():
                         for u, v in zip(path, path[1:])]  # every hop is an arc
                 assert sum(hops) == pytest.approx(dist[t])
     assert ring.shortest_path(2, 1) == (2, 0, 1)
-    assert ring.shortest_path(2, 1, respect_direction=False) == (2, 1)
     assert ring.shortest_path(0, 3) is None
     assert ring.shortest_path(3, 3) == (3,)
     with pytest.raises(UnknownNodeError):
@@ -242,3 +242,68 @@ def test_directed_edges_allowed_for_cyclic_variant():
         [Edge(0, 1, 1.0, directed=True), Edge(1, 0, 1.0, directed=True)],
         [Demand(0, 1, 1.0, alpha=1.0)], 2.0, variant_default=CYCLIC)
     assert shortest_distance(inst.network, 0, 1) == 1.0
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("name", ["alpha", "range", "volume", "length"])
+def test_build_instance_rejects_numbers_the_parser_rejects(name, value):
+    numbers = {"alpha": 1.5, "range": 10.0, "volume": 1.0, "length": 5.0}
+    numbers[name] = value
+    with pytest.raises(ValidationError):
+        build_instance(["a", "b"], [Edge(0, 1, numbers["length"])],
+                       [Demand(0, 1, numbers["volume"], alpha=numbers["alpha"])],
+                       numbers["range"])
+
+
+def test_empty_explicit_route_is_a_violation():
+    with pytest.raises(ValidationError, match="demand #0 route #0: is empty"):
+        build_instance(["a", "b"], [Edge(0, 1, 1.0)],
+                       [Demand(0, 1, 1.0, routes=((),))], 2.0)
+
+
+def prunable_parts():
+    """a - b - c with a long chord a - c and an isolated node d; range 10."""
+    names = ("a", "b", "c", "d")
+    edges = (Edge(0, 1, 1.0), Edge(1, 2, 1.0), Edge(0, 2, 20.0))
+    demands = (Demand(0, 2, 1.0, alpha=1.5),
+               Demand(0, 2, 1.0, routes=((0, 2), (0, 1, 2))),  # one over a-c
+               Demand(2, 0, 1.0, routes=((2, 0),)),  # its only route over a-c
+               Demand(0, 3, 1.0, alpha=2.0))  # d is unreachable
+    return names, edges, demands, 10.0
+
+
+def test_validate_lists_exactly_what_pruning_removes():
+    names, edges, demands, travel_range = prunable_parts()
+    raw = Instance(Network(names, edges), demands, travel_range)
+    built = build_instance(names, edges, demands, travel_range)
+    assert validate_instance(raw) == list(built.pruning_report)
+    assert len(built.pruning_report) == 5  # the edge, 2 routes, 2 demands
+    assert [q.routes for q in built.demands] == [None, ((0, 1, 2),)]
+    assert validate_instance(built) == []
+
+
+def test_validate_of_a_broken_instance_lists_only_structural_violations():
+    names, edges, demands, travel_range = prunable_parts()
+    broken = Instance(Network(names, edges),
+                      demands + (Demand(1, 1, 1.0, alpha=1.0),), travel_range)
+    assert validate_instance(broken) == ["demand #4: origin equals destination"]
+    with pytest.raises(ValidationError) as exc:
+        build_instance(names, edges, broken.demands, travel_range)
+    assert exc.value.violations == validate_instance(broken)
+
+
+def test_build_instance_looks_up_each_trip_once(monkeypatch):
+    calls = []
+    distances_from = Network.distances_from
+    monkeypatch.setattr(Network, "distances_from",
+                        lambda net, source: calls.append(source) or
+                        distances_from(net, source))
+    names = ("a", "b", "c")
+    edges = (Edge(0, 1, 1.0), Edge(1, 2, 1.0))
+    demands = (Demand(0, 2, 1.0, alpha=1.5), Demand(1, 0, 1.0, alpha=1.0))
+    inst = build_instance(names, edges, demands, 5.0, variant_default=CYCLIC)
+    assert calls == [0, 2, 1, 0]  # out and back per demand, no probe network
+    calls.clear()
+    assert validate_instance(inst) == []
+    assert calls == [0, 2, 1, 0]
+    assert inst.network._dist_cache.keys() >= {0, 1, 2}  # no edge pruned: kept

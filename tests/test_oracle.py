@@ -1,8 +1,8 @@
 import pytest
 
-from frlp import (CYCLIC, ORIGINAL, Demand, Edge, build_instance,
-                  brute_force_solve, exhaustive_served, gen_example,
-                  gen_random, is_served)
+from frlp import (CYCLIC, ORIGINAL, Demand, Edge, PlacementConstraints,
+                  ValidationError, build_instance, brute_force_solve,
+                  exhaustive_served, gen_example, gen_random, is_served)
 from frlp.oracle import OracleSizeError
 
 
@@ -67,6 +67,19 @@ def test_coverage_out_of_range_is_rejected():
     for coverage in (1.5, 0.0, -1.0):
         with pytest.raises(ValueError, match=r"coverage must lie in \(0, 1\]"):
             brute_force_solve(inst, CYCLIC, "min_stations", coverage=coverage)
+
+
+def test_budget_rule_is_applied():
+    inst = gen_example("fig7", 12.0)
+    with pytest.raises(ValidationError, match="budget must be nonnegative"):
+        brute_force_solve(inst, CYCLIC, "max_cover", budget=-1)
+    forced = build_instance(
+        inst.network.node_names, inst.network.edges, inst.demands,
+        inst.travel_range, PlacementConstraints(forced_open=frozenset({2})),
+        CYCLIC)
+    with pytest.raises(ValidationError, match="forced_open exceeds the budget"):
+        brute_force_solve(forced, CYCLIC, "max_cover", budget=0)
+    assert brute_force_solve(forced, CYCLIC, "max_cover", budget=1).objective == 1
 
 
 def test_optimal_sets_attain_objective():

@@ -1,10 +1,12 @@
 import itertools
+import math
 
 import pytest
 
 from frlp import (CYCLIC, ORIGINAL, Demand, Edge, EnumerationOverflowError,
-                  NoRouteError, build_instance, enumerate_routes, gen_example,
-                  gen_random, is_traversable, make_route, route_budget)
+                  Instance, Network, NoRouteError, build_instance,
+                  enumerate_routes, gen_example, gen_random, is_traversable,
+                  make_route, route_budget, trip_length)
 
 D = 12.0
 
@@ -37,6 +39,23 @@ def test_route_budget_unreachable():
     ghost = Demand(0, 2, 1.0, alpha=1.0)
     with pytest.raises(NoRouteError):
         route_budget(inst, ghost, ORIGINAL)
+
+
+def test_trip_length_adds_the_return_leg_only_when_cyclic():
+    # One-way a -> b -> c: c is reachable from a, but a from nowhere.
+    net = Network(("a", "b", "c"), (Edge(0, 1, 1.0, directed=True),
+                                    Edge(1, 2, 2.0, directed=True)))
+    q = Demand(0, 2, 1.0, alpha=1.5)
+    assert trip_length(net, q, ORIGINAL) == 3.0
+    assert math.isinf(trip_length(net, q, CYCLIC))
+    inst = Instance(net, (q,), 10.0, variant_default=CYCLIC)
+    assert route_budget(inst, q, ORIGINAL) == 4.5
+    with pytest.raises(NoRouteError):
+        route_budget(inst, q, CYCLIC)
+    fig = fig7()
+    q = fig.demands[0]
+    assert trip_length(fig.network, q, CYCLIC) == pytest.approx(
+        2 * trip_length(fig.network, q, ORIGINAL))
 
 
 def test_table1_paths():
