@@ -18,7 +18,7 @@ from .generators import (gen_example, gen_prop5a, gen_prop5b, gen_random,
 from .lp import (AGG, DISAGG, DemandRoutes, LinearProgram, LpSolution,
                  MipModel, NumericalError, build_model, covering_lp,
                  eval_v_agg, eval_v_disagg, eval_v_tight, lp_bound,
-                 prepare_families, prepare_route_data, solve_lp)
+                 prepare_route_data, solve_lp)
 from .network import (CYCLIC, MAX_COVER, MIN_STATIONS, ORIGINAL, Demand,
                       Edge, Instance, Network, ParseError,
                       PlacementConstraints, UnknownNodeError, ValidationError,

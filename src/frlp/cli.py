@@ -402,6 +402,9 @@ def run(argv=None) -> int:
     except (UnservableError, NumericalError, OracleSizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return SOLVE_ERROR
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return SOLVE_ERROR
     except ValueError as exc:  # an option value the library rejects
         return _usage(str(exc))
 

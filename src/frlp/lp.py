@@ -1,12 +1,15 @@
 """Bundled LP engine, covering-model builders and relaxation-bound evaluators.
 
 The solver is a dense two-phase revised simplex: small deterministic models
-only, no external dependencies. Model builders transcribe the per-route
-(disaggregated) and per-demand (aggregated) covering formulations; the
-aggregated one, for either objective, comes from `covering_lp`, which the
-branch-and-cut solver also builds its relaxations with. The evaluators
-compute the three concave servedness bounds (per-route LP value, aggregated
-closed form, tightest concave interpolant).
+only, no external dependencies. `_standard_form` builds the whole equality
+system, artificial columns included, and its start basis; `solve_lp` runs
+phase 1 when there are artificials, then phase 2, and checks the residuals.
+Model builders transcribe the per-route (disaggregated) and per-demand
+(aggregated) max-cover formulations (`build_model`); the aggregated one, for
+either objective, comes from `covering_lp`, which the branch-and-cut solver
+also builds its relaxations with. The evaluators compute the three concave
+servedness bounds (per-route LP value, aggregated closed form, tightest
+concave interpolant over explicit servedness vectors).
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .covering import CutSetFamily, aggregate_cut_sets, cut_sets_for_cycle
-from .feasibility import is_served
 from .network import (MAX_COVER, MIN_STATIONS, Demand, Instance,
                       ValidationError, budget_violations)
 from .routes import Route, enumerate_routes
@@ -31,8 +33,8 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
-# Formulation tags of build_model; the aggregated min-station model is
-# tagged with its objective, MIN_STATIONS.
+# Formulation tags of build_model: the per-route and the per-demand
+# max-cover model.
 DISAGG = "disagg"
 AGG = "agg"
 
@@ -80,15 +82,26 @@ class LpSolution:
 @dataclass
 class MipModel:
     """A covering MIP: its LP relaxation (every variable of the MIP is
-    binary) and the role of each variable."""
+    binary) and its formulation tag."""
 
     lp: LinearProgram
-    roles: List[tuple]  # ("x", j) | ("y", q) | ("z", q, r)
     tag: str
 
 
+_SLACK_COEF = {LE: 1.0, GE: -1.0, EQ: 0.0}
+
+
 def _standard_form(lp: LinearProgram):
-    """Shift bounds and add slacks; returns the equality system and metadata."""
+    """The program as min c'u subject to A u = b, b >= 0, u >= 0, where
+    u = x - lo, together with its start basis.
+
+    Finite upper bounds become <= rows after the program's own rows; a row
+    whose shifted rhs is negative is negated (`row_sign`). Columns are the
+    variables, one slack per inequality row in row order, then one
+    artificial per row whose slack does not have coefficient +1, in row
+    order. The start basis holds each row's +1 slack or its artificial.
+    Returns (A, b, c, lo, basis, art_cols, user_rows, row_sign).
+    """
     n = lp.num_vars
     lo = np.array([b[0] for b in lp.bounds], dtype=float)
     hi = np.array([b[1] for b in lp.bounds], dtype=float)
@@ -96,46 +109,50 @@ def _standard_form(lp: LinearProgram):
         raise ValueError("all variable lower bounds must be finite")
     if np.any(hi < lo - PIVOT_TOL):
         raise ValueError("variable bounds must satisfy lower <= upper")
+    if lp.sense not in (MIN, MAX):
+        raise ValueError(f"unknown sense {lp.sense!r}")
 
-    rows = list(lp.rows)
-    user_rows = len(rows)
-    for j in range(n):
-        if math.isfinite(hi[j]):
-            rows.append(([(j, 1.0)], LE, hi[j]))
-
+    rows = list(lp.rows) + [([(j, 1.0)], LE, hi[j])
+                            for j in range(n) if math.isfinite(hi[j])]
     m = len(rows)
-    num_slack = sum(1 for _, rel, _ in rows if rel != EQ)
-    total = n + num_slack
-    A = np.zeros((m, total))
     b = np.zeros(m)
-    slack_col = n
     row_sign = np.ones(m)
+    slack_coef = np.zeros(m)  # after the sign flip; 0 on = rows
     for i, (coeffs, rel, rhs) in enumerate(rows):
+        if rel not in _SLACK_COEF:
+            raise ValueError(f"unknown relation {rel!r}")
         shifted = rhs
         for j, coef in coeffs:
-            A[i, j] += coef
             shifted -= coef * lo[j]
-        b[i] = shifted
-        if rel == LE:
-            A[i, slack_col] = 1.0
-            slack_col += 1
-        elif rel == GE:
-            A[i, slack_col] = -1.0
-            slack_col += 1
-        elif rel != EQ:
-            raise ValueError(f"unknown relation {rel!r}")
-        if b[i] < 0:
-            A[i, :] *= -1.0
-            b[i] *= -1.0
+        if shifted < 0:
             row_sign[i] = -1.0
+        b[i] = row_sign[i] * shifted
+        slack_coef[i] = row_sign[i] * _SLACK_COEF[rel]
 
-    c = np.zeros(total)
+    total = n + int(np.count_nonzero(slack_coef))
+    A = np.zeros((m, total + int(np.count_nonzero(slack_coef != 1.0))))
+    basis, art_cols = [], []
+    slack_col = n
+    for i, (coeffs, rel, _) in enumerate(rows):
+        for j, coef in coeffs:
+            A[i, j] += coef
+        if row_sign[i] < 0:
+            A[i, :total] *= -1.0
+        if rel != EQ:
+            A[i, slack_col] = slack_coef[i]
+            slack_col += 1
+        if slack_coef[i] == 1.0:
+            basis.append(slack_col - 1)
+        else:
+            art_cols.append(total + len(art_cols))
+            A[i, art_cols[-1]] = 1.0
+            basis.append(art_cols[-1])
+
+    c = np.zeros(A.shape[1])
     c[:n] = lp.objective
     if lp.sense == MAX:
-        c = -c
-    elif lp.sense != MIN:
-        raise ValueError(f"unknown sense {lp.sense!r}")
-    return A, b, c, lo, user_rows, row_sign
+        c[:total] *= -1.0
+    return A, b, c, lo, basis, art_cols, len(lp.rows), row_sign
 
 
 class _Simplex:
@@ -217,47 +234,14 @@ class _Simplex:
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
     """Optimal basic solution (primal + row duals) of the given program."""
-    A, b, c, lo, user_rows, row_sign = _standard_form(lp)
-    m, total = A.shape
-    n = lp.num_vars
-
-    if m == 0:
-        # No rows at all: every variable sits at its favorable bound.
-        primal = np.array(lo, dtype=float)
-        if np.any(c[:n] < -PIVOT_TOL):
-            return LpSolution(UNBOUNDED, None, None, None)
-        value = float(np.dot(lp.objective, primal))
-        return LpSolution(OPTIMAL, value, tuple(primal), ())
-
-    # Phase 1: artificial variables form the starting identity basis, except
-    # where a +1 slack column can serve directly.
-    art_cols = []
-    basis = []
-    A_ext = [A]
-    slack_of_row = {}
-    col = n
-    for i, (_, rel, _) in enumerate(list(lp.rows) + [(None, LE, None)] * (m - user_rows)):
-        if rel != EQ:
-            slack_of_row[i] = col
-            col += 1
-    for i in range(m):
-        sc = slack_of_row.get(i)
-        if sc is not None and A[i, sc] == 1.0:
-            basis.append(sc)
-        else:
-            art = np.zeros((m, 1))
-            art[i, 0] = 1.0
-            A_ext.append(art)
-            basis.append(total + len(art_cols))
-            art_cols.append(total + len(art_cols))
-    A1 = np.hstack(A_ext)
-    del A, A_ext  # A1 holds the only copy of the matrix both phases need
-    simplex = _Simplex(A1, b)
+    A, b, c, lo, basis, art_cols, user_rows, row_sign = _standard_form(lp)
+    simplex = _Simplex(A, b)
+    allowed = np.ones(A.shape[1], dtype=bool)
 
     if art_cols:
-        c1 = np.zeros(A1.shape[1])
+        # Phase 1: minimise the sum of the artificials.
+        c1 = np.zeros(A.shape[1])
         c1[art_cols] = 1.0
-        allowed = np.ones(A1.shape[1], dtype=bool)
         status, x1, _ = simplex.run(c1, basis, allowed)
         if status != OPTIMAL or float(c1 @ x1) > PRIMAL_TOL:
             return LpSolution(INFEASIBLE, None, None, None, simplex.pivots)
@@ -266,31 +250,26 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         # onto any real column keeps feasibility. Artificials that cannot
         # leave sit on redundant rows and provably stay at zero.
         art_set = set(art_cols)
-        for r in range(m):
+        total = A.shape[1] - len(art_cols)  # variable and slack columns
+        for r in range(len(basis)):
             if basis[r] not in art_set:
                 continue
-            row = simplex.B_inv[r] @ A1[:, :total]
+            row = simplex.B_inv[r] @ A[:, :total]
             in_b = set(basis)
             for j in range(total):
                 if j not in in_b and abs(row[j]) > 1e-7:
                     simplex._pivot(j, r)
                     break
-        basis = simplex.basis
 
-    c2 = np.zeros(A1.shape[1])
-    c2[:total] = c
-    allowed = np.ones(A1.shape[1], dtype=bool)
-    for j in art_cols:
-        allowed[j] = False  # artificials may stay basic at zero but never enter
-    status, x, y = simplex.run(c2, basis, allowed)
+    allowed[art_cols] = False  # artificials may stay basic at zero but never enter
+    status, x, y = simplex.run(c, basis, allowed)
     if status == UNBOUNDED:
         return LpSolution(UNBOUNDED, None, None, None, simplex.pivots)
 
-    u = x[:n]
-    primal = lo + u
+    primal = lo + x[:lp.num_vars]
     value = float(np.dot(lp.objective, primal))
 
-    _check_residuals(lp, primal, y, row_sign, A1, b, c2, x, allowed)
+    _check_residuals(lp, primal, y, A, b, c, x, allowed)
 
     sense_sign = -1.0 if lp.sense == MAX else 1.0
     duals = tuple(float(sense_sign * row_sign[i] * y[i]) for i in range(user_rows))
@@ -298,7 +277,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
                       simplex.pivots)
 
 
-def _check_residuals(lp, primal, y, row_sign, A1, b, c2, x, allowed):
+def _check_residuals(lp, primal, y, A, b, c, x, allowed):
     """Primal feasibility at 1e-7; dual feasibility / complementary slackness
     and strong duality at 1e-6 (on the internal equality form)."""
     scale = 1.0 + float(np.abs(b).max(initial=0.0))
@@ -314,14 +293,14 @@ def _check_residuals(lp, primal, y, row_sign, A1, b, c2, x, allowed):
     for j, (lo_j, hi_j) in enumerate(lp.bounds):
         if primal[j] < lo_j - PRIMAL_TOL * scale or primal[j] > hi_j + PRIMAL_TOL * scale:
             raise NumericalError(f"variable {j} violates its bounds")
-    reduced = c2 - y @ A1
-    cscale = 1.0 + float(np.abs(c2).max(initial=0.0))
+    reduced = c - y @ A
+    cscale = 1.0 + float(np.abs(c).max(initial=0.0))
     if np.any(reduced[allowed] < -DUAL_TOL * cscale):
         raise NumericalError("dual infeasibility above tolerance")
     slack_prod = float(np.abs(reduced * x).max(initial=0.0))
     if slack_prod > DUAL_TOL * cscale * (1.0 + float(np.abs(x).max(initial=0.0))):
         raise NumericalError("complementary slackness above tolerance")
-    gap = abs(float(c2 @ x) - float(y @ b))
+    gap = abs(float(c @ x) - float(y @ b))
     if gap > DUAL_TOL * scale * cscale:
         raise NumericalError(f"strong duality gap {gap}")
 
@@ -353,11 +332,6 @@ def prepare_route_data(instance: Instance, variant: str) -> List[DemandRoutes]:
                          for r in routes)
         data.append(DemandRoutes(demand, routes, families))
     return data
-
-
-def prepare_families(instance: Instance, variant: str) -> List[CutSetFamily]:
-    """Minimal aggregated covering family per demand."""
-    return [d.aggregated for d in prepare_route_data(instance, variant)]
 
 
 def _add_budget_row(lp: LinearProgram, instance: Instance,
@@ -427,26 +401,23 @@ def covering_lp(instance: Instance, objective: str,
 def build_model(instance: Instance, tag: str,
                 route_data: Optional[Sequence[DemandRoutes]] = None,
                 families: Optional[Sequence[CutSetFamily]] = None,
-                budget: Optional[int] = None,
-                coverage: float = 1.0) -> MipModel:
-    """Covering MIP for one of the formulation tags DISAGG, AGG, MIN_STATIONS.
+                budget: Optional[int] = None) -> MipModel:
+    """Max-cover MIP for one of the formulation tags DISAGG and AGG.
 
-    disagg needs route_data; agg (max-cover) and min_stations need one
-    covering family per demand and are built by `covering_lp`.
+    disagg needs route_data; agg needs one covering family per demand and
+    is built by `covering_lp`.
     """
     n = instance.num_nodes
     if tag == DISAGG:
         if route_data is None:
             raise ValueError("disagg model requires route_data")
-        roles = [("x", j) for j in range(n)]
         lp = LinearProgram(MAX, [0.0] * n, bounds=[(0.0, 1.0)] * n)
-        for qi, dr in enumerate(route_data):
+        for dr in route_data:
             z_cols = []
-            for ri, family in enumerate(dr.families):
+            for family in dr.families:
                 col = len(lp.objective)
                 lp.objective.append(dr.demand.volume)
                 lp.bounds.append((0.0, 1.0))
-                roles.append(("z", qi, ri))
                 z_cols.append(col)
                 for s in family.sets:
                     lp.add_row([(j, 1.0) for j in sorted(s)] + [(col, -1.0)],
@@ -454,17 +425,13 @@ def build_model(instance: Instance, tag: str,
             lp.add_row([(c, 1.0) for c in z_cols], LE, 1.0)
         _add_budget_row(lp, instance, budget)
         _apply_placement(lp, instance)
-        return MipModel(lp, roles, tag)
-    if tag not in (AGG, MIN_STATIONS):
+        return MipModel(lp, tag)
+    if tag != AGG:
         raise ValueError(f"unknown formulation tag {tag!r}")
     if families is None:
-        raise ValueError(f"{tag} model requires families")
+        raise ValueError("agg model requires families")
     rows = [(qi, s) for qi, family in enumerate(families) for s in family.sets]
-    lp = covering_lp(instance, MAX_COVER if tag == AGG else MIN_STATIONS, rows,
-                     budget, coverage)
-    roles = [("x", j) for j in range(n)] + [("y", qi)
-                                            for qi in range(len(instance.demands))]
-    return MipModel(lp, roles, tag)
+    return MipModel(covering_lp(instance, MAX_COVER, rows, budget), tag)
 
 
 def lp_bound(model: MipModel) -> float:
@@ -559,34 +526,18 @@ def _interpolation_value(n: int, bits: np.ndarray, payoff: np.ndarray,
     raise NumericalError("column generation failed to converge")
 
 
-def eval_v_tight(instance: Instance, x, variant: Optional[str] = None,
-                 families: Optional[Sequence[CutSetFamily]] = None,
-                 served: Optional[Sequence[np.ndarray]] = None) -> float:
+def eval_v_tight(instance: Instance, x,
+                 served: Sequence[np.ndarray]) -> float:
     """Sum over demands of the tightest concave extension of 0/1 servedness.
 
-    Servedness over station subsets comes from explicit `served` vectors, from
-    covering `families`, or from the feasibility check under `variant`.
+    `served` holds one boolean vector per demand over the 2^n station
+    subsets, such as `served_vector` of the demand's covering family.
     """
     n = instance.num_nodes
     if n > TIGHT_NODE_CAP:
         raise DimensionCapError(f"eval_v_tight is capped at {TIGHT_NODE_CAP} nodes")
     x = np.asarray(x, dtype=float)
     bits = _bit_matrix(n)
-
-    if served is None:
-        if families is not None:
-            served = [served_vector(f, n) for f in families]
-        else:
-            if variant is None:
-                variant = instance.variant_default
-            served = []
-            for demand in instance.demands:
-                vec = np.zeros(1 << n, dtype=bool)
-                for s in range(1 << n):
-                    stations = frozenset(j for j in range(n) if (s >> j) & 1)
-                    vec[s] = is_served(instance, demand, stations, variant)
-                served.append(vec)
-
     total = 0.0
     for demand, vec in zip(instance.demands, served):
         payoff = demand.volume * vec.astype(float)

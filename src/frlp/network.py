@@ -362,6 +362,13 @@ def _parse_number(value, what: str) -> float:
     raise ParseError(f"{what} must be a finite number, not {value!r}")
 
 
+def _parse_list(value, what: str) -> list:
+    """A JSON array (a string or a number is not read as one)."""
+    if not isinstance(value, list):
+        raise ParseError(f"{what} must be a list")
+    return value
+
+
 def _parse_budget(value) -> Optional[int]:
     """A station budget: a whole number (2 or 2.0), or None when absent."""
     if value is None:
@@ -387,8 +394,7 @@ def parse_instance(document: str) -> Instance:
             raise ParseError(f"missing required key {key!r}")
     travel_range = _parse_number(data["range"], "'range'")
     for key in ("nodes", "edges", "demands"):
-        if not isinstance(data[key], list):
-            raise ParseError(f"{key!r} must be a list")
+        _parse_list(data[key], repr(key))
     variant = data.get("variant", ORIGINAL)
     if variant not in VARIANTS:
         raise ParseError(f"'variant' must be one of {VARIANTS}")
@@ -429,8 +435,8 @@ def parse_instance(document: str) -> Instance:
         if routes is not None:
             routes = tuple(
                 tuple(_parse_node_ref(nref, name_to_id, f"{ctx}.routes[{j}]")
-                      for nref in route)
-                for j, route in enumerate(routes))
+                      for nref in _parse_list(route, f"{ctx}.routes[{j}]"))
+                for j, route in enumerate(_parse_list(routes, f"{ctx}: 'routes'")))
         demands.append(Demand(origin, dest, volume, alpha, routes))
 
     placement = PlacementConstraints()
@@ -440,10 +446,12 @@ def parse_instance(document: str) -> Instance:
             raise ParseError("'placement' must be an object")
         placement = PlacementConstraints(
             budget=_parse_budget(p.get("budget")),
-            forced_open=frozenset(_parse_node_ref(x, name_to_id, "placement.open")
-                                  for x in p.get("open", [])),
-            forced_closed=frozenset(_parse_node_ref(x, name_to_id, "placement.closed")
-                                    for x in p.get("closed", [])))
+            forced_open=frozenset(
+                _parse_node_ref(x, name_to_id, "placement.open")
+                for x in _parse_list(p.get("open", []), "'placement.open'")),
+            forced_closed=frozenset(
+                _parse_node_ref(x, name_to_id, "placement.closed")
+                for x in _parse_list(p.get("closed", []), "'placement.closed'")))
 
     return build_instance(names, edges, demands, travel_range, placement, variant)
 

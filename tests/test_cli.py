@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from frlp import gen_example, serialize_instance
+from frlp import cli, gen_example, serialize_instance
 from frlp.cli import run
 
 CSV_COLUMNS = ["instance", "routing", "alpha", "time_s",
@@ -51,6 +51,25 @@ def test_validate_rejects_bad_budget(tmp_path, capsys, budget):
     assert "budget" in capsys.readouterr().out
     assert run(["solve", str(path)]) == 1
     assert "budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("routes", [5]), ("routes", 5), ("open", "12"), ("open", 5)],
+    ids=["routes-of-numbers", "routes-number", "open-string", "open-number"])
+def test_validate_rejects_a_value_that_is_not_a_list(tmp_path, capsys, field,
+                                                     value):
+    doc = json.loads(serialize_instance(gen_example("fig7", 12.0)))
+    if field == "routes":
+        del doc["demands"][0]["alpha"]
+        doc["demands"][0]["routes"] = value
+    else:
+        doc["placement"] = {field: value}
+    path = tmp_path / "lists.json"
+    path.write_text(json.dumps(doc))
+    assert run(["validate", str(path)]) == 1
+    assert "must be a list" in capsys.readouterr().out
+    assert run(["solve", str(path)]) == 1
+    assert "must be a list" in capsys.readouterr().err
 
 
 def test_validate_rejects_nan_edge_length(tmp_path, capsys):
@@ -158,6 +177,17 @@ def test_solve_failure_exit_code(tmp_path):
     # cover the 3-unit hop: unservable
     assert run(["solve", str(path), "--objective", "minstations",
                 "--variant", "original"]) == 2
+
+
+def test_out_of_memory_is_a_solve_failure(fig7_path, capsys, monkeypatch):
+    def exhausted(model):
+        raise MemoryError("dense standard form")
+
+    monkeypatch.setattr(cli, "lp_bound", exhausted)
+    assert run(["bounds", fig7_path]) == 2
+    err = capsys.readouterr().err
+    assert "error: out of memory: dense standard form" in err
+    assert "Traceback" not in err
 
 
 def test_usage_error_exit_code(capsys):

@@ -8,7 +8,7 @@ from frlp import (AGG, CYCLIC, DISAGG, ORIGINAL, Demand, Edge, LinearProgram,
                   PlacementConstraints, ValidationError, build_instance, build_model,
                   covering_lp, eval_v_agg, eval_v_disagg, eval_v_tight,
                   gen_example, gen_prop5a, gen_random, lp_bound,
-                  prepare_families, prepare_route_data, solve_lp)
+                  prepare_route_data, solve_lp)
 from frlp import lp as lp_module
 from frlp import solver as solver_module
 from frlp.covering import CutSetFamily
@@ -41,7 +41,7 @@ def test_single_row_lp():
 
 def test_example2_budgeted_relaxation():
     fig2 = gen_example("fig2", 10.0)
-    families = prepare_families(fig2, ORIGINAL)
+    families = [d.aggregated for d in prepare_route_data(fig2, ORIGINAL)]
     model = build_model(fig2, AGG, families=families, budget=1)
     assert lp_bound(model) == pytest.approx(0.5)
 
@@ -52,6 +52,12 @@ def test_infeasible_and_unbounded():
     assert solve_lp(lp).status == "infeasible"
     lp = LinearProgram(MAX, [1.0], bounds=[(0.0, math.inf)])
     assert solve_lp(lp).status == "unbounded"
+    # no rows, bounded below: each variable sits at its lower bound
+    lp = LinearProgram(MIN, [1.0, 0.0], bounds=[(2.0, math.inf), (-1.0, math.inf)])
+    sol = solve_lp(lp)
+    assert sol.status == "optimal" and sol.value == 2.0
+    assert sol.primal == (2.0, -1.0) and sol.duals == ()
+    assert all(type(v) is float for v in sol.primal)
 
 
 def test_equality_rows_and_duals():
@@ -165,10 +171,14 @@ def test_rank1_update_is_pivot_identical_to_row_loop(monkeypatch):
 
 
 def test_original_solve_is_pinned():
-    # bb_nodes, cuts and stations measured with the row-by-row kernel
+    # bb_nodes, cuts and stations measured with the row-by-row kernel; LP
+    # solves and pivots with the rank-1 kernel, so that a change of the
+    # start basis or of the pivot rule fails here too
     solution = solve(pinned_request())
     assert solution.stats.bb_nodes == 23
     assert solution.stats.cuts == 27
+    assert solution.stats.lp_solves == 28
+    assert solution.stats.lp_iterations == 992
     assert solution.stations == frozenset({3, 4, 10})
     assert solution.objective == 31.0
 
@@ -178,7 +188,11 @@ def test_build_model_example1_disagg_rows():
     route_data = prepare_route_data(fig2, ORIGINAL)
     model = build_model(fig2, DISAGG, route_data=route_data)
     assert len(model.lp.rows) == 8  # 3 + 4 covering rows + one route-choice row
-    assert model.roles[:5] == [("x", j) for j in range(5)]
+    # the five station columns, then one route-use column per route
+    routes = sum(len(d.routes) for d in route_data)
+    assert routes == 2
+    assert model.lp.objective == [0.0] * 5 + [fig2.demands[0].volume] * routes
+    assert model.lp.bounds == [(0.0, 1.0)] * (5 + routes)
 
 
 def test_build_model_example2_agg_rows():
@@ -192,10 +206,9 @@ def test_build_model_example2_agg_rows():
     assert len(model.lp.rows) == 10
 
 
-def test_build_model_min_stations_empty():
+def test_covering_lp_min_stations_empty():
     empty = build_instance(["1", "2"], [Edge(0, 1, 1.0)], [], 2.0)
-    model = build_model(empty, MIN_STATIONS, families=[])
-    assert lp_bound(model) == pytest.approx(0.0)
+    assert solve_lp(covering_lp(empty, MIN_STATIONS, [])).value == pytest.approx(0.0)
 
 
 def placed_instance():
@@ -259,13 +272,13 @@ def test_budget_row_applies_the_budget_rule(budget, message):
 
 def test_build_model_agg_is_the_covering_lp():
     inst = gen_random(3, num_nodes=7, density=0.4, num_demands=3)
-    families = prepare_families(inst, ORIGINAL)
+    families = [d.aggregated for d in prepare_route_data(inst, ORIGINAL)]
     pairs = [(qi, s) for qi, f in enumerate(families) for s in f.sets]
-    for tag, objective in ((AGG, MAX_COVER), (MIN_STATIONS, MIN_STATIONS)):
-        model = build_model(inst, tag, families=families, budget=2)
-        assert model.lp == covering_lp(inst, objective, pairs, budget=2)
-        assert model.roles == [("x", j) for j in range(7)] + [("y", q)
-                                                              for q in range(3)]
+    model = build_model(inst, AGG, families=families, budget=2)
+    assert model.lp == covering_lp(inst, MAX_COVER, pairs, budget=2)
+    # min-stations relaxations come from covering_lp alone
+    with pytest.raises(ValueError, match="unknown formulation tag"):
+        build_model(inst, MIN_STATIONS, families=families)
 
 
 def test_no_covering_rows_max_cover_gives_total_volume():
@@ -305,31 +318,32 @@ def test_eval_v_disagg_examples():
 
 def test_eval_v_agg_examples():
     inst = gen_prop5a(3)
-    families = prepare_families(inst, ORIGINAL)
+    families = [d.aggregated for d in prepare_route_data(inst, ORIGINAL)]
     n = inst.num_nodes
     assert eval_v_agg(inst, families, [1.0 / 3.0] * n) <= 0.5 + 1e-9
     line = line_instance(volume=2.0)
-    line_fams = prepare_families(line, ORIGINAL)
+    line_fams = [d.aggregated for d in prepare_route_data(line, ORIGINAL)]
     assert eval_v_agg(line, line_fams, [0.5, 0.5]) == pytest.approx(1.0)
     assert eval_v_agg(line, line_fams, [1.0, 1.0]) == pytest.approx(2.0)
 
 
 def test_eval_v_tight_examples():
     line = line_instance(volume=2.0)
-    fams = prepare_families(line, ORIGINAL)
+    fams = [d.aggregated for d in prepare_route_data(line, ORIGINAL)]
+    served = [served_vector(f, line.num_nodes) for f in fams]
     agg = eval_v_agg(line, fams, [0.5, 0.5])
-    tight = eval_v_tight(line, [0.5, 0.5], families=fams)
+    tight = eval_v_tight(line, [0.5, 0.5], served)
     assert tight == pytest.approx(agg) == pytest.approx(1.0)
     # integral points recover the exact 0/1 servedness payoff
-    assert eval_v_tight(line, [1, 1], families=fams) == pytest.approx(2.0)
-    assert eval_v_tight(line, [1, 0], families=fams) == pytest.approx(0.0)
-    assert eval_v_tight(line, [0, 0], families=fams) == pytest.approx(0.0)
+    assert eval_v_tight(line, [1, 1], served) == pytest.approx(2.0)
+    assert eval_v_tight(line, [1, 0], served) == pytest.approx(0.0)
+    assert eval_v_tight(line, [0, 0], served) == pytest.approx(0.0)
 
 
 def test_eval_v_tight_dimension_cap():
     inst = gen_random(1, num_nodes=19, density=0.2, num_demands=1)
     with pytest.raises(DimensionCapError):
-        eval_v_tight(inst, [0.5] * 19, variant=CYCLIC)
+        eval_v_tight(inst, [0.5] * 19, served=[])
 
 
 def test_value_functions_concave():
@@ -353,7 +367,7 @@ def test_value_functions_concave():
 
 def test_served_vector_matches_hits_all():
     inst = gen_random(23, num_nodes=5, density=0.5, num_demands=1)
-    family = prepare_families(inst, CYCLIC)[0]
+    family = prepare_route_data(inst, CYCLIC)[0].aggregated
     vec = served_vector(family, 5)
     for bits in range(1 << 5):
         stations = {j for j in range(5) if bits >> j & 1}

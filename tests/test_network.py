@@ -82,6 +82,19 @@ def test_parse_errors():
         parse_instance(json.dumps({
             "range": 1, "nodes": ["a"], "demands": [],
             "edges": [{"u": "a", "v": "b", "length": 1}]}))
+    # routes is a list of lists of node references, placement.open and
+    # placement.closed are lists: a string is not read character by character
+    doc = json.loads(serialize_instance(fig7()))
+    del doc["demands"][0]["alpha"]
+    for routes in ([5], 5, ["12"]):
+        doc["demands"][0]["routes"] = routes
+        with pytest.raises(ParseError, match="routes.* must be a list"):
+            parse_instance(json.dumps(doc))
+    doc = json.loads(serialize_instance(fig7()))
+    for key, value in (("open", "12"), ("open", 5), ("closed", "3")):
+        doc["placement"] = {key: value}
+        with pytest.raises(ParseError, match=f"'placement.{key}' must be a list"):
+            parse_instance(json.dumps(doc))
 
 
 def test_validation_error_for_negative_length():
