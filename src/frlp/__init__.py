@@ -6,10 +6,9 @@ relaxation bound analysis, a branch-and-cut solver with lazy separation, and
 brute-force oracles for verification.
 """
 
-from .covering import (AGGREGATED, PER_ROUTE, AggregationOverflowError,
-                       ConstructionError, CutSetFamily, WitnessUndefinedError,
-                       aggregate_cut_sets, cut_sets_for_cycle,
-                       minimality_witness, minimalize)
+from .covering import (AggregationOverflowError, ConstructionError,
+                       CutSetFamily, WitnessUndefinedError, aggregate_cut_sets,
+                       cut_sets_for_cycle, minimality_witness, minimalize)
 from .feasibility import (CycleQuery, Label, corridor, extend_label,
                           find_traversable_cycle, find_traversable_path,
                           is_served, search_cycle)

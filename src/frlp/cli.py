@@ -153,13 +153,16 @@ def cmd_check(args) -> int:
                              for s in args.stations.split(",") if s.strip())
     except ValueError:
         return _usage("unknown station name")
-    verdict = is_served(instance, demand, stations, variant)
-    print(f"served: {verdict}")
-    if variant == CYCLIC and demand.routes is None:
+    if variant != CYCLIC or demand.routes is not None:
+        print(f"served: {is_served(instance, demand, stations, variant)}")
+    else:
+        # The one labeling search gives the verdict, as in `is_served`; with
+        # --trace it runs without dominance, which finds the same verdict.
         query = CycleQuery(instance, demand, stations,
                            route_budget(instance, demand, CYCLIC),
                            dominance=not args.trace)
         result = search_cycle(query)
+        print(f"served: {result.witness is not None}")
         if args.trace:
             for i, label in enumerate(result.selected, 1):
                 print(f"  step {i}: node {instance.network.name(label.node)} "
@@ -203,10 +206,10 @@ def cmd_bounds(args) -> int:
     variant = args.variant or instance.variant_default
     route_data = prepare_route_data(instance, variant)
     families = [d.aggregated for d in route_data]
-    budget = args.budget if args.budget is not None else instance.placement.budget
     disagg = lp_bound(build_model(instance, DISAGG, route_data=route_data,
-                                  budget=budget))
-    agg = lp_bound(build_model(instance, AGG, families=families, budget=budget))
+                                  budget=args.budget))
+    agg = lp_bound(build_model(instance, AGG, families=families,
+                               budget=args.budget))
     print(f"disagg-LP bound: {disagg:g}")
     print(f"agg-LP bound:    {agg:g}")
     if agg > 0:
@@ -215,7 +218,7 @@ def cmd_bounds(args) -> int:
         # The tightest concave bound over an integral placement polytope is
         # attained at an integer vertex, i.e. at the exact optimum.
         tight = brute_force_solve(instance, variant, MAX_COVER,
-                                  budget=budget).objective
+                                  budget=args.budget).objective
         print(f"tight bound:     {tight:g}")
         if tight > 0:
             print(f"agg/tight ratio:  {agg / tight:g}")

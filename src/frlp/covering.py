@@ -14,9 +14,6 @@ from typing import Iterable, Tuple
 from .network import DIST_TOL, Network
 from .routes import Route
 
-PER_ROUTE = "per-route"
-AGGREGATED = "aggregated"
-
 DEFAULT_AGGREGATION_CAP = 10 ** 7
 
 
@@ -36,7 +33,6 @@ class WitnessUndefinedError(ValueError):
 class CutSetFamily:
     sets: Tuple[frozenset, ...]
     num_nodes: int
-    origin_tag: str = PER_ROUTE
     minimal: bool = False
 
     def __post_init__(self):
@@ -89,14 +85,13 @@ def cut_sets_for_cycle(cycle: Route, network: Network,
         if fs not in seen:
             seen.add(fs)
             members.append(fs)
-    return CutSetFamily(tuple(members), network.num_nodes, PER_ROUTE)
+    return CutSetFamily(tuple(members), network.num_nodes)
 
 
 def minimalize(family: CutSetFamily) -> CutSetFamily:
     """Keep exactly the members that are not strict supersets of another."""
     kept = _minimal_sets(family.sets)
-    return CutSetFamily(tuple(kept), family.num_nodes, family.origin_tag,
-                        minimal=True)
+    return CutSetFamily(tuple(kept), family.num_nodes, minimal=True)
 
 
 def _minimal_sets(sets: Iterable[frozenset]):
@@ -138,7 +133,7 @@ def aggregate_cut_sets(families, num_nodes=None, prune: bool = True,
                         f"aggregation product exceeds {cap} intermediate unions")
         frontier = _minimal_sets(unions) if prune else sorted(
             unions, key=lambda s: (len(s), sorted(s)))
-    return CutSetFamily(tuple(frontier), num_nodes, AGGREGATED, minimal=prune)
+    return CutSetFamily(tuple(frontier), num_nodes, minimal=prune)
 
 
 def minimality_witness(family: CutSetFamily, member) -> Tuple[int, ...]:

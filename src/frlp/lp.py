@@ -81,11 +81,10 @@ class LpSolution:
 
 @dataclass
 class MipModel:
-    """A covering MIP: its LP relaxation (every variable of the MIP is
-    binary) and its formulation tag."""
+    """A covering MIP, held as its LP relaxation (every variable of the MIP
+    is binary)."""
 
     lp: LinearProgram
-    tag: str
 
 
 _SLACK_COEF = {LE: 1.0, GE: -1.0, EQ: 0.0}
@@ -417,7 +416,8 @@ def build_model(instance: Instance, tag: str,
             for family in dr.families:
                 col = len(lp.objective)
                 lp.objective.append(dr.demand.volume)
-                lp.bounds.append((0.0, 1.0))
+                # z_r <= 1 follows from the route-choice row and z >= 0.
+                lp.bounds.append((0.0, math.inf))
                 z_cols.append(col)
                 for s in family.sets:
                     lp.add_row([(j, 1.0) for j in sorted(s)] + [(col, -1.0)],
@@ -425,13 +425,13 @@ def build_model(instance: Instance, tag: str,
             lp.add_row([(c, 1.0) for c in z_cols], LE, 1.0)
         _add_budget_row(lp, instance, budget)
         _apply_placement(lp, instance)
-        return MipModel(lp, tag)
+        return MipModel(lp)
     if tag != AGG:
         raise ValueError(f"unknown formulation tag {tag!r}")
     if families is None:
         raise ValueError("agg model requires families")
     rows = [(qi, s) for qi, family in enumerate(families) for s in family.sets]
-    return MipModel(covering_lp(instance, MAX_COVER, rows, budget), tag)
+    return MipModel(covering_lp(instance, MAX_COVER, rows, budget))
 
 
 def lp_bound(model: MipModel) -> float:

@@ -2,7 +2,8 @@
 separation: the relaxation is `lp.covering_lp` over a cut pool that starts
 empty, integral candidates are checked by the feasibility module, and
 violated (demand, node-set) cuts are pooled globally and shared across the
-tree.
+tree. The search starts from a feasible fallback placement, so a solve
+stopped by a limit still answers with a placement and a valid bound.
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ INT_TOL = 1e-6
 
 
 class UnservableError(ValueError):
-    """Raised when full coverage is demanded but some demands cannot be
-    served even with a station on every allowed node."""
+    """Raised when a min-stations request cannot reach its coverage even
+    with a station on every allowed node; names the demands that placement
+    leaves unserved."""
 
     def __init__(self, instance, demand_indices):
         self.demand_indices = tuple(demand_indices)
@@ -125,19 +127,17 @@ def separate(instance: Instance, variant: str, x, y,
     return cuts
 
 
-def _check_servable(request: SolveRequest, verdicts: _Verdicts):
-    """Full-coverage requests fail fast when a demand is unservable even with
-    every allowed node opened."""
-    instance = request.instance
-    all_open = frozenset(range(instance.num_nodes)) - instance.placement.forced_closed
-    bad = [qi for qi in range(len(instance.demands))
-           if not verdicts.served(qi, all_open)]
-    if bad:
-        raise UnservableError(instance, bad)
-
-
 def solve(request: SolveRequest) -> Solution:
     """LP-based best-bound branch-and-bound with lazy covering cuts.
+
+    The search starts from a fallback placement: the forced-open nodes for
+    max-cover, every node not forced closed for min-stations. A request that
+    this placement cannot meet, a demand left unserved at full coverage or a
+    served volume short of `coverage` times the total, raises
+    UnservableError before any LP is solved. A solve stopped by its time or
+    node limit returns the best placement found, at worst the fallback, with
+    `optimal` false and a bound from the open nodes (infinite when no node
+    was solved).
 
     Deterministic: branching on the most fractional station variable (ties to
     the lowest index), FIFO tie-breaking in the node queue, cuts appended in
@@ -161,33 +161,44 @@ def solve(request: SolveRequest) -> Solution:
     stats = SolveStats()
     start = time.perf_counter()
     verdicts = _Verdicts(instance, request.variant, stats)
-    if request.objective == MIN_STATIONS and request.coverage == 1.0:
-        _check_servable(request, verdicts)
 
-    incumbent: Optional[Solution] = None
-    incumbent_value = -math.inf if maximize else math.inf
+    def served_volume(served):
+        return float(sum(q.volume for q, s in zip(instance.demands, served) if s))
+
+    def evaluate(stations):
+        """(stations, served flags, objective value) of a placement."""
+        served = tuple(verdicts.served(qi, stations) for qi in range(nq))
+        value = served_volume(served) if maximize else float(len(stations))
+        return stations, served, value
+
+    # The fallback: the forced-open nodes fit any budget that relaxation({})
+    # accepted, and no placement serves more than every allowed node.
+    if maximize:
+        incumbent = evaluate(instance.placement.forced_open)
+    else:
+        incumbent = evaluate(frozenset(range(n)) - instance.placement.forced_closed)
+        unserved = [qi for qi, s in enumerate(incumbent[1]) if not s]
+        target = request.coverage * sum(q.volume for q in instance.demands)
+        if unserved and (request.coverage == 1.0 or
+                         served_volume(incumbent[1]) < target - 1e-9):
+            raise UnservableError(instance, unserved)
 
     def better(value):
-        return value > incumbent_value + 1e-9 if maximize else \
-            value < incumbent_value - 1e-9
+        return value > incumbent[2] + 1e-9 if maximize else \
+            value < incumbent[2] - 1e-9
 
     # Node queue ordered by bound (best-bound first), then FIFO.
     counter = itertools.count()
-    root_bound = math.inf if maximize else -math.inf
-    heap = [(-root_bound if maximize else root_bound, next(counter), {})]
-    exhausted = True
+    heap = [(-math.inf, next(counter), {})]
 
     while heap:
         if request.time_limit is not None and \
                 time.perf_counter() - start > request.time_limit:
-            exhausted = False
             break
         if request.node_limit is not None and stats.bb_nodes >= request.node_limit:
-            exhausted = False
             break
         key, _, fixings = heapq.heappop(heap)
-        parent_bound = -key if maximize else key
-        if incumbent is not None and not better(parent_bound):
+        if not better(-key if maximize else key):
             continue
         stats.bb_nodes += 1
 
@@ -200,7 +211,7 @@ def solve(request: SolveRequest) -> Solution:
                 break
             if solution.status != OPTIMAL:
                 raise NumericalError(f"node relaxation is {solution.status}")
-            if incumbent is not None and not better(solution.value):
+            if not better(solution.value):
                 solution = None
                 break
             x = solution.primal[:n]
@@ -241,38 +252,18 @@ def solve(request: SolveRequest) -> Solution:
                                       next(counter), child))
             continue
 
-        # Integral and separation-clean: record the incumbent.
-        stations = frozenset(j for j, v in enumerate(x) if v > 0.5)
-        served = tuple(verdicts.served(qi, stations) for qi in range(nq))
-        if maximize:
-            value = sum(q.volume for q, s in zip(instance.demands, served) if s)
-        else:
-            value = float(len(stations))
-        if incumbent is None or better(value):
-            incumbent_value = value
-            incumbent = Solution(stations, served, value, value, False, stats)
+        # Integral and separation-clean: a candidate incumbent.
+        candidate = evaluate(frozenset(j for j, v in enumerate(x) if v > 0.5))
+        if better(candidate[2]):
+            incumbent = candidate
 
-    if incumbent is None:
-        if not exhausted:
-            raise NumericalError("limits reached before any feasible solution")
-        # Max-cover always has the empty placement; min-stations full coverage
-        # was pre-checked, so this means partial coverage is unattainable.
-        if maximize:
-            served = tuple(False for _ in instance.demands)
-            incumbent = Solution(frozenset(), served, 0.0, 0.0, True, stats)
-        else:
-            raise UnservableError(instance, range(nq))
-
-    remaining = [-k if maximize else k for k, _, _ in heap] if not exhausted else []
-    if remaining:
-        bound = max(remaining) if maximize else min(remaining)
-        bound = max(bound, incumbent_value) if maximize else min(bound, incumbent_value)
+    stations, served, value = incumbent
+    if maximize:
+        bound = max([value] + [-key for key, _, _ in heap])
     else:
-        bound = incumbent_value
-    incumbent.bound = bound
-    incumbent.optimal = exhausted
+        bound = min([value] + [key for key, _, _ in heap])
     stats.total_time = time.perf_counter() - start
-    return incumbent
+    return Solution(stations, served, value, bound, not heap, stats)
 
 
 def reevaluate(instance: Instance, stations, variant: str) -> float:

@@ -149,6 +149,24 @@ def test_check_with_trace(fig7_path, capsys):
     assert "sink:" in out
 
 
+def test_check_searches_a_cyclic_demand_once(fig7_path, capsys, monkeypatch):
+    from frlp import feasibility
+    calls = []
+    search_cycle = feasibility.search_cycle
+
+    def counting_search_cycle(query):
+        calls.append(query)
+        return search_cycle(query)
+
+    monkeypatch.setattr(feasibility, "search_cycle", counting_search_cycle)
+    monkeypatch.setattr(cli, "search_cycle", counting_search_cycle)
+    assert run(["check", fig7_path, "--stations", "4",
+                "--variant", "cyclic"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "served: True", "witness: (1,2,4,1)  length=12"]
+    assert len(calls) == 1
+
+
 def test_check_unserved(fig7_path, capsys):
     assert run(["check", fig7_path, "--stations", "4",
                 "--variant", "original"]) == 0
@@ -163,6 +181,14 @@ def test_solve_and_stats_csv(fig7_path, tmp_path, capsys):
     with open(stats) as handle:
         rows = list(csv.reader(handle))
     assert rows[0] == CSV_COLUMNS
+
+
+def test_solve_stopped_at_once_answers(fig7_path, capsys):
+    assert run(["solve", fig7_path, "--variant", "cyclic",
+                "--time-limit", "0"]) == 0
+    out = capsys.readouterr().out
+    assert "optimal: False" in out
+    assert "stations: {}" in out
 
 
 def test_solve_failure_exit_code(tmp_path):

@@ -192,7 +192,8 @@ def test_build_model_example1_disagg_rows():
     routes = sum(len(d.routes) for d in route_data)
     assert routes == 2
     assert model.lp.objective == [0.0] * 5 + [fig2.demands[0].volume] * routes
-    assert model.lp.bounds == [(0.0, 1.0)] * (5 + routes)
+    # route columns have no upper bound: the route-choice row implies z <= 1
+    assert model.lp.bounds == [(0.0, 1.0)] * 5 + [(0.0, math.inf)] * routes
 
 
 def test_build_model_example2_agg_rows():

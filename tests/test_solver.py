@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from frlp import (CYCLIC, ORIGINAL, SolveRequest, UnservableError,
-                  brute_force_solve, gen_example, gen_random, is_served,
-                  reevaluate, separate, solve)
+from frlp import (CYCLIC, ORIGINAL, PlacementConstraints, SolveRequest,
+                  UnservableError, brute_force_solve, build_instance,
+                  gen_example, gen_random, is_served, reevaluate, separate,
+                  solve)
 from frlp import solver as solver_module
 from frlp.solver import MAX_COVER, MIN_STATIONS
 
@@ -226,3 +227,70 @@ def test_lp_counters(monkeypatch):
     again = solve(request).stats
     assert (again.lp_solves, again.lp_iterations) == \
         (stats.lp_solves, stats.lp_iterations)
+
+
+def with_placement(instance, placement):
+    return build_instance(instance.network.node_names, instance.network.edges,
+                          instance.demands, instance.travel_range, placement,
+                          instance.variant_default)
+
+
+LIMITED_INSTANCES = {
+    "fig7": fig7,
+    "random-forced": lambda: with_placement(
+        gen_random(101, num_nodes=8, density=0.3, num_demands=4),
+        PlacementConstraints(forced_open=frozenset({4}),
+                             forced_closed=frozenset({5}))),
+}
+
+
+@pytest.mark.parametrize("limit", [{"node_limit": 0}, {"time_limit": 0.0}],
+                         ids=["node_limit", "time_limit"])
+@pytest.mark.parametrize("objective", [MAX_COVER, MIN_STATIONS])
+@pytest.mark.parametrize("variant", [ORIGINAL, CYCLIC])
+@pytest.mark.parametrize("name", sorted(LIMITED_INSTANCES))
+def test_limited_solve_returns_the_fallback(name, variant, objective, limit):
+    inst = LIMITED_INSTANCES[name]()
+    budget = 2 if objective == MAX_COVER else None
+    solution = solve(SolveRequest(inst, variant, objective, budget=budget,
+                                  **limit))
+    assert not solution.optimal
+    assert solution.served == tuple(is_served(inst, q, solution.stations, variant)
+                                    for q in inst.demands)
+    assert solution.stations >= inst.placement.forced_open
+    assert not solution.stations & inst.placement.forced_closed
+    assert isinstance(solution.objective, float)
+    if objective == MAX_COVER:
+        assert len(solution.stations) <= budget
+        assert solution.objective == reevaluate(inst, solution.stations, variant)
+        assert solution.bound >= solution.objective
+    else:
+        assert all(solution.served)
+        assert solution.objective == len(solution.stations)
+        assert solution.bound <= solution.objective
+
+
+def test_limited_max_cover_serves_through_a_forced_open_node():
+    inst = with_placement(fig7(), PlacementConstraints(forced_open=frozenset({3})))
+    solution = solve(SolveRequest(inst, CYCLIC, MAX_COVER, budget=1,
+                                  node_limit=0))
+    assert solution.stations == frozenset({3})
+    assert solution.served == (True,)
+    assert solution.objective == pytest.approx(1.0)
+    assert solution.stats.bb_nodes == 0
+
+
+def test_unattainable_partial_coverage_fails_before_any_lp(monkeypatch):
+    solved = []
+    solve_lp = solver_module.solve_lp
+
+    def counting_solve_lp(lp):
+        solved.append(lp)
+        return solve_lp(lp)
+
+    monkeypatch.setattr(solver_module, "solve_lp", counting_solve_lp)
+    from dataclasses import replace
+    tight = replace(gen_example("fig2", 10.0), travel_range=4.0)
+    with pytest.raises(UnservableError, match="1->5"):
+        solve(SolveRequest(tight, ORIGINAL, MIN_STATIONS, coverage=0.5))
+    assert solved == []
