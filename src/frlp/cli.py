@@ -399,7 +399,17 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return exc.code or 0
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, where it is handled
+        return status
+    except BrokenPipeError:
+        # The reader stopped reading (`frlp solve ... | head -1`): end
+        # quietly, and send what is left in stdout's buffer to devnull so
+        # that the flush at exit does not fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     except (UnservableError, NumericalError, OracleSizeError) as exc:

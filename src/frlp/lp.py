@@ -1,9 +1,12 @@
 """Bundled LP engine, covering-model builders and relaxation-bound evaluators.
 
-The solver is a dense two-phase revised simplex: small deterministic models
-only, no external dependencies. `_standard_form` builds the whole equality
-system, artificial columns included, and its start basis; `solve_lp` runs
-phase 1 when there are artificials, then phase 2, and checks the residuals.
+The solver is a dense bounded-variable primal simplex: small deterministic
+models only, no external dependencies. Variable bounds stay bounds, never
+rows: a nonbasic column sits at its lower or its upper bound.
+`_standard_form` builds the equality system, one row per program row, and a
+start basis of slacks, with an artificial column only on a row whose slack
+cannot start it; `solve_lp` runs phase 1 when there are artificials, then
+phase 2, and checks the residuals.
 Model builders transcribe the per-route (disaggregated) and per-demand
 (aggregated) max-cover formulations (`build_model`); the aggregated one, for
 either objective, comes from `covering_lp`, which the branch-and-cut solver
@@ -41,6 +44,7 @@ AGG = "agg"
 PRIMAL_TOL = 1e-7
 DUAL_TOL = 1e-6
 PIVOT_TOL = 1e-9
+REFACTOR_EVERY = 64  # basis updates between two inversions of the basis
 
 TIGHT_NODE_CAP = 18
 
@@ -76,7 +80,7 @@ class LpSolution:
     value: Optional[float]
     primal: Optional[Tuple[float, ...]]
     duals: Optional[Tuple[float, ...]]  # one per LinearProgram row
-    iterations: int = 0  # simplex pivots, both phases
+    iterations: int = 0  # simplex pivots plus bound flips, both phases
 
 
 @dataclass
@@ -91,15 +95,21 @@ _SLACK_COEF = {LE: 1.0, GE: -1.0, EQ: 0.0}
 
 
 def _standard_form(lp: LinearProgram):
-    """The program as min c'u subject to A u = b, b >= 0, u >= 0, where
-    u = x - lo, together with its start basis.
+    """The program as min c'u subject to A u = b, b >= 0, 0 <= u <= ub,
+    where u = x - lo, together with its start basis.
 
-    Finite upper bounds become <= rows after the program's own rows; a row
-    whose shifted rhs is negative is negated (`row_sign`). Columns are the
-    variables, one slack per inequality row in row order, then one
-    artificial per row whose slack does not have coefficient +1, in row
-    order. The start basis holds each row's +1 slack or its artificial.
-    Returns (A, b, c, lo, basis, art_cols, user_rows, row_sign).
+    Bounds stay bounds: A has one row per program row. An inequality row is
+    negated (`row_sign`) when that gives its slack coefficient +1 with b >= 0,
+    so a <= row with shifted rhs >= 0 and a >= row with shifted rhs <= 0
+    start on their slack; any other row whose shifted rhs is negative is
+    negated too. Columns are the variables, one slack per inequality row in
+    row order, then one artificial per row whose slack does not have
+    coefficient +1, in row order. The start basis holds each row's +1 slack
+    or its artificial, every nonbasic column at its lower bound, so its
+    inverse is the identity. That m x m inverse is reserved together with A,
+    before either is written, so a basis inverse that cannot fit fails
+    before A's pages are touched.
+    Returns (A, b, c, lo, ub, basis, art_cols, row_sign, B_inv).
     """
     n = lp.num_vars
     lo = np.array([b[0] for b in lp.bounds], dtype=float)
@@ -111,32 +121,35 @@ def _standard_form(lp: LinearProgram):
     if lp.sense not in (MIN, MAX):
         raise ValueError(f"unknown sense {lp.sense!r}")
 
-    rows = list(lp.rows) + [([(j, 1.0)], LE, hi[j])
-                            for j in range(n) if math.isfinite(hi[j])]
-    m = len(rows)
+    m = len(lp.rows)
     b = np.zeros(m)
     row_sign = np.ones(m)
     slack_coef = np.zeros(m)  # after the sign flip; 0 on = rows
-    for i, (coeffs, rel, rhs) in enumerate(rows):
+    for i, (coeffs, rel, rhs) in enumerate(lp.rows):
         if rel not in _SLACK_COEF:
             raise ValueError(f"unknown relation {rel!r}")
         shifted = rhs
         for j, coef in coeffs:
             shifted -= coef * lo[j]
-        if shifted < 0:
+        slack = _SLACK_COEF[rel]
+        if slack != 0.0 and slack * shifted >= 0.0:
+            row_sign[i] = slack  # the slack gets +1 and starts basic
+        elif shifted < 0:
             row_sign[i] = -1.0
         b[i] = row_sign[i] * shifted
-        slack_coef[i] = row_sign[i] * _SLACK_COEF[rel]
+        slack_coef[i] = row_sign[i] * slack
 
     total = n + int(np.count_nonzero(slack_coef))
-    A = np.zeros((m, total + int(np.count_nonzero(slack_coef != 1.0))))
+    width = total + int(np.count_nonzero(slack_coef != 1.0))
+    A = np.zeros((m, width))
+    B_inv = np.empty((m, m))
     basis, art_cols = [], []
     slack_col = n
-    for i, (coeffs, rel, _) in enumerate(rows):
+    for i, (coeffs, rel, _) in enumerate(lp.rows):
         for j, coef in coeffs:
             A[i, j] += coef
         if row_sign[i] < 0:
-            A[i, :total] *= -1.0
+            A[i, :n] *= -1.0
         if rel != EQ:
             A[i, slack_col] = slack_coef[i]
             slack_col += 1
@@ -146,25 +159,54 @@ def _standard_form(lp: LinearProgram):
             art_cols.append(total + len(art_cols))
             A[i, art_cols[-1]] = 1.0
             basis.append(art_cols[-1])
+    B_inv[:] = 0.0
+    np.fill_diagonal(B_inv, 1.0)
 
-    c = np.zeros(A.shape[1])
+    ub = np.full(width, np.inf)
+    ub[:n] = np.maximum(hi - lo, 0.0)
+    c = np.zeros(width)
     c[:n] = lp.objective
     if lp.sense == MAX:
-        c[:total] *= -1.0
-    return A, b, c, lo, basis, art_cols, len(lp.rows), row_sign
+        c[:n] *= -1.0
+    return A, b, c, lo, ub, basis, art_cols, row_sign, B_inv
 
 
 class _Simplex:
-    """Revised simplex with an explicit basis inverse and Bland fallback."""
+    """Bounded-variable revised simplex with an explicit basis inverse and a
+    Bland fallback, on min c'u, A u = b, 0 <= u <= ub.
 
-    def __init__(self, A, b):
+    A nonbasic column sits at 0 or, when `at_upper`, at its finite ub; `rhs`
+    is b less the columns at their upper bound, so the basic values are
+    B_inv @ rhs. Fixed columns (ub == 0) never enter. `pivots` counts basis
+    changes and `flips` the bound flips of entering columns whose own bound
+    is nearer than every basic variable's. The inverse is recomputed after
+    every REFACTOR_EVERY updates.
+    """
+
+    def __init__(self, A, b, ub, basis, B_inv):
         self.A = A
         self.b = b
+        self.ub = ub
         self.m, self.n = A.shape
+        self.basis = list(basis)
+        self.B_inv = B_inv
+        self.at_upper = np.zeros(self.n, dtype=bool)
+        self.rhs = b.copy()
         self.pivots = 0
+        self.flips = 0
+        self.updates = 0  # rank-1 updates since the inverse was computed
 
     def _refactor(self):
-        self.B_inv = np.linalg.inv(self.A[:, self.basis])
+        self.B_inv[:] = np.linalg.inv(self.A[:, self.basis])
+        self.updates = 0
+        upper = np.flatnonzero(self.at_upper)
+        self.rhs = self.b - self.A[:, upper] @ self.ub[upper]
+
+    def _set_upper(self, j, upper):
+        """Put nonbasic column j at its upper (True) or lower bound."""
+        if self.at_upper[j] != upper:
+            self.at_upper[j] = upper
+            self.rhs += (-self.ub[j] if upper else self.ub[j]) * self.A[:, j]
 
     def _pivot(self, entering, leaving_pos, d=None):
         """Swap `entering` into the basis at `leaving_pos`; `d` is
@@ -184,101 +226,126 @@ class _Simplex:
                 raise NumericalError("degenerate pivot element")
         self.basis[leaving_pos] = entering
         self.pivots += 1
+        self.updates += 1
         self.B_inv[leaving_pos] /= pivot
         d = d.copy()
         d[leaving_pos] = 0.0
         self.B_inv -= np.outer(d, self.B_inv[leaving_pos])
 
-    def run(self, c, basis, allowed):
-        """Minimize c'x from the given basis; returns (status, x, y)."""
-        self.basis = list(basis)
-        self._refactor()
+    def run(self, c):
+        """Minimize c'u from the current basis and bound sides; returns
+        (status, u, y)."""
         m, n = self.m, self.n
+        movable = self.ub > 0.0
         degenerate = 0
         bland = False
         bland_trigger = 10 * (m + n)
         max_iter = 50 * (m + n) + 10000
-        for iteration in range(max_iter):
-            if iteration and iteration % 64 == 0:
+        for _ in range(max_iter):
+            if self.updates >= REFACTOR_EVERY:
                 self._refactor()
-            xB = self.B_inv @ self.b
+            xB = self.B_inv @ self.rhs
             y = c[self.basis] @ self.B_inv
             reduced = c - y @ self.A
-            in_basis = np.zeros(n, dtype=bool)
-            in_basis[self.basis] = True
-            candidates = np.where(allowed & ~in_basis & (reduced < -PIVOT_TOL))[0]
+            # The objective change per unit step of each column off its bound.
+            gain = np.where(self.at_upper, -reduced, reduced)
+            nonbasic = movable.copy()
+            nonbasic[self.basis] = False
+            candidates = np.flatnonzero(nonbasic & (gain < -PIVOT_TOL))
             if candidates.size == 0:
-                x = np.zeros(n)
-                x[self.basis] = xB
-                return OPTIMAL, x, y
+                u = np.where(self.at_upper, self.ub, 0.0)
+                u[self.basis] = xB
+                return OPTIMAL, u, y
             if bland or degenerate > bland_trigger:
                 bland = True
                 entering = int(candidates[0])
             else:
-                entering = int(candidates[np.argmin(reduced[candidates])])
+                entering = int(candidates[np.argmin(gain[candidates])])
             d = self.B_inv @ self.A[:, entering]
+            # Basic values change by -step * fall as the entering column moves.
+            fall = -d if self.at_upper[entering] else d
+            ub_basic = self.ub[self.basis]
             ratios = np.full(m, np.inf)
-            positive = d > PIVOT_TOL
-            ratios[positive] = np.maximum(xB[positive], 0.0) / d[positive]
-            if not positive.any():
-                return UNBOUNDED, None, None
-            best = ratios.min()
-            ties = np.where(ratios <= best + PIVOT_TOL)[0]
+            down = fall > PIVOT_TOL
+            ratios[down] = np.maximum(xB[down], 0.0) / fall[down]
+            up = (fall < -PIVOT_TOL) & np.isfinite(ub_basic)
+            ratios[up] = np.maximum(ub_basic[up] - xB[up], 0.0) / -fall[up]
+            best = ratios.min(initial=np.inf)
+            if self.ub[entering] <= best:  # a bound flip, or no bound at all
+                if math.isinf(self.ub[entering]):
+                    return UNBOUNDED, None, None
+                self._set_upper(entering, not self.at_upper[entering])
+                self.flips += 1
+                continue
+            ties = np.flatnonzero(ratios <= best + PIVOT_TOL)
             leaving_pos = int(min(ties, key=lambda i: self.basis[i]))
+            leaving = self.basis[leaving_pos]
             if best < PIVOT_TOL:
                 degenerate += 1
+            self._set_upper(entering, False)
             self._pivot(entering, leaving_pos, d)
+            self._set_upper(leaving, bool(up[leaving_pos]))
         raise NumericalError("simplex iteration limit exceeded")
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
     """Optimal basic solution (primal + row duals) of the given program."""
-    A, b, c, lo, basis, art_cols, user_rows, row_sign = _standard_form(lp)
-    simplex = _Simplex(A, b)
-    allowed = np.ones(A.shape[1], dtype=bool)
+    A, b, c, lo, ub, basis, art_cols, row_sign, B_inv = _standard_form(lp)
+    simplex = _Simplex(A, b, ub, basis, B_inv)
 
     if art_cols:
         # Phase 1: minimise the sum of the artificials.
         c1 = np.zeros(A.shape[1])
         c1[art_cols] = 1.0
-        status, x1, _ = simplex.run(c1, basis, allowed)
-        if status != OPTIMAL or float(c1 @ x1) > PRIMAL_TOL:
-            return LpSolution(INFEASIBLE, None, None, None, simplex.pivots)
-        basis = simplex.basis
+        status, u1, _ = simplex.run(c1)
+        if status != OPTIMAL or float(c1 @ u1) > PRIMAL_TOL:
+            return LpSolution(INFEASIBLE, None, None, None,
+                              simplex.pivots + simplex.flips)
         # Drive artificials out of the basis: a zero-valued degenerate pivot
-        # onto any real column keeps feasibility. Artificials that cannot
-        # leave sit on redundant rows and provably stay at zero.
+        # onto any movable real column keeps feasibility. Artificials that
+        # cannot leave sit on redundant rows and provably stay at zero.
         art_set = set(art_cols)
         total = A.shape[1] - len(art_cols)  # variable and slack columns
-        for r in range(len(basis)):
-            if basis[r] not in art_set:
+        for r in range(len(simplex.basis)):
+            if simplex.basis[r] not in art_set:
                 continue
             row = simplex.B_inv[r] @ A[:, :total]
-            in_b = set(basis)
+            in_b = set(simplex.basis)
             for j in range(total):
-                if j not in in_b and abs(row[j]) > 1e-7:
+                if j not in in_b and ub[j] > 0.0 and abs(row[j]) > 1e-7:
+                    simplex._set_upper(j, False)
                     simplex._pivot(j, r)
                     break
+        ub[art_cols] = 0.0  # artificials may stay basic at zero but never enter
 
-    allowed[art_cols] = False  # artificials may stay basic at zero but never enter
-    status, x, y = simplex.run(c, basis, allowed)
+    status, u, y = simplex.run(c)
+    iterations = simplex.pivots + simplex.flips
     if status == UNBOUNDED:
-        return LpSolution(UNBOUNDED, None, None, None, simplex.pivots)
+        return LpSolution(UNBOUNDED, None, None, None, iterations)
 
-    primal = lo + x[:lp.num_vars]
+    primal = lo + u[:lp.num_vars]
     value = float(np.dot(lp.objective, primal))
 
-    _check_residuals(lp, primal, y, A, b, c, x, allowed)
+    _check_residuals(lp, primal, y, A, b, c, u, ub)
 
     sense_sign = -1.0 if lp.sense == MAX else 1.0
-    duals = tuple(float(sense_sign * row_sign[i] * y[i]) for i in range(user_rows))
+    duals = tuple(float(sense_sign * row_sign[i] * y[i]) for i in range(len(lp.rows)))
     return LpSolution(OPTIMAL, value, tuple(float(v) for v in primal), duals,
-                      simplex.pivots)
+                      iterations)
 
 
-def _check_residuals(lp, primal, y, A, b, c, x, allowed):
-    """Primal feasibility at 1e-7; dual feasibility / complementary slackness
-    and strong duality at 1e-6 (on the internal equality form)."""
+def _check_residuals(lp, primal, y, A, b, c, u, ub):
+    """Primal feasibility at 1e-7; dual feasibility, complementary slackness
+    and strong duality at 1e-6 on the internal form min c'u, A u = b,
+    0 <= u <= ub.
+
+    The reduced costs d = c - y'A certify optimality with bound duals: a
+    column's active bound is its upper one when d_j < 0 and ub_j is finite,
+    its lower one otherwise. A column without an upper bound needs
+    d_j >= 0, u must sit at the active bound of every column with d_j != 0,
+    and c'u must equal the dual value y'b + sum of d_j ub_j over the columns
+    active at their upper bound.
+    """
     scale = 1.0 + float(np.abs(b).max(initial=0.0))
     for coeffs, rel, rhs in lp.rows:
         lhs = sum(coef * primal[j] for j, coef in coeffs)
@@ -294,12 +361,16 @@ def _check_residuals(lp, primal, y, A, b, c, x, allowed):
             raise NumericalError(f"variable {j} violates its bounds")
     reduced = c - y @ A
     cscale = 1.0 + float(np.abs(c).max(initial=0.0))
-    if np.any(reduced[allowed] < -DUAL_TOL * cscale):
+    bounded = np.isfinite(ub)
+    if np.any(reduced[~bounded] < -DUAL_TOL * cscale):
         raise NumericalError("dual infeasibility above tolerance")
-    slack_prod = float(np.abs(reduced * x).max(initial=0.0))
-    if slack_prod > DUAL_TOL * cscale * (1.0 + float(np.abs(x).max(initial=0.0))):
+    at_upper = bounded & (reduced < 0.0)
+    off_bound = np.where(at_upper, ub - u, u)
+    slack_prod = float(np.abs(reduced * off_bound).max(initial=0.0))
+    if slack_prod > DUAL_TOL * cscale * (1.0 + float(np.abs(u).max(initial=0.0))):
         raise NumericalError("complementary slackness above tolerance")
-    gap = abs(float(c @ x) - float(y @ b))
+    dual_value = float(y @ b) + float(reduced[at_upper] @ ub[at_upper])
+    gap = abs(float(c @ u) - dual_value)
     if gap > DUAL_TOL * scale * cscale:
         raise NumericalError(f"strong duality gap {gap}")
 

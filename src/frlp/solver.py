@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import math
 import time
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
@@ -56,7 +55,7 @@ class SolveStats:
     served_calls: int = 0  # servedness verdicts asked for
     served_memo_hits: int = 0  # ... of which answered from the per-solve memo
     lp_solves: int = 0  # relaxations solved
-    lp_iterations: int = 0  # ... and their simplex pivots, summed
+    lp_iterations: int = 0  # ... and their simplex iterations, summed
 
 
 @dataclass
@@ -136,8 +135,9 @@ def solve(request: SolveRequest) -> Solution:
     served volume short of `coverage` times the total, raises
     UnservableError before any LP is solved. A solve stopped by its time or
     node limit returns the best placement found, at worst the fallback, with
-    `optimal` false and a bound from the open nodes (infinite when no node
-    was solved).
+    `optimal` false and a bound from the open nodes. Before any node is
+    solved that bound is the total demand volume (max-cover) or the number of
+    forced-open nodes (min-stations).
 
     Deterministic: branching on the most fractional station variable (ties to
     the lowest index), FIFO tie-breaking in the node queue, cuts appended in
@@ -187,9 +187,14 @@ def solve(request: SolveRequest) -> Solution:
         return value > incumbent[2] + 1e-9 if maximize else \
             value < incumbent[2] - 1e-9
 
-    # Node queue ordered by bound (best-bound first), then FIFO.
+    # Node queue ordered by bound (best-bound first), then FIFO. The root
+    # carries the bound known before any LP.
     counter = itertools.count()
-    heap = [(-math.inf, next(counter), {})]
+    if maximize:
+        root_key = -sum(q.volume for q in instance.demands)
+    else:
+        root_key = len(instance.placement.forced_open)
+    heap = [(float(root_key), next(counter), {})]
 
     while heap:
         if request.time_limit is not None and \

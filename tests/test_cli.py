@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -214,6 +218,31 @@ def test_out_of_memory_is_a_solve_failure(fig7_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "error: out of memory: dense standard form" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("unbuffered", [True, False],
+                         ids=["unbuffered", "buffered"])
+def test_closed_pipe_ends_quietly(fig7_path, unbuffered):
+    # `frlp solve ... | head -1` with a reader that has already gone
+    import frlp
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(frlp.__file__).resolve().parents[1])] +
+        [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        child = subprocess.run(
+            [sys.executable, "-m", "frlp.cli", "solve", fig7_path,
+             "--variant", "cyclic", "--time-limit", "0",
+             "--objective", "minstations"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert child.stderr == b""
+    assert child.returncode == 0
 
 
 def test_usage_error_exit_code(capsys):

@@ -1,5 +1,12 @@
+import itertools
+import json
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -105,6 +112,105 @@ def test_random_lps_match_reference():
         assert sol.value >= best - 1e-7
 
 
+def bounded_lps(seed=4, count=40):
+    """Small random LPs over boxes, a fifth of the columns fixed, with <=,
+    >= and = rows through a point of the box, so each is feasible and
+    bounded. The objective pulls most columns to their upper bound."""
+    rng = random.Random(seed)
+    for k in range(count):
+        n = 4
+        bounds = []
+        for _ in range(n):
+            lo = rng.choice([0.0, -1.0, 0.5])
+            hi = lo if rng.random() < 0.2 else lo + rng.choice([1.0, 2.0])
+            bounds.append((lo, hi))
+        point = [rng.uniform(lo, hi) for lo, hi in bounds]
+        sense = MAX if k % 2 else MIN
+        pull = 1.0 if sense == MAX else -1.0
+        lp = LinearProgram(sense, [pull * rng.uniform(-0.5, 2.0) for _ in range(n)],
+                           bounds=bounds)
+        for rel in rng.sample([LE, LE, GE, GE, EQ], 3):
+            coeffs = [(j, rng.uniform(-1.0, 1.0)) for j in range(n)
+                      if rng.random() < 0.8]
+            rhs = sum(a * point[j] for j, a in coeffs)
+            rhs += {LE: 1.0, GE: -1.0, EQ: 0.0}[rel] * rng.uniform(0.0, 0.5)
+            lp.add_row(coeffs, rel, rhs)
+        yield lp
+
+
+def best_vertex(lp):
+    """The best vertex of a small LP, by enumerating every choice of n
+    active constraints (all = rows among them)."""
+    n = lp.num_vars
+    dense = [(np.array([dict(coeffs).get(j, 0.0) for j in range(n)]), rel, rhs)
+             for coeffs, rel, rhs in lp.rows]
+    rows = [(a, rhs) for a, rel, rhs in dense]
+    for j, (lo, hi) in enumerate(lp.bounds):
+        rows += [(np.eye(n)[j], lo), (np.eye(n)[j], hi)]
+    equalities = [i for i, (_, rel, _) in enumerate(dense) if rel == EQ]
+    others = [i for i in range(len(rows)) if i not in equalities]
+    sign = 1.0 if lp.sense == MAX else -1.0
+    best = None
+    for chosen in itertools.combinations(others, n - len(equalities)):
+        active = equalities + list(chosen)
+        matrix = np.array([rows[i][0] for i in active])
+        if abs(np.linalg.det(matrix)) < 1e-9:
+            continue
+        x = np.linalg.solve(matrix, [rows[i][1] for i in active])
+        feasible = all(lo - 1e-9 <= v <= hi + 1e-9
+                       for v, (lo, hi) in zip(x, lp.bounds))
+        for a, rel, rhs in dense:
+            lhs = float(a @ x)
+            feasible &= {LE: lhs <= rhs + 1e-9, GE: lhs >= rhs - 1e-9,
+                         EQ: abs(lhs - rhs) <= 1e-9}[rel]
+        value = float(np.dot(lp.objective, x))
+        if feasible and (best is None or sign * value > sign * best[0]):
+            best = (value, x)
+    return best
+
+
+def test_bounded_lps_match_vertex_enumeration():
+    at_upper = 0
+    for lp in bounded_lps():
+        value, x = best_vertex(lp)
+        sol = solve_lp(lp)
+        assert sol.status == "optimal"
+        assert sol.value == pytest.approx(value, abs=1e-7)
+        # The duals are optimal iff they are complementary to an optimal
+        # vertex: signs in minimisation form, row slackness and bound sides.
+        s = -1.0 if lp.sense == MAX else 1.0
+        y = s * np.array(sol.duals)
+        reduced = s * np.array(lp.objective)
+        for (coeffs, rel, rhs), y_i in zip(lp.rows, y):
+            assert {LE: y_i <= 1e-7, GE: y_i >= -1e-7, EQ: True}[rel]
+            lhs = sum(a * x[j] for j, a in coeffs)
+            assert abs(y_i * (lhs - rhs)) <= 1e-7
+            for j, a in coeffs:
+                reduced[j] -= y_i * a
+        for r_j, x_j, (lo, hi) in zip(reduced, x, lp.bounds):
+            if r_j > 1e-7:
+                assert x_j == pytest.approx(lo, abs=1e-7)
+            if r_j < -1e-7:
+                assert x_j == pytest.approx(hi, abs=1e-7)
+        at_upper += sum(lo < hi and v == hi
+                        for v, (lo, hi) in zip(sol.primal, lp.bounds))
+    assert at_upper > 40  # optima sit at upper bounds, not only at lower ones
+
+
+def test_residual_check_rejects_a_column_on_the_wrong_bound():
+    # min x0 - x1 over the unit box and x0 + x1 <= 2: the optimum is (0, 1)
+    lp = LinearProgram(MIN, [1.0, -1.0], bounds=[(0.0, 1.0)] * 2)
+    lp.add_row([(0, 1.0), (1, 1.0)], LE, 2.0)
+    A, b, c, lo, ub, *_ = lp_module._standard_form(lp)
+    y = np.zeros(1)
+    right = np.array([0.0, 1.0, 1.0])  # x and the row's slack
+    lp_module._check_residuals(lp, right[:2], y, A, b, c, right, ub)
+    # x0 at its upper bound although its reduced cost is positive
+    wrong = np.array([1.0, 1.0, 0.0])
+    with pytest.raises(NumericalError):
+        lp_module._check_residuals(lp, wrong[:2], y, A, b, c, wrong, ub)
+
+
 class RowLoopSimplex(lp_module._Simplex):
     """Reference kernel: the basis inverse updated row by row in Python."""
 
@@ -119,6 +225,7 @@ class RowLoopSimplex(lp_module._Simplex):
                 raise NumericalError("degenerate pivot element")
         self.basis[leaving_pos] = entering
         self.pivots += 1
+        self.updates += 1
         self.B_inv[leaving_pos] /= pivot
         for i in range(self.m):
             if i != leaving_pos and abs(d[i]) > 0:
@@ -126,23 +233,34 @@ class RowLoopSimplex(lp_module._Simplex):
 
 
 def solve_with_kernel(kernel, lp, monkeypatch):
-    """solve_lp on `kernel`; returns its (entering, leaving) pivots and the
-    solution."""
-    pivots = []
+    """solve_lp on `kernel`; returns its (entering, leaving) pivots, the
+    simplex object and the solution."""
+    pivots, simplexes = [], []
 
     class Recording(kernel):
+        def __init__(self, *args):
+            super().__init__(*args)
+            simplexes.append(self)
+
         def _pivot(self, entering, leaving_pos, d=None):
             pivots.append((entering, self.basis[leaving_pos]))
             super()._pivot(entering, leaving_pos, d)
 
     monkeypatch.setattr(lp_module, "_Simplex", Recording)
-    return pivots, solve_lp(lp)
+    solution = solve_lp(lp)
+    monkeypatch.undo()
+    return pivots, simplexes[0], solution
 
 
-def pinned_request():
+def pinned_request(objective=MAX_COVER):
     inst = gen_random(3, num_nodes=14, density=0.25, num_demands=14,
                       variant=ORIGINAL)
-    return SolveRequest(inst, ORIGINAL, MAX_COVER, budget=3)
+    return SolveRequest(inst, ORIGINAL, objective,
+                        budget=3 if objective == MAX_COVER else None)
+
+
+def artificial_columns(lp):
+    return lp_module._standard_form(lp)[6]
 
 
 def test_rank1_update_is_pivot_identical_to_row_loop(monkeypatch):
@@ -156,31 +274,111 @@ def test_rank1_update_is_pivot_identical_to_row_loop(monkeypatch):
 
     monkeypatch.setattr(solver_module, "solve_lp", recording_solve_lp)
     solve(pinned_request())
+    solve(pinned_request(MIN_STATIONS))  # full coverage: phase 1 runs
+    monkeypatch.undo()
     assert len(relaxations) > 10
-    phase1 = 0
-    for lp in [lp for lp, _ in random_lps()] + relaxations:
-        pivots, solution = solve_with_kernel(kernel, lp, monkeypatch)
-        ref_pivots, ref_solution = solve_with_kernel(RowLoopSimplex, lp,
-                                                     monkeypatch)
+    phase1 = flips = 0
+    for lp in [lp for lp, _ in random_lps()] + list(bounded_lps()) + relaxations:
+        pivots, simplex, solution = solve_with_kernel(kernel, lp, monkeypatch)
+        ref_pivots, ref_simplex, ref_solution = solve_with_kernel(
+            RowLoopSimplex, lp, monkeypatch)
         assert pivots == ref_pivots
+        assert simplex.flips == ref_simplex.flips
         # dataclass equality compares primals and duals entry by entry
         assert solution == ref_solution
-        assert solution.iterations == len(pivots)
-        phase1 += any(rel != LE for _, rel, _ in lp.rows)
-    assert phase1 > 0  # some relaxations start from artificials
+        # an iteration is a pivot or a bound flip
+        assert solution.iterations == len(pivots) + simplex.flips
+        phase1 += bool(artificial_columns(lp))
+        flips += simplex.flips
+    assert phase1 > 0  # some programs start from artificials
+    assert flips > 0  # and some entering columns flip to their upper bound
 
 
 def test_original_solve_is_pinned():
-    # bb_nodes, cuts and stations measured with the row-by-row kernel; LP
-    # solves and pivots with the rank-1 kernel, so that a change of the
-    # start basis or of the pivot rule fails here too
+    # bb_nodes, cuts, LP solves and iterations (pivots plus bound flips)
+    # measured with the bounded-variable kernel and its slack start basis,
+    # so that a change of the start basis or of the pivot rule fails here
     solution = solve(pinned_request())
-    assert solution.stats.bb_nodes == 23
+    assert solution.stats.bb_nodes == 15
     assert solution.stats.cuts == 27
-    assert solution.stats.lp_solves == 28
-    assert solution.stats.lp_iterations == 992
+    assert solution.stats.lp_solves == 20
+    assert solution.stats.lp_iterations == 483
     assert solution.stations == frozenset({3, 4, 10})
     assert solution.objective == 31.0
+
+
+def solved_simplex(lp, monkeypatch):
+    _, simplex, solution = solve_with_kernel(lp_module._Simplex, lp, monkeypatch)
+    assert solution.status == "optimal"
+    return simplex
+
+
+def test_cover_relaxations_keep_bounds_and_start_on_slacks(monkeypatch):
+    inst = pinned_request().instance
+    route_data = prepare_route_data(inst, ORIGINAL)
+    pairs = [(qi, s) for qi, d in enumerate(route_data)
+             for s in d.aggregated.sets]
+    max_cover = covering_lp(inst, MAX_COVER, pairs, budget=3)
+    disagg = build_model(inst, DISAGG, route_data=route_data, budget=3).lp
+    full_min = covering_lp(inst, MIN_STATIONS, pairs)
+    for lp in (max_cover, disagg, full_min):
+        simplex = solved_simplex(lp, monkeypatch)
+        # one row per program row: no finite upper bound became a row
+        assert any(math.isfinite(hi) for _, hi in lp.bounds)
+        assert simplex.m == len(lp.rows)
+        inequalities = sum(rel != EQ for _, rel, _ in lp.rows)
+        assert simplex.n == lp.num_vars + inequalities + len(artificial_columns(lp))
+    # x = y = 0 satisfies every cover row, so no phase 1 runs ...
+    assert artificial_columns(max_cover) == [] == artificial_columns(disagg)
+    # ... unlike full coverage, where y = 1 makes each cover row x(S) >= 1
+    assert len(artificial_columns(full_min)) == len(pairs)
+
+
+MEMORY_CHILD = textwrap.dedent("""
+    import json, resource
+    from frlp import LinearProgram, solve_lp
+    from frlp.lp import LE, MAX
+
+    m, n = 6000, 4
+    lp = LinearProgram(MAX, [1.0] * n, bounds=[(0.0, 1.0)] * n)
+    for i in range(m):
+        lp.add_row([(i % n, 1.0)], LE, 1.0)
+    a_bytes = 8 * m * (n + m)  # A: the variables and one slack per row
+    with open("/proc/self/status") as status:
+        vm_kb = next(int(line.split()[1]) for line in status
+                     if line.startswith("VmSize:"))
+    # Room for A and half as much again: not for the m x m basis inverse.
+    limit = 1024 * vm_kb + a_bytes + a_bytes // 2
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    try:
+        solve_lp(lp)
+        error = None
+    except MemoryError as exc:
+        error = str(exc)
+    after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    print(json.dumps({"error": error, "grown_kb": after - before,
+                      "a_kb": a_bytes // 1024}))
+""")
+
+
+def test_basis_inverse_that_cannot_fit_fails_before_a_is_written():
+    resource = pytest.importorskip("resource")
+    if not hasattr(resource, "RLIMIT_AS") or not Path("/proc/self/status").exists():
+        pytest.skip("needs RLIMIT_AS and /proc/self/status")
+    import frlp
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   [str(Path(frlp.__file__).resolve().parents[1])] +
+                   [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    child = subprocess.run([sys.executable, "-c", MEMORY_CHILD], env=env,
+                           capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    report = json.loads(child.stdout.splitlines()[-1])
+    assert report["error"] is not None  # the MemoryError, not a solution
+    # A (288 MB) was reserved but never written: the peak RSS barely moved
+    assert report["grown_kb"] < report["a_kb"] // 10
 
 
 def test_build_model_example1_disagg_rows():

@@ -260,14 +260,17 @@ def test_limited_solve_returns_the_fallback(name, variant, objective, limit):
     assert solution.stations >= inst.placement.forced_open
     assert not solution.stations & inst.placement.forced_closed
     assert isinstance(solution.objective, float)
+    # no node was solved: the bound is the one known before any LP
     if objective == MAX_COVER:
         assert len(solution.stations) <= budget
         assert solution.objective == reevaluate(inst, solution.stations, variant)
         assert solution.bound >= solution.objective
+        assert solution.bound == sum(q.volume for q in inst.demands)
     else:
         assert all(solution.served)
         assert solution.objective == len(solution.stations)
         assert solution.bound <= solution.objective
+        assert solution.bound == len(inst.placement.forced_open)
 
 
 def test_limited_max_cover_serves_through_a_forced_open_node():
