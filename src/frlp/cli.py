@@ -77,6 +77,17 @@ def _override_alpha(instance: Instance, alpha) -> Instance:
         raise SystemExit(_usage(f"alpha {alpha:g}: {exc}"))
 
 
+def _node_count(text: str) -> int:
+    """argparse type of --node-limit: a whole number of nodes, >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative: {value}")
+    return value
+
+
 def _add_instance_arg(p):
     p.add_argument("instance", help="instance file (JSON)")
 
@@ -225,10 +236,11 @@ def cmd_bounds(args) -> int:
     return 0
 
 
-def _run_solve(instance, variant, args):
+def _run_solve(instance, variant, args, node_limit=None):
     objective = MAX_COVER if args.objective == "maxcover" else MIN_STATIONS
     request = SolveRequest(instance, variant, objective, budget=args.budget,
-                           coverage=args.coverage, time_limit=args.time_limit)
+                           coverage=args.coverage, time_limit=args.time_limit,
+                           node_limit=node_limit)
     return solve(request)
 
 
@@ -236,7 +248,7 @@ def cmd_solve(args) -> int:
     instance = _override_alpha(_load(args.instance), args.alpha_override)
     variant = args.variant or instance.variant_default
     try:
-        solution = _run_solve(instance, variant, args)
+        solution = _run_solve(instance, variant, args, args.node_limit)
     except (UnservableError, NumericalError) as exc:
         print(f"solve failed: {exc}", file=sys.stderr)
         return SOLVE_ERROR
@@ -249,6 +261,8 @@ def cmd_solve(args) -> int:
     print(f"time: {stats.total_time:.3f}s  separation: "
           f"{stats.separation_time:.3f}s  nodes: {stats.bb_nodes}  "
           f"cuts: {stats.cuts}")
+    print(f"lp solves: {stats.lp_solves} (cold {stats.lp_cold_starts})  "
+          f"iterations: {stats.lp_iterations}")
     if args.stats_out:
         _write_stats_csv(args.stats_out, [
             (os.path.basename(args.instance), variant,
@@ -374,6 +388,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("solve", help="branch-and-cut solve")
     common(p)
     solve_flags(p)
+    p.add_argument("--node-limit", type=_node_count,
+                   help="branch-and-bound nodes to solve at most")
     p.add_argument("--stats-out", help="CSV stats output path")
     p.set_defaults(func=cmd_solve)
 

@@ -1,12 +1,15 @@
 """Bundled LP engine, covering-model builders and relaxation-bound evaluators.
 
-The solver is a dense bounded-variable primal simplex: small deterministic
-models only, no external dependencies. Variable bounds stay bounds, never
-rows: a nonbasic column sits at its lower or its upper bound.
-`_standard_form` builds the equality system, one row per program row, and a
-start basis of slacks, with an artificial column only on a row whose slack
-cannot start it; `solve_lp` runs phase 1 when there are artificials, then
-phase 2, and checks the residuals.
+The solver is a dense bounded-variable simplex: small deterministic models
+only, no external dependencies. Variable bounds stay bounds, never rows: a
+nonbasic column sits at its lower or its upper bound. `_standard_form`
+builds the equality system, one row per program row, and a start basis of
+slacks, with an artificial column only on a row whose slack cannot start
+it. `solve_lp` either starts from that slack basis (phase 1 when there are
+artificials, then the primal phase 2) or, given the optimal `Basis` of an
+earlier solve, warm-starts: rows added since get their slack basic, and a
+dual simplex restores primal feasibility before the primal simplex cleans
+up. Every returned solution passes the same residual check.
 Model builders transcribe the per-route (disaggregated) and per-demand
 (aggregated) max-cover formulations (`build_model`); the aggregated one, for
 either objective, comes from `covering_lp`, which the branch-and-cut solver
@@ -74,13 +77,25 @@ class LinearProgram:
         return len(self.objective)
 
 
+@dataclass(frozen=True)
+class Basis:
+    """A simplex basis in program terms: the start of a warm `solve_lp`."""
+
+    variables: Tuple[int, ...]  # basic variables
+    slacks: Tuple[int, ...]  # rows whose slack is basic
+    at_upper: Tuple[int, ...]  # nonbasic variables at their upper bound
+    rows: int  # rows of the program the basis was taken from
+
+
 @dataclass
 class LpSolution:
     status: str
     value: Optional[float]
     primal: Optional[Tuple[float, ...]]
     duals: Optional[Tuple[float, ...]]  # one per LinearProgram row
-    iterations: int = 0  # simplex pivots plus bound flips, both phases
+    iterations: int = 0  # simplex pivots plus bound flips, every phase
+    basis: Optional[Basis] = None  # the optimal basis
+    cold_start: bool = True  # started from the slack basis
 
 
 @dataclass
@@ -109,7 +124,8 @@ def _standard_form(lp: LinearProgram):
     inverse is the identity. That m x m inverse is reserved together with A,
     before either is written, so a basis inverse that cannot fit fails
     before A's pages are touched.
-    Returns (A, b, c, lo, ub, basis, art_cols, row_sign, B_inv).
+    Returns (A, b, c, lo, ub, basis, art_cols, row_sign, B_inv, slack_col),
+    where slack_col[i] is the column of row i's slack (-1 on = rows).
     """
     n = lp.num_vars
     lo = np.array([b[0] for b in lp.bounds], dtype=float)
@@ -144,17 +160,19 @@ def _standard_form(lp: LinearProgram):
     A = np.zeros((m, width))
     B_inv = np.empty((m, m))
     basis, art_cols = [], []
-    slack_col = n
+    slack_col = np.full(m, -1)
+    next_slack = n
     for i, (coeffs, rel, _) in enumerate(lp.rows):
         for j, coef in coeffs:
             A[i, j] += coef
         if row_sign[i] < 0:
             A[i, :n] *= -1.0
         if rel != EQ:
-            A[i, slack_col] = slack_coef[i]
-            slack_col += 1
+            slack_col[i] = next_slack
+            A[i, next_slack] = slack_coef[i]
+            next_slack += 1
         if slack_coef[i] == 1.0:
-            basis.append(slack_col - 1)
+            basis.append(int(slack_col[i]))
         else:
             art_cols.append(total + len(art_cols))
             A[i, art_cols[-1]] = 1.0
@@ -168,12 +186,13 @@ def _standard_form(lp: LinearProgram):
     c[:n] = lp.objective
     if lp.sense == MAX:
         c[:n] *= -1.0
-    return A, b, c, lo, ub, basis, art_cols, row_sign, B_inv
+    return A, b, c, lo, ub, basis, art_cols, row_sign, B_inv, slack_col
 
 
 class _Simplex:
-    """Bounded-variable revised simplex with an explicit basis inverse and a
-    Bland fallback, on min c'u, A u = b, 0 <= u <= ub.
+    """Bounded-variable revised simplex, primal (`run`) and dual (`dual`),
+    with an explicit basis inverse and a Bland fallback, on min c'u,
+    A u = b, 0 <= u <= ub.
 
     A nonbasic column sits at 0 or, when `at_upper`, at its finite ub; `rhs`
     is b less the columns at their upper bound, so the basic values are
@@ -201,6 +220,24 @@ class _Simplex:
         self.updates = 0
         upper = np.flatnonzero(self.at_upper)
         self.rhs = self.b - self.A[:, upper] @ self.ub[upper]
+
+    def restart(self, basis, upper) -> bool:
+        """Move to the basis `basis` (a column per row) with the nonbasic
+        columns of `upper` at their upper bound, and refactor once. False,
+        leaving the simplex unusable, when the columns do not form a basis
+        or form a nearly singular one (an inverse entry above
+        1 / PIVOT_TOL)."""
+        if len(basis) != self.m or len(set(basis)) != self.m:
+            return False
+        self.basis = list(basis)
+        self.at_upper[:] = False
+        self.at_upper[upper] = True
+        self.at_upper[self.basis] = False
+        try:
+            self._refactor()
+        except np.linalg.LinAlgError:
+            return False
+        return float(np.abs(self.B_inv).max(initial=0.0)) <= 1.0 / PIVOT_TOL
 
     def _set_upper(self, j, upper):
         """Put nonbasic column j at its upper (True) or lower bound."""
@@ -287,12 +324,148 @@ class _Simplex:
             self._set_upper(leaving, bool(up[leaving_pos]))
         raise NumericalError("simplex iteration limit exceeded")
 
+    def dual(self, c):
+        """Bounded-variable dual simplex on min c'u from a dual feasible
+        basis. Returns OPTIMAL once every basic value lies within its
+        bounds, INFEASIBLE when a row admits no entering column (the dual is
+        unbounded) and the bounds of the nonbasic columns keep its basic
+        value outside its own, and None when the basis is not dual feasible
+        at DUAL_TOL or the row alone does not prove infeasibility.
 
-def solve_lp(lp: LinearProgram) -> LpSolution:
-    """Optimal basic solution (primal + row duals) of the given program."""
-    A, b, c, lo, ub, basis, art_cols, row_sign, B_inv = _standard_form(lp)
+        The leaving row is the basic value furthest outside its bounds, and
+        it leaves at the bound it violates. The ratio test keeps every
+        nonbasic reduced cost on the side its bound needs (>= 0 at the lower
+        bound, <= 0 at the upper one) and prefers the largest pivot among
+        ties; fixed columns never enter. The reduced costs are computed at
+        each inversion of the basis and updated by the pivot row between.
+        """
+        m, n = self.m, self.n
+        movable = self.ub > 0.0
+        tol = DUAL_TOL * (1.0 + float(np.abs(c).max(initial=0.0)))
+        degenerate = 0
+        bland = False
+        bland_trigger = 10 * (m + n)
+        max_iter = 50 * (m + n) + 10000
+        reduced = None
+        for _ in range(max_iter):
+            if self.updates >= REFACTOR_EVERY:
+                self._refactor()
+            if self.updates == 0:
+                reduced = c - (c[self.basis] @ self.B_inv) @ self.A
+            gain = np.where(self.at_upper, -reduced, reduced)
+            nonbasic = movable.copy()
+            nonbasic[self.basis] = False
+            if np.any(gain[nonbasic] < -tol):
+                return None
+            xB = self.B_inv @ self.rhs
+            ub_basic = self.ub[self.basis]
+            excess = np.maximum(-xB, xB - ub_basic)
+            infeasible = np.flatnonzero(excess > PRIMAL_TOL)
+            if infeasible.size == 0:
+                return OPTIMAL
+            if bland or degenerate > bland_trigger:
+                bland = True
+                r = int(min(infeasible, key=lambda i: self.basis[i]))
+            else:
+                r = int(infeasible[np.argmax(excess[infeasible])])
+            to_upper = bool(xB[r] > ub_basic[r])
+            # x_r = (B_inv @ rhs)_r - alpha @ u: the rate at which moving
+            # each column off its bound moves x_r towards its violated bound.
+            alpha = self.B_inv[r] @ self.A
+            rate = np.where(self.at_upper, alpha, -alpha)
+            if to_upper:
+                rate = -rate
+            eligible = np.flatnonzero(nonbasic & (rate > PIVOT_TOL))
+            if eligible.size == 0:
+                if self.updates > 0:
+                    self._refactor()  # confirm the empty row on a fresh inverse
+                    continue
+                # Moving every nonbasic column across its whole range
+                # towards the violated bound, however small its rate, moves
+                # x_r by `reach`: infeasible only when x_r still misses.
+                # Rates within rounding of zero (m ulps of the row's largest
+                # product) count as zero.
+                noise = m * np.finfo(float).eps * \
+                    float(np.abs(self.B_inv[r]).max()) * \
+                    float(np.abs(self.A).max())
+                towards = nonbasic & (rate > noise)
+                reach = float(rate[towards] @ self.ub[towards])
+                if excess[r] - reach > PRIMAL_TOL:
+                    return INFEASIBLE
+                return None
+            ratios = np.maximum(gain[eligible], 0.0) / rate[eligible]
+            best = float(ratios.min())
+            ties = eligible[ratios <= best + PIVOT_TOL]
+            entering = int(ties[0] if bland else ties[np.argmax(rate[ties])])
+            if best < PIVOT_TOL:
+                degenerate += 1
+            leaving = self.basis[r]
+            # The entering column's reduced cost falls to zero, the leaving
+            # one's becomes -reduced[entering] / alpha[entering].
+            reduced = reduced - (reduced[entering] / alpha[entering]) * alpha
+            self._set_upper(entering, False)
+            self._pivot(entering, r)
+            self._set_upper(leaving, to_upper)
+        raise NumericalError("dual simplex iteration limit exceeded")
+
+
+def _start_columns(start: Basis, n: int, slack_col) -> Optional[List[int]]:
+    """The basis columns of `start` in a program with n variables and
+    len(slack_col) rows: its basic variables, then the slacks of its basic
+    rows and of every row added since it was taken. None when the program
+    lacks one of them."""
+    m = len(slack_col)
+    if start.rows > m or not all(0 <= j < n for j in start.variables) or \
+            not all(0 <= i < start.rows for i in start.slacks):
+        return None
+    slacks = slack_col[list(start.slacks) + list(range(start.rows, m))]
+    if np.any(slacks < 0):  # an = row has no slack
+        return None
+    return list(start.variables) + slacks.tolist()
+
+
+def solve_lp(lp: LinearProgram, start: Optional[Basis] = None) -> LpSolution:
+    """Optimal basic solution (primal, row duals and basis) of the program.
+
+    With no `start` the simplex starts cold, from the slack basis. `start`,
+    the basis of an earlier solution of this program taken before rows were
+    appended or variable bounds changed, makes the solve warm: the rows added
+    since it was taken get their slack basic, which leaves every reduced
+    cost as it was, and each nonbasic variable stays on its side, so a
+    fixed one sits at its only value; the basis is refactored once, the
+    dual simplex restores primal feasibility, and the primal simplex cleans
+    up. Artificial columns stay nonbasic and fixed, so no phase 1 runs. A
+    start that is singular, not dual feasible or numerically troubled
+    anywhere on the warm path, the residual check included, falls back to
+    the cold start within the same call (`cold_start`).
+    """
+    A, b, c, lo, ub, basis, art_cols, row_sign, B_inv, slack_col = \
+        _standard_form(lp)
+    form = (lp, c, lo, row_sign, slack_col, basis)
+    spent = 0  # iterations of a warm start that fell back
+    if start is not None:
+        simplex = _Simplex(A, b, ub, basis, B_inv)
+        ub[art_cols] = 0.0
+        columns = _start_columns(start, lp.num_vars, slack_col)
+        upper = [j for j in start.at_upper
+                 if 0 <= j < lp.num_vars and math.isfinite(ub[j])]
+        try:
+            if columns is not None and simplex.restart(columns, upper):
+                status = simplex.dual(c)
+                if status == INFEASIBLE:
+                    return LpSolution(INFEASIBLE, None, None, None,
+                                      simplex.pivots + simplex.flips,
+                                      cold_start=False)
+                if status == OPTIMAL:
+                    return _optimize(simplex, form, 0, cold=False)
+        except (NumericalError, np.linalg.LinAlgError):
+            pass  # numerical trouble: start cold
+        spent = simplex.pivots + simplex.flips
+        ub[art_cols] = np.inf
+        B_inv[:] = 0.0
+        np.fill_diagonal(B_inv, 1.0)
+
     simplex = _Simplex(A, b, ub, basis, B_inv)
-
     if art_cols:
         # Phase 1: minimise the sum of the artificials.
         c1 = np.zeros(A.shape[1])
@@ -300,7 +473,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         status, u1, _ = simplex.run(c1)
         if status != OPTIMAL or float(c1 @ u1) > PRIMAL_TOL:
             return LpSolution(INFEASIBLE, None, None, None,
-                              simplex.pivots + simplex.flips)
+                              spent + simplex.pivots + simplex.flips)
         # Drive artificials out of the basis: a zero-valued degenerate pivot
         # onto any movable real column keeps feasibility. Artificials that
         # cannot leave sit on redundant rows and provably stay at zero.
@@ -317,21 +490,40 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
                     simplex._pivot(j, r)
                     break
         ub[art_cols] = 0.0  # artificials may stay basic at zero but never enter
+    return _optimize(simplex, form, spent, cold=True)
 
+
+def _optimize(simplex, form, spent, cold) -> LpSolution:
+    """Run the primal simplex to optimality from the simplex's basis, check
+    the residuals and name the optimal basis; `spent` counts the iterations
+    of a warm start that fell back."""
+    lp, c, lo, row_sign, slack_col, slack_basis = form
+    A, b, ub, n = simplex.A, simplex.b, simplex.ub, lp.num_vars
     status, u, y = simplex.run(c)
-    iterations = simplex.pivots + simplex.flips
+    iterations = spent + simplex.pivots + simplex.flips
     if status == UNBOUNDED:
-        return LpSolution(UNBOUNDED, None, None, None, iterations)
+        return LpSolution(UNBOUNDED, None, None, None, iterations,
+                          cold_start=cold)
 
-    primal = lo + u[:lp.num_vars]
+    primal = lo + u[:n]
     value = float(np.dot(lp.objective, primal))
 
     _check_residuals(lp, primal, y, A, b, c, u, ub)
 
     sense_sign = -1.0 if lp.sense == MAX else 1.0
     duals = tuple(float(sense_sign * row_sign[i] * y[i]) for i in range(len(lp.rows)))
+    # Name the basis: a basic slack or artificial by its row (the slack
+    # basis holds each row's slack or artificial at the row's position).
+    row_of = np.full(A.shape[1], -1)
+    row_of[slack_col[slack_col >= 0]] = np.flatnonzero(slack_col >= 0)
+    row_of[slack_basis] = np.arange(len(slack_basis))
+    cols = np.array(simplex.basis, dtype=int)
+    optimal_basis = Basis(tuple(sorted(cols[cols < n].tolist())),
+                          tuple(sorted(row_of[cols[cols >= n]].tolist())),
+                          tuple(np.flatnonzero(simplex.at_upper[:n]).tolist()),
+                          len(lp.rows))
     return LpSolution(OPTIMAL, value, tuple(float(v) for v in primal), duals,
-                      iterations)
+                      iterations, optimal_basis, cold)
 
 
 def _check_residuals(lp, primal, y, A, b, c, u, ub):
@@ -461,7 +653,7 @@ def covering_lp(instance: Instance, objective: str,
         raise ValueError(f"unknown objective {objective!r}")
     for qi, s in rows:
         if s:
-            lp.add_row([(j, 1.0) for j in sorted(s)] + [(n + qi, -1.0)], GE, 0.0)
+            lp.add_row([(j, 1.0) for j in s] + [(n + qi, -1.0)], GE, 0.0)
         else:
             lp.add_row([(n + qi, 1.0)], LE, 0.0)  # demand q cannot be served
     _apply_placement(lp, instance)
@@ -491,7 +683,7 @@ def build_model(instance: Instance, tag: str,
                 lp.bounds.append((0.0, math.inf))
                 z_cols.append(col)
                 for s in family.sets:
-                    lp.add_row([(j, 1.0) for j in sorted(s)] + [(col, -1.0)],
+                    lp.add_row([(j, 1.0) for j in s] + [(col, -1.0)],
                                GE, 0.0)
             lp.add_row([(c, 1.0) for c in z_cols], LE, 1.0)
         _add_budget_row(lp, instance, budget)

@@ -56,6 +56,7 @@ class SolveStats:
     served_memo_hits: int = 0  # ... of which answered from the per-solve memo
     lp_solves: int = 0  # relaxations solved
     lp_iterations: int = 0  # ... and their simplex iterations, summed
+    lp_cold_starts: int = 0  # ... of which started from the slack basis
 
 
 @dataclass
@@ -141,7 +142,8 @@ def solve(request: SolveRequest) -> Solution:
 
     Deterministic: branching on the most fractional station variable (ties to
     the lowest index), FIFO tie-breaking in the node queue, cuts appended in
-    separation order.
+    separation order. Only the root LP starts cold: each cut round re-solves
+    from the node's last optimal basis, and each child from its parent's.
     """
     instance = request.instance
     n = instance.num_nodes
@@ -194,7 +196,7 @@ def solve(request: SolveRequest) -> Solution:
         root_key = -sum(q.volume for q in instance.demands)
     else:
         root_key = len(instance.placement.forced_open)
-    heap = [(float(root_key), next(counter), {})]
+    heap = [(float(root_key), next(counter), {}, None)]
 
     while heap:
         if request.time_limit is not None and \
@@ -202,15 +204,17 @@ def solve(request: SolveRequest) -> Solution:
             break
         if request.node_limit is not None and stats.bb_nodes >= request.node_limit:
             break
-        key, _, fixings = heapq.heappop(heap)
+        key, _, fixings, basis = heapq.heappop(heap)
         if not better(-key if maximize else key):
             continue
         stats.bb_nodes += 1
 
         while True:  # re-solve the node after each round of new cuts
-            solution = solve_lp(relaxation(fixings))
+            solution = solve_lp(relaxation(fixings), basis)
             stats.lp_solves += 1
             stats.lp_iterations += solution.iterations
+            stats.lp_cold_starts += solution.cold_start
+            basis = solution.basis
             if solution.status == INFEASIBLE:
                 solution = None
                 break
@@ -254,7 +258,7 @@ def solve(request: SolveRequest) -> Solution:
                 child[j] = val
                 heapq.heappush(heap, (-solution.value if maximize
                                       else solution.value,
-                                      next(counter), child))
+                                      next(counter), child, basis))
             continue
 
         # Integral and separation-clean: a candidate incumbent.
@@ -264,9 +268,9 @@ def solve(request: SolveRequest) -> Solution:
 
     stations, served, value = incumbent
     if maximize:
-        bound = max([value] + [-key for key, _, _ in heap])
+        bound = max([value] + [-key for key, *_ in heap])
     else:
-        bound = min([value] + [key for key, _, _ in heap])
+        bound = min([value] + [key for key, *_ in heap])
     stats.total_time = time.perf_counter() - start
     return Solution(stations, served, value, bound, not heap, stats)
 

@@ -195,6 +195,25 @@ def test_solve_stopped_at_once_answers(fig7_path, capsys):
     assert "stations: {}" in out
 
 
+def test_solve_node_limit(fig7_path, capsys):
+    assert run(["solve", fig7_path, "--variant", "cyclic",
+                "--node-limit", "0"]) == 0
+    out = capsys.readouterr().out
+    assert "optimal: False" in out
+    assert "lp solves: 0 (cold 0)  iterations: 0" in out
+    assert run(["solve", fig7_path, "--variant", "cyclic",
+                "--node-limit", "5"]) == 0
+    out = capsys.readouterr().out
+    assert "optimal: True" in out
+    assert "lp solves: 2 (cold 1)  iterations: 2" in out
+    for bad in ("-1", "1.5"):
+        assert run(["solve", fig7_path, "--node-limit", bad]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage: frlp solve")
+        assert "error: argument --node-limit" in captured.err
+        assert "Traceback" not in captured.err
+
+
 def test_solve_failure_exit_code(tmp_path):
     doc = json.dumps({
         "range": 4, "nodes": ["1", "2"],

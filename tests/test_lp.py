@@ -197,6 +197,145 @@ def test_bounded_lps_match_vertex_enumeration():
     assert at_upper > 40  # optima sit at upper bounds, not only at lower ones
 
 
+def child_lp(lp, solution):
+    """A child of a solved LP, as branch-and-cut makes one: two >= rows
+    that cut off every optimum of the parent (an objective cut at two
+    depths) and one variable, basic where the basis has one that is not
+    fixed, fixed at the bound further from its value."""
+    child = LinearProgram(lp.sense, list(lp.objective), list(lp.rows),
+                          list(lp.bounds))
+    sign = 1.0 if lp.sense == MIN else -1.0
+    for depth in (0.05, 0.1):  # sign * c'x >= sign * value + depth
+        child.add_row([(j, sign * c) for j, c in enumerate(lp.objective)], GE,
+                      sign * solution.value + depth)
+    free = [j for j, (lo, hi) in enumerate(lp.bounds) if lo < hi]
+    j = next((j for j in solution.basis.variables if j in free), free[0])
+    lo, hi = lp.bounds[j]
+    at = lo if solution.primal[j] - lo > hi - solution.primal[j] else hi
+    child.bounds[j] = (at, at)
+    return child
+
+
+def test_warm_resolve_matches_cold_in_fewer_iterations():
+    iterations = {"warm": 0, "cold": 0}
+    statuses = []
+    for lp in bounded_lps():
+        parent = solve_lp(lp)
+        assert parent.cold_start
+        child = child_lp(lp, parent)
+        warm = solve_lp(child, parent.basis)
+        cold = solve_lp(child)
+        assert not warm.cold_start and cold.cold_start
+        assert warm.status == cold.status
+        statuses.append(warm.status)
+        if warm.status == "optimal":
+            assert warm.value == pytest.approx(cold.value, rel=1e-9, abs=1e-9)
+            # the warm basis is optimal too: re-solving from it takes no step
+            again = solve_lp(child, warm.basis)
+            assert again.iterations == 0
+            assert again.value == pytest.approx(warm.value, rel=1e-12, abs=1e-12)
+        iterations["warm"] += warm.iterations
+        iterations["cold"] += cold.iterations
+    # both kinds of child occur: re-optimised and proven infeasible
+    assert statuses.count("optimal") > 10 and statuses.count("infeasible") > 10
+    assert iterations["warm"] < iterations["cold"]
+
+
+def test_warm_infeasible_only_when_the_bounds_prove_it():
+    # The added row x0 + coef * x1 >= 2, with x0 fixed at 1, is met only at
+    # x1 = 1 / coef: a rate below PIVOT_TOL with no upper bound. The dual
+    # simplex finds no entering column, yet x1's range reaches the row's
+    # bound, so the warm start leaves the answer to the cold one.
+    for coef in (1e-10, 1e-12):
+        lp = LinearProgram(MIN, [0.0, 1.0],
+                           bounds=[(0.0, 1.0), (0.0, math.inf)])
+        lp.add_row([(0, 1.0)], LE, 1.0)
+        parent = solve_lp(lp)
+        child = LinearProgram(MIN, [0.0, 1.0], list(lp.rows),
+                              [(1.0, 1.0), (0.0, math.inf)])
+        child.add_row([(0, 1.0), (1, coef)], GE, 2.0)
+        warm = solve_lp(child, parent.basis)
+        cold = solve_lp(child)
+        assert warm.cold_start
+        assert warm.status == cold.status
+
+
+def test_numerical_trouble_on_the_warm_path_falls_back_cold(monkeypatch):
+    lp, parent, child, cold = next(
+        (lp, parent, child, solve_lp(child))
+        for lp in bounded_lps()
+        for parent in [solve_lp(lp)]
+        for child in [child_lp(lp, parent)]
+        if solve_lp(child, parent.basis).status == "optimal")
+    # the primal clean-up after the dual simplex, then the residual check
+    for owner, name in ((lp_module._Simplex, "run"),
+                        (lp_module, "_check_residuals")):
+        original = getattr(owner, name)
+        calls = []
+
+        def fail_first(*args):
+            calls.append(name)
+            if len(calls) == 1:
+                raise lp_module.NumericalError("injected")
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, fail_first)
+        again = solve_lp(child, parent.basis)
+        monkeypatch.undo()
+        assert len(calls) > 1  # the warm path failed and the cold one ran
+        assert again.cold_start
+        assert (again.status, again.value, again.primal, again.basis) == \
+            (cold.status, cold.value, cold.primal, cold.basis)
+        assert again.iterations >= cold.iterations
+
+
+def test_start_that_is_not_a_dual_feasible_basis_falls_back_cold():
+    from dataclasses import replace
+    checked = not_dual_feasible = 0
+    for lp in bounded_lps(count=20):
+        parent = solve_lp(lp)
+        basis = parent.basis
+        if not (basis.slacks and basis.variables):
+            continue
+        child = child_lp(lp, parent)
+        cold = solve_lp(child)
+        checked += 1
+        for singular in (
+                # one column listed twice, in place of a slack
+                replace(basis, variables=basis.variables + basis.variables[:1],
+                        slacks=basis.slacks[1:]),
+                replace(basis, slacks=basis.slacks[1:])):  # a slack dropped
+            again = solve_lp(child, singular)
+            assert again.cold_start  # one cold start, in the same call
+            assert again.status == cold.status
+            assert (again.value, again.primal, again.basis) == \
+                (cold.value, cold.primal, cold.basis)
+        # The optimal basis of the opposite objective is mostly not dual
+        # feasible; either way the answer is the cold one.
+        flipped = LinearProgram(MIN if lp.sense == MAX else MAX,
+                                list(lp.objective), list(lp.rows),
+                                list(lp.bounds))
+        again = solve_lp(child, solve_lp(flipped).basis)
+        not_dual_feasible += again.cold_start
+        assert again.status == cold.status
+        if cold.status == "optimal":
+            assert again.value == pytest.approx(cold.value, rel=1e-9, abs=1e-9)
+    assert checked >= 10 and not_dual_feasible > checked // 2
+
+
+def test_numerically_singular_start_falls_back_cold():
+    # two nearly parallel rows: their variables as a basis invert to
+    # entries near 1e12
+    lp = LinearProgram(MAX, [1.0, 1.0], bounds=[(0.0, 1.0)] * 2)
+    lp.add_row([(0, 1.0), (1, 1.0)], LE, 1.5)
+    lp.add_row([(0, 1.0), (1, 1.0 + 1e-12)], LE, 1.5)
+    start = lp_module.Basis(variables=(0, 1), slacks=(), at_upper=(), rows=2)
+    cold = solve_lp(lp)
+    again = solve_lp(lp, start)
+    assert again.cold_start
+    assert (again.value, again.primal) == (cold.value, cold.primal)
+
+
 def test_residual_check_rejects_a_column_on_the_wrong_bound():
     # min x0 - x1 over the unit box and x0 + x1 <= 2: the optimum is (0, 1)
     lp = LinearProgram(MIN, [1.0, -1.0], bounds=[(0.0, 1.0)] * 2)
@@ -232,7 +371,7 @@ class RowLoopSimplex(lp_module._Simplex):
                 self.B_inv[i] -= d[i] * self.B_inv[leaving_pos]
 
 
-def solve_with_kernel(kernel, lp, monkeypatch):
+def solve_with_kernel(kernel, lp, monkeypatch, start=None):
     """solve_lp on `kernel`; returns its (entering, leaving) pivots, the
     simplex object and the solution."""
     pivots, simplexes = [], []
@@ -247,7 +386,7 @@ def solve_with_kernel(kernel, lp, monkeypatch):
             super()._pivot(entering, leaving_pos, d)
 
     monkeypatch.setattr(lp_module, "_Simplex", Recording)
-    solution = solve_lp(lp)
+    solution = solve_lp(lp, start)
     monkeypatch.undo()
     return pivots, simplexes[0], solution
 
@@ -268,43 +407,60 @@ def test_rank1_update_is_pivot_identical_to_row_loop(monkeypatch):
     relaxations = []
     solve_lp_of_solver = solver_module.solve_lp
 
-    def recording_solve_lp(lp):
-        relaxations.append(lp)
-        return solve_lp_of_solver(lp)
+    def recording_solve_lp(lp, start=None):
+        relaxations.append((lp, start))
+        return solve_lp_of_solver(lp, start)
 
     monkeypatch.setattr(solver_module, "solve_lp", recording_solve_lp)
     solve(pinned_request())
     solve(pinned_request(MIN_STATIONS))  # full coverage: phase 1 runs
     monkeypatch.undo()
     assert len(relaxations) > 10
-    phase1 = flips = 0
-    for lp in [lp for lp, _ in random_lps()] + list(bounded_lps()) + relaxations:
-        pivots, simplex, solution = solve_with_kernel(kernel, lp, monkeypatch)
+    # every relaxation cold, and the solver's warm re-solves as they ran
+    programs = [(lp, None) for lp, _ in random_lps()] + \
+        [(lp, None) for lp in bounded_lps()] + \
+        [(lp, None) for lp, _ in relaxations] + \
+        [(lp, start) for lp, start in relaxations if start is not None]
+    phase1 = flips = warm = 0
+    for lp, start in programs:
+        pivots, simplex, solution = solve_with_kernel(kernel, lp, monkeypatch,
+                                                      start)
         ref_pivots, ref_simplex, ref_solution = solve_with_kernel(
-            RowLoopSimplex, lp, monkeypatch)
+            RowLoopSimplex, lp, monkeypatch, start)
         assert pivots == ref_pivots
         assert simplex.flips == ref_simplex.flips
         # dataclass equality compares primals and duals entry by entry
         assert solution == ref_solution
         # an iteration is a pivot or a bound flip
         assert solution.iterations == len(pivots) + simplex.flips
-        phase1 += bool(artificial_columns(lp))
+        phase1 += start is None and bool(artificial_columns(lp))
         flips += simplex.flips
+        warm += not solution.cold_start and len(pivots) > 0
     assert phase1 > 0  # some programs start from artificials
     assert flips > 0  # and some entering columns flip to their upper bound
+    assert warm > 0  # and some warm starts pivot
 
 
 def test_original_solve_is_pinned():
-    # bb_nodes, cuts, LP solves and iterations (pivots plus bound flips)
-    # measured with the bounded-variable kernel and its slack start basis,
-    # so that a change of the start basis or of the pivot rule fails here
-    solution = solve(pinned_request())
-    assert solution.stats.bb_nodes == 15
-    assert solution.stats.cuts == 27
+    # bb_nodes, cuts, LP solves, iterations (pivots plus bound flips) and
+    # cold starts measured with the bounded-variable kernel, whose re-solves
+    # start warm from the last optimal basis, so that a change of the start
+    # basis or of the pivot rule fails here
+    from frlp.oracle import brute_force_solve
+    request = pinned_request()
+    solution = solve(request)
+    assert solution.stats.bb_nodes == 14
+    assert solution.stats.cuts == 28
     assert solution.stats.lp_solves == 20
-    assert solution.stats.lp_iterations == 483
-    assert solution.stations == frozenset({3, 4, 10})
+    assert solution.stats.lp_iterations == 95
+    assert solution.stats.lp_cold_starts == 1
     assert solution.objective == 31.0
+    # {3, 4, 10} and {3, 8, 10} tie at 31: the stations are one of them,
+    # whichever the tree reaches first
+    optimal_sets = brute_force_solve(request.instance, ORIGINAL, MAX_COVER,
+                                     budget=request.budget).optimal_sets
+    assert set(optimal_sets) == {frozenset({3, 4, 10}), frozenset({3, 8, 10})}
+    assert solution.stations in optimal_sets
 
 
 def solved_simplex(lp, monkeypatch):

@@ -107,9 +107,9 @@ def test_node_relaxations_come_from_covering_lp(monkeypatch):
     solved = []
     solve_lp = solver_module.solve_lp
 
-    def recording_solve_lp(lp):
+    def recording_solve_lp(lp, start=None):
         solved.append(lp)
-        return solve_lp(lp)
+        return solve_lp(lp, start)
 
     monkeypatch.setattr(solver_module, "solve_lp", recording_solve_lp)
     inst = gen_random(5, num_nodes=8, density=0.3, num_demands=4)
@@ -212,21 +212,24 @@ def test_lp_counters(monkeypatch):
     solved = []
     solve_lp = solver_module.solve_lp
 
-    def recording_solve_lp(lp):
-        solution = solve_lp(lp)
-        solved.append(solution.iterations)
+    def recording_solve_lp(lp, start=None):
+        solution = solve_lp(lp, start)
+        solved.append((solution.iterations, solution.cold_start))
         return solution
 
     monkeypatch.setattr(solver_module, "solve_lp", recording_solve_lp)
     inst = gen_random(5, num_nodes=8, density=0.3, num_demands=4)
     request = SolveRequest(inst, ORIGINAL, MAX_COVER, budget=2)
     stats = solve(request).stats
-    assert stats.lp_solves > 0 and stats.lp_iterations > 0
+    assert stats.lp_solves > 1 and stats.lp_iterations > 0
     assert stats.lp_solves == len(solved)
-    assert stats.lp_iterations == sum(solved)
+    assert stats.lp_iterations == sum(it for it, _ in solved)
+    # only the root LP starts from the slack basis
+    assert stats.lp_cold_starts == sum(cold for _, cold in solved) == 1
+    assert solved[0][1]
     again = solve(request).stats
-    assert (again.lp_solves, again.lp_iterations) == \
-        (stats.lp_solves, stats.lp_iterations)
+    assert (again.lp_solves, again.lp_iterations, again.lp_cold_starts) == \
+        (stats.lp_solves, stats.lp_iterations, stats.lp_cold_starts)
 
 
 def with_placement(instance, placement):
@@ -287,9 +290,9 @@ def test_unattainable_partial_coverage_fails_before_any_lp(monkeypatch):
     solved = []
     solve_lp = solver_module.solve_lp
 
-    def counting_solve_lp(lp):
+    def counting_solve_lp(lp, start=None):
         solved.append(lp)
-        return solve_lp(lp)
+        return solve_lp(lp, start)
 
     monkeypatch.setattr(solver_module, "solve_lp", counting_solve_lp)
     from dataclasses import replace
