@@ -341,7 +341,6 @@ def build_parser() -> _Parser:
                        default="maxcover")
         p.add_argument("--budget", type=int)
         p.add_argument("--coverage", type=float, default=1.0)
-        p.add_argument("--time-limit", type=float)
 
     p = sub.add_parser("validate", help="check an instance file")
     _add_instance_arg(p)
@@ -388,6 +387,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("solve", help="branch-and-cut solve")
     common(p)
     solve_flags(p)
+    p.add_argument("--time-limit", type=float, help="seconds per solve")
     p.add_argument("--node-limit", type=_node_count,
                    help="branch-and-bound nodes to solve at most")
     p.add_argument("--stats-out", help="CSV stats output path")
@@ -402,6 +402,7 @@ def build_parser() -> _Parser:
     _add_instance_arg(p)
     p.add_argument("--alphas", default="1.0,1.2,1.5")
     solve_flags(p)
+    p.add_argument("--time-limit", type=float, help="seconds per solve")
     p.add_argument("--csv-out", help="CSV stats output path")
     p.set_defaults(func=cmd_sweep)
     return parser

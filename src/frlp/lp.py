@@ -3,13 +3,14 @@
 The solver is a dense bounded-variable simplex: small deterministic models
 only, no external dependencies. Variable bounds stay bounds, never rows: a
 nonbasic column sits at its lower or its upper bound. `_standard_form`
-builds the equality system, one row per program row, and a start basis of
-slacks, with an artificial column only on a row whose slack cannot start
-it. `solve_lp` either starts from that slack basis (phase 1 when there are
-artificials, then the primal phase 2) or, given the optimal `Basis` of an
-earlier solve, warm-starts: rows added since get their slack basic, and a
-dual simplex restores primal feasibility before the primal simplex cleans
-up. Every returned solution passes the same residual check.
+builds the equality system, one row per program row, with one logical
+column per row (the slack, fixed at 0 on an = row). Every solve starts from
+a basis of logicals or, given the optimal `Basis` of an earlier solve, from
+that basis with the logicals of the rows added since: the dual simplex runs
+on the objective when the start is dual feasible, and on zero costs, for
+which every basis is, otherwise; then the primal simplex finishes, so no
+artificial column and no phase 1 are needed. Every returned solution passes
+the same residual check.
 Model builders transcribe the per-route (disaggregated) and per-demand
 (aggregated) max-cover formulations (`build_model`); the aggregated one, for
 either objective, comes from `covering_lp`, which the branch-and-cut solver
@@ -82,7 +83,7 @@ class Basis:
     """A simplex basis in program terms: the start of a warm `solve_lp`."""
 
     variables: Tuple[int, ...]  # basic variables
-    slacks: Tuple[int, ...]  # rows whose slack is basic
+    slacks: Tuple[int, ...]  # rows whose logical (slack) is basic
     at_upper: Tuple[int, ...]  # nonbasic variables at their upper bound
     rows: int  # rows of the program the basis was taken from
 
@@ -93,9 +94,9 @@ class LpSolution:
     value: Optional[float]
     primal: Optional[Tuple[float, ...]]
     duals: Optional[Tuple[float, ...]]  # one per LinearProgram row
-    iterations: int = 0  # simplex pivots plus bound flips, every phase
+    iterations: int = 0  # simplex pivots plus bound flips, every pass
     basis: Optional[Basis] = None  # the optimal basis
-    cold_start: bool = True  # started from the slack basis
+    cold_start: bool = True  # started from the logical basis
 
 
 @dataclass
@@ -106,26 +107,19 @@ class MipModel:
     lp: LinearProgram
 
 
-_SLACK_COEF = {LE: 1.0, GE: -1.0, EQ: 0.0}
-
-
 def _standard_form(lp: LinearProgram):
-    """The program as min c'u subject to A u = b, b >= 0, 0 <= u <= ub,
-    where u = x - lo, together with its start basis.
+    """The program as min c'u subject to A u = b, 0 <= u <= ub, where u is
+    x - lo followed by one logical column per row.
 
-    Bounds stay bounds: A has one row per program row. An inequality row is
-    negated (`row_sign`) when that gives its slack coefficient +1 with b >= 0,
-    so a <= row with shifted rhs >= 0 and a >= row with shifted rhs <= 0
-    start on their slack; any other row whose shifted rhs is negative is
-    negated too. Columns are the variables, one slack per inequality row in
-    row order, then one artificial per row whose slack does not have
-    coefficient +1, in row order. The start basis holds each row's +1 slack
-    or its artificial, every nonbasic column at its lower bound, so its
-    inverse is the identity. That m x m inverse is reserved together with A,
-    before either is written, so a basis inverse that cannot fit fails
-    before A's pages are touched.
-    Returns (A, b, c, lo, ub, basis, art_cols, row_sign, B_inv, slack_col),
-    where slack_col[i] is the column of row i's slack (-1 on = rows).
+    Bounds stay bounds: A has one row per program row, and row i has the
+    logical column n + i with coefficient +1. A >= row is negated
+    (`row_sign`), so its logical is its slack too; the logical of an = row
+    is fixed at 0. The logicals are the start basis of every solve, whose
+    inverse is the identity, whether or not its basic values b lie within
+    their bounds. That m x m inverse is reserved together with A, before
+    either is written, so a basis inverse that cannot fit fails before A's
+    pages are touched.
+    Returns (A, b, c, lo, ub, row_sign, B_inv).
     """
     n = lp.num_vars
     lo = np.array([b[0] for b in lp.bounds], dtype=float)
@@ -136,79 +130,60 @@ def _standard_form(lp: LinearProgram):
         raise ValueError("variable bounds must satisfy lower <= upper")
     if lp.sense not in (MIN, MAX):
         raise ValueError(f"unknown sense {lp.sense!r}")
+    for _, rel, _ in lp.rows:
+        if rel not in (LE, GE, EQ):
+            raise ValueError(f"unknown relation {rel!r}")
 
     m = len(lp.rows)
+    A = np.zeros((m, n + m))
+    B_inv = np.empty((m, m))
     b = np.zeros(m)
     row_sign = np.ones(m)
-    slack_coef = np.zeros(m)  # after the sign flip; 0 on = rows
+    ub = np.full(n + m, np.inf)
+    ub[:n] = np.maximum(hi - lo, 0.0)
     for i, (coeffs, rel, rhs) in enumerate(lp.rows):
-        if rel not in _SLACK_COEF:
-            raise ValueError(f"unknown relation {rel!r}")
         shifted = rhs
         for j, coef in coeffs:
-            shifted -= coef * lo[j]
-        slack = _SLACK_COEF[rel]
-        if slack != 0.0 and slack * shifted >= 0.0:
-            row_sign[i] = slack  # the slack gets +1 and starts basic
-        elif shifted < 0:
-            row_sign[i] = -1.0
-        b[i] = row_sign[i] * shifted
-        slack_coef[i] = row_sign[i] * slack
-
-    total = n + int(np.count_nonzero(slack_coef))
-    width = total + int(np.count_nonzero(slack_coef != 1.0))
-    A = np.zeros((m, width))
-    B_inv = np.empty((m, m))
-    basis, art_cols = [], []
-    slack_col = np.full(m, -1)
-    next_slack = n
-    for i, (coeffs, rel, _) in enumerate(lp.rows):
-        for j, coef in coeffs:
             A[i, j] += coef
-        if row_sign[i] < 0:
+            shifted -= coef * lo[j]
+        if rel == GE:
+            row_sign[i] = -1.0
             A[i, :n] *= -1.0
-        if rel != EQ:
-            slack_col[i] = next_slack
-            A[i, next_slack] = slack_coef[i]
-            next_slack += 1
-        if slack_coef[i] == 1.0:
-            basis.append(int(slack_col[i]))
-        else:
-            art_cols.append(total + len(art_cols))
-            A[i, art_cols[-1]] = 1.0
-            basis.append(art_cols[-1])
-    B_inv[:] = 0.0
-    np.fill_diagonal(B_inv, 1.0)
+        elif rel == EQ:
+            ub[n + i] = 0.0
+        b[i] = row_sign[i] * shifted
+        A[i, n + i] = 1.0
 
-    ub = np.full(width, np.inf)
-    ub[:n] = np.maximum(hi - lo, 0.0)
-    c = np.zeros(width)
+    c = np.zeros(n + m)
     c[:n] = lp.objective
     if lp.sense == MAX:
         c[:n] *= -1.0
-    return A, b, c, lo, ub, basis, art_cols, row_sign, B_inv, slack_col
+    return A, b, c, lo, ub, row_sign, B_inv
 
 
 class _Simplex:
     """Bounded-variable revised simplex, primal (`run`) and dual (`dual`),
     with an explicit basis inverse and a Bland fallback, on min c'u,
-    A u = b, 0 <= u <= ub.
+    A u = b, 0 <= u <= ub, whose last m columns are the logicals.
 
-    A nonbasic column sits at 0 or, when `at_upper`, at its finite ub; `rhs`
-    is b less the columns at their upper bound, so the basic values are
-    B_inv @ rhs. Fixed columns (ub == 0) never enter. `pivots` counts basis
-    changes and `flips` the bound flips of entering columns whose own bound
-    is nearer than every basic variable's. The inverse is recomputed after
-    every REFACTOR_EVERY updates.
+    It starts from the logical basis, B_inv = I, with every other column at
+    0. A nonbasic column sits at 0 or, when `at_upper`, at its finite ub;
+    `rhs` is b less the columns at their upper bound, so the basic values
+    are B_inv @ rhs. Fixed columns (ub == 0) never enter. `pivots` counts
+    basis changes and `flips` the bound flips of entering columns whose own
+    bound is nearer than every basic variable's. The inverse is recomputed
+    after every REFACTOR_EVERY updates.
     """
 
-    def __init__(self, A, b, ub, basis, B_inv):
+    def __init__(self, A, b, ub, B_inv):
         self.A = A
         self.b = b
         self.ub = ub
         self.m, self.n = A.shape
-        self.basis = list(basis)
+        self.basis = list(range(self.n - self.m, self.n))
         self.B_inv = B_inv
+        B_inv[:] = 0.0
+        np.fill_diagonal(B_inv, 1.0)
         self.at_upper = np.zeros(self.n, dtype=bool)
         self.rhs = b.copy()
         self.pivots = 0
@@ -325,12 +300,14 @@ class _Simplex:
         raise NumericalError("simplex iteration limit exceeded")
 
     def dual(self, c):
-        """Bounded-variable dual simplex on min c'u from a dual feasible
-        basis. Returns OPTIMAL once every basic value lies within its
-        bounds, INFEASIBLE when a row admits no entering column (the dual is
-        unbounded) and the bounds of the nonbasic columns keep its basic
-        value outside its own, and None when the basis is not dual feasible
-        at DUAL_TOL or the row alone does not prove infeasibility.
+        """Bounded-variable dual simplex on min c'u from the current basis.
+        Returns OPTIMAL once every basic value lies within its bounds, None
+        when the basis is not dual feasible at DUAL_TOL (never for zero
+        costs, for which every basis is), and INFEASIBLE when a row admits
+        no entering column (the dual is unbounded) and the bounds of the
+        nonbasic columns keep its basic value outside its own. A row with no
+        entering column whose bounds do not prove that raises
+        NumericalError.
 
         The leaving row is the basic value furthest outside its bounds, and
         it leaves at the bound it violates. The ratio test keeps every
@@ -392,7 +369,8 @@ class _Simplex:
                 reach = float(rate[towards] @ self.ub[towards])
                 if excess[r] - reach > PRIMAL_TOL:
                     return INFEASIBLE
-                return None
+                raise NumericalError("a violated row has no entering column, "
+                                     "yet its bounds do not prove infeasibility")
             ratios = np.maximum(gain[eligible], 0.0) / rate[eligible]
             best = float(ratios.min())
             ties = eligible[ratios <= best + PIVOT_TOL]
@@ -409,100 +387,64 @@ class _Simplex:
         raise NumericalError("dual simplex iteration limit exceeded")
 
 
-def _start_columns(start: Basis, n: int, slack_col) -> Optional[List[int]]:
-    """The basis columns of `start` in a program with n variables and
-    len(slack_col) rows: its basic variables, then the slacks of its basic
-    rows and of every row added since it was taken. None when the program
-    lacks one of them."""
-    m = len(slack_col)
+def _start_columns(start: Basis, n: int, m: int) -> Optional[List[int]]:
+    """The basis columns of `start` in a program with n variables and m
+    rows: its basic variables, then the logicals of its basic rows and of
+    every row added since it was taken. None when the program lacks one of
+    them."""
     if start.rows > m or not all(0 <= j < n for j in start.variables) or \
             not all(0 <= i < start.rows for i in start.slacks):
         return None
-    slacks = slack_col[list(start.slacks) + list(range(start.rows, m))]
-    if np.any(slacks < 0):  # an = row has no slack
-        return None
-    return list(start.variables) + slacks.tolist()
+    return list(start.variables) + [n + i for i in start.slacks] + \
+        list(range(n + start.rows, n + m))
 
 
 def solve_lp(lp: LinearProgram, start: Optional[Basis] = None) -> LpSolution:
     """Optimal basic solution (primal, row duals and basis) of the program.
 
-    With no `start` the simplex starts cold, from the slack basis. `start`,
+    With no `start` the simplex starts cold, from the logical basis. `start`,
     the basis of an earlier solution of this program taken before rows were
     appended or variable bounds changed, makes the solve warm: the rows added
-    since it was taken get their slack basic, which leaves every reduced
+    since it was taken get their logical basic, which leaves every reduced
     cost as it was, and each nonbasic variable stays on its side, so a
-    fixed one sits at its only value; the basis is refactored once, the
-    dual simplex restores primal feasibility, and the primal simplex cleans
-    up. Artificial columns stay nonbasic and fixed, so no phase 1 runs. A
-    start that is singular, not dual feasible or numerically troubled
-    anywhere on the warm path, the residual check included, falls back to
-    the cold start within the same call (`cold_start`).
+    fixed one sits at its only value; the basis is refactored once. Either
+    start then goes through `_optimize`. A start that is singular or meets
+    numerical trouble anywhere on the warm path, the residual check
+    included, falls back to the cold start within the same call
+    (`cold_start`).
     """
-    A, b, c, lo, ub, basis, art_cols, row_sign, B_inv, slack_col = \
-        _standard_form(lp)
-    form = (lp, c, lo, row_sign, slack_col, basis)
+    A, b, c, lo, ub, row_sign, B_inv = _standard_form(lp)
+    n, m = lp.num_vars, len(lp.rows)
     spent = 0  # iterations of a warm start that fell back
     if start is not None:
-        simplex = _Simplex(A, b, ub, basis, B_inv)
-        ub[art_cols] = 0.0
-        columns = _start_columns(start, lp.num_vars, slack_col)
-        upper = [j for j in start.at_upper
-                 if 0 <= j < lp.num_vars and math.isfinite(ub[j])]
+        simplex = _Simplex(A, b, ub, B_inv)
+        columns = _start_columns(start, n, m)
+        upper = [j for j in start.at_upper if 0 <= j < n and math.isfinite(ub[j])]
         try:
             if columns is not None and simplex.restart(columns, upper):
-                status = simplex.dual(c)
-                if status == INFEASIBLE:
-                    return LpSolution(INFEASIBLE, None, None, None,
-                                      simplex.pivots + simplex.flips,
-                                      cold_start=False)
-                if status == OPTIMAL:
-                    return _optimize(simplex, form, 0, cold=False)
+                return _optimize(simplex, lp, c, lo, row_sign, 0, cold=False)
         except (NumericalError, np.linalg.LinAlgError):
             pass  # numerical trouble: start cold
         spent = simplex.pivots + simplex.flips
-        ub[art_cols] = np.inf
-        B_inv[:] = 0.0
-        np.fill_diagonal(B_inv, 1.0)
-
-    simplex = _Simplex(A, b, ub, basis, B_inv)
-    if art_cols:
-        # Phase 1: minimise the sum of the artificials.
-        c1 = np.zeros(A.shape[1])
-        c1[art_cols] = 1.0
-        status, u1, _ = simplex.run(c1)
-        if status != OPTIMAL or float(c1 @ u1) > PRIMAL_TOL:
-            return LpSolution(INFEASIBLE, None, None, None,
-                              spent + simplex.pivots + simplex.flips)
-        # Drive artificials out of the basis: a zero-valued degenerate pivot
-        # onto any movable real column keeps feasibility. Artificials that
-        # cannot leave sit on redundant rows and provably stay at zero.
-        art_set = set(art_cols)
-        total = A.shape[1] - len(art_cols)  # variable and slack columns
-        for r in range(len(simplex.basis)):
-            if simplex.basis[r] not in art_set:
-                continue
-            row = simplex.B_inv[r] @ A[:, :total]
-            in_b = set(simplex.basis)
-            for j in range(total):
-                if j not in in_b and ub[j] > 0.0 and abs(row[j]) > 1e-7:
-                    simplex._set_upper(j, False)
-                    simplex._pivot(j, r)
-                    break
-        ub[art_cols] = 0.0  # artificials may stay basic at zero but never enter
-    return _optimize(simplex, form, spent, cold=True)
+    return _optimize(_Simplex(A, b, ub, B_inv), lp, c, lo, row_sign, spent,
+                     cold=True)
 
 
-def _optimize(simplex, form, spent, cold) -> LpSolution:
-    """Run the primal simplex to optimality from the simplex's basis, check
-    the residuals and name the optimal basis; `spent` counts the iterations
-    of a warm start that fell back."""
-    lp, c, lo, row_sign, slack_col, slack_basis = form
+def _optimize(simplex, lp, c, lo, row_sign, spent, cold) -> LpSolution:
+    """Solve from the simplex's basis: the dual simplex on c when the basis
+    is dual feasible, else on zero costs to reach primal feasibility, then
+    the primal simplex to optimality; check the residuals and name the
+    optimal basis. `spent` counts the iterations of a warm start that fell
+    back."""
     A, b, ub, n = simplex.A, simplex.b, simplex.ub, lp.num_vars
-    status, u, y = simplex.run(c)
+    status = simplex.dual(c)
+    if status is None:
+        status = simplex.dual(np.zeros_like(c))
+    if status == OPTIMAL:
+        status, u, y = simplex.run(c)
     iterations = spent + simplex.pivots + simplex.flips
-    if status == UNBOUNDED:
-        return LpSolution(UNBOUNDED, None, None, None, iterations,
+    if status != OPTIMAL:
+        return LpSolution(status, None, None, None, iterations,
                           cold_start=cold)
 
     primal = lo + u[:n]
@@ -512,14 +454,9 @@ def _optimize(simplex, form, spent, cold) -> LpSolution:
 
     sense_sign = -1.0 if lp.sense == MAX else 1.0
     duals = tuple(float(sense_sign * row_sign[i] * y[i]) for i in range(len(lp.rows)))
-    # Name the basis: a basic slack or artificial by its row (the slack
-    # basis holds each row's slack or artificial at the row's position).
-    row_of = np.full(A.shape[1], -1)
-    row_of[slack_col[slack_col >= 0]] = np.flatnonzero(slack_col >= 0)
-    row_of[slack_basis] = np.arange(len(slack_basis))
     cols = np.array(simplex.basis, dtype=int)
     optimal_basis = Basis(tuple(sorted(cols[cols < n].tolist())),
-                          tuple(sorted(row_of[cols[cols >= n]].tolist())),
+                          tuple(sorted((cols[cols >= n] - n).tolist())),
                           tuple(np.flatnonzero(simplex.at_upper[:n]).tolist()),
                           len(lp.rows))
     return LpSolution(OPTIMAL, value, tuple(float(v) for v in primal), duals,

@@ -56,7 +56,7 @@ class SolveStats:
     served_memo_hits: int = 0  # ... of which answered from the per-solve memo
     lp_solves: int = 0  # relaxations solved
     lp_iterations: int = 0  # ... and their simplex iterations, summed
-    lp_cold_starts: int = 0  # ... of which started from the slack basis
+    lp_cold_starts: int = 0  # ... of which started from the logical basis
 
 
 @dataclass

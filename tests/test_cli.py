@@ -274,6 +274,11 @@ def test_oracle_subcommand(fig7_path, capsys):
     assert run(["oracle", fig7_path, "--objective", "minstations",
                 "--variant", "cyclic"]) == 0
     assert "objective: 1" in capsys.readouterr().out
+    # the oracle enumerates every placement: it takes no time limit
+    assert run(["oracle", fig7_path, "--time-limit", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage: frlp")
+    assert "unrecognized arguments: --time-limit 0" in captured.err
 
 
 def test_bounds_subcommand(fig7_path, capsys):
@@ -281,6 +286,22 @@ def test_bounds_subcommand(fig7_path, capsys):
     out = capsys.readouterr().out
     assert "disagg-LP bound:" in out and "agg-LP bound:" in out
     assert "tight bound:" in out
+
+
+def test_sweep_passes_its_time_limit_to_every_solve(fig7_path, monkeypatch,
+                                                    capsys):
+    limits = []
+    real_solve = cli.solve
+
+    def recording_solve(request):
+        limits.append(request.time_limit)
+        return real_solve(request)
+
+    monkeypatch.setattr(cli, "solve", recording_solve)
+    assert run(["sweep", fig7_path, "--alphas", "1.0",
+                "--time-limit", "0"]) == 0
+    assert limits == [0.0, 0.0]  # the original and the cyclic solve
+    capsys.readouterr()
 
 
 def test_sweep_csv_columns(fig7_path, tmp_path, capsys):

@@ -245,7 +245,8 @@ def test_warm_infeasible_only_when_the_bounds_prove_it():
     # The added row x0 + coef * x1 >= 2, with x0 fixed at 1, is met only at
     # x1 = 1 / coef: a rate below PIVOT_TOL with no upper bound. The dual
     # simplex finds no entering column, yet x1's range reaches the row's
-    # bound, so the warm start leaves the answer to the cold one.
+    # bound, so neither start reports the feasible program infeasible: the
+    # warm one falls back cold, and the cold one raises.
     for coef in (1e-10, 1e-12):
         lp = LinearProgram(MIN, [0.0, 1.0],
                            bounds=[(0.0, 1.0), (0.0, math.inf)])
@@ -254,10 +255,10 @@ def test_warm_infeasible_only_when_the_bounds_prove_it():
         child = LinearProgram(MIN, [0.0, 1.0], list(lp.rows),
                               [(1.0, 1.0), (0.0, math.inf)])
         child.add_row([(0, 1.0), (1, coef)], GE, 2.0)
-        warm = solve_lp(child, parent.basis)
-        cold = solve_lp(child)
-        assert warm.cold_start
-        assert warm.status == cold.status
+        with pytest.raises(NumericalError):
+            solve_lp(child, parent.basis)
+        with pytest.raises(NumericalError):
+            solve_lp(child)
 
 
 def test_numerical_trouble_on_the_warm_path_falls_back_cold(monkeypatch):
@@ -289,7 +290,7 @@ def test_numerical_trouble_on_the_warm_path_falls_back_cold(monkeypatch):
         assert again.iterations >= cold.iterations
 
 
-def test_start_that_is_not_a_dual_feasible_basis_falls_back_cold():
+def test_start_is_used_unless_it_is_not_a_basis(monkeypatch):
     from dataclasses import replace
     checked = not_dual_feasible = 0
     for lp in bounded_lps(count=20):
@@ -311,15 +312,19 @@ def test_start_that_is_not_a_dual_feasible_basis_falls_back_cold():
             assert (again.value, again.primal, again.basis) == \
                 (cold.value, cold.primal, cold.basis)
         # The optimal basis of the opposite objective is mostly not dual
-        # feasible; either way the answer is the cold one.
+        # feasible: the zero-cost dual pass starts from it all the same, and
+        # the answer is the cold one.
         flipped = LinearProgram(MIN if lp.sense == MAX else MAX,
                                 list(lp.objective), list(lp.rows),
                                 list(lp.bounds))
-        again = solve_lp(child, solve_lp(flipped).basis)
-        not_dual_feasible += again.cold_start
+        _, simplex, again = solve_with_kernel(lp_module._Simplex, child,
+                                              monkeypatch,
+                                              solve_lp(flipped).basis)
+        assert not again.cold_start
         assert again.status == cold.status
         if cold.status == "optimal":
             assert again.value == pytest.approx(cold.value, rel=1e-9, abs=1e-9)
+        not_dual_feasible += bool(simplex.zero_cost_pivots)
     assert checked >= 10 and not_dual_feasible > checked // 2
 
 
@@ -373,13 +378,22 @@ class RowLoopSimplex(lp_module._Simplex):
 
 def solve_with_kernel(kernel, lp, monkeypatch, start=None):
     """solve_lp on `kernel`; returns its (entering, leaving) pivots, the
-    simplex object and the solution."""
+    first simplex object and the solution. The simplex lists the pivots of
+    each of its zero-cost dual passes in `zero_cost_pivots`."""
     pivots, simplexes = [], []
 
     class Recording(kernel):
         def __init__(self, *args):
             super().__init__(*args)
+            self.zero_cost_pivots = []
             simplexes.append(self)
+
+        def dual(self, c):
+            before = self.pivots
+            status = super().dual(c)
+            if not c.any():
+                self.zero_cost_pivots.append(self.pivots - before)
+            return status
 
         def _pivot(self, entering, leaving_pos, d=None):
             pivots.append((entering, self.basis[leaving_pos]))
@@ -398,8 +412,11 @@ def pinned_request(objective=MAX_COVER):
                         budget=3 if objective == MAX_COVER else None)
 
 
-def artificial_columns(lp):
-    return lp_module._standard_form(lp)[6]
+def rows_the_logical_start_violates(lp):
+    """Rows whose logical starts outside its bounds: b < 0, or b != 0 on an
+    = row, whose logical is fixed at 0."""
+    _, b, _, _, ub, *_ = lp_module._standard_form(lp)
+    return int(np.count_nonzero((b < 0.0) | (b > ub[lp.num_vars:])))
 
 
 def test_rank1_update_is_pivot_identical_to_row_loop(monkeypatch):
@@ -413,7 +430,7 @@ def test_rank1_update_is_pivot_identical_to_row_loop(monkeypatch):
 
     monkeypatch.setattr(solver_module, "solve_lp", recording_solve_lp)
     solve(pinned_request())
-    solve(pinned_request(MIN_STATIONS))  # full coverage: phase 1 runs
+    solve(pinned_request(MIN_STATIONS))  # full coverage: cover rows start violated
     monkeypatch.undo()
     assert len(relaxations) > 10
     # every relaxation cold, and the solver's warm re-solves as they ran
@@ -421,7 +438,7 @@ def test_rank1_update_is_pivot_identical_to_row_loop(monkeypatch):
         [(lp, None) for lp in bounded_lps()] + \
         [(lp, None) for lp, _ in relaxations] + \
         [(lp, start) for lp, start in relaxations if start is not None]
-    phase1 = flips = warm = 0
+    zero_cost = flips = warm = 0
     for lp, start in programs:
         pivots, simplex, solution = solve_with_kernel(kernel, lp, monkeypatch,
                                                       start)
@@ -433,10 +450,12 @@ def test_rank1_update_is_pivot_identical_to_row_loop(monkeypatch):
         assert solution == ref_solution
         # an iteration is a pivot or a bound flip
         assert solution.iterations == len(pivots) + simplex.flips
-        phase1 += start is None and bool(artificial_columns(lp))
+        # A: the variables and one logical per row, and no other column
+        assert simplex.A.shape == (len(lp.rows), lp.num_vars + len(lp.rows))
+        zero_cost += sum(simplex.zero_cost_pivots) > 0
         flips += simplex.flips
         warm += not solution.cold_start and len(pivots) > 0
-    assert phase1 > 0  # some programs start from artificials
+    assert zero_cost > 0  # some starts pivot on the zero-cost dual pass
     assert flips > 0  # and some entering columns flip to their upper bound
     assert warm > 0  # and some warm starts pivot
 
@@ -482,12 +501,17 @@ def test_cover_relaxations_keep_bounds_and_start_on_slacks(monkeypatch):
         # one row per program row: no finite upper bound became a row
         assert any(math.isfinite(hi) for _, hi in lp.bounds)
         assert simplex.m == len(lp.rows)
-        inequalities = sum(rel != EQ for _, rel, _ in lp.rows)
-        assert simplex.n == lp.num_vars + inequalities + len(artificial_columns(lp))
-    # x = y = 0 satisfies every cover row, so no phase 1 runs ...
-    assert artificial_columns(max_cover) == [] == artificial_columns(disagg)
-    # ... unlike full coverage, where y = 1 makes each cover row x(S) >= 1
-    assert len(artificial_columns(full_min)) == len(pairs)
+        # one logical per row, and no other column
+        assert simplex.n == lp.num_vars + len(lp.rows)
+    # x = y = 0 satisfies every cover row, so the logical start is primal
+    # feasible and the zero-cost dual pass takes no pivot ...
+    for lp in (max_cover, disagg):
+        assert rows_the_logical_start_violates(lp) == 0
+        assert solved_simplex(lp, monkeypatch).zero_cost_pivots == [0]
+    # ... unlike full coverage, where y = 1 makes each cover row x(S) >= 1;
+    # its costs are >= 0, so the dual simplex starts on them at once
+    assert rows_the_logical_start_violates(full_min) == len(pairs)
+    assert solved_simplex(full_min, monkeypatch).zero_cost_pivots == []
 
 
 MEMORY_CHILD = textwrap.dedent("""

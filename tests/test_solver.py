@@ -224,7 +224,7 @@ def test_lp_counters(monkeypatch):
     assert stats.lp_solves > 1 and stats.lp_iterations > 0
     assert stats.lp_solves == len(solved)
     assert stats.lp_iterations == sum(it for it, _ in solved)
-    # only the root LP starts from the slack basis
+    # only the root LP starts from the logical basis
     assert stats.lp_cold_starts == sum(cold for _, cold in solved) == 1
     assert solved[0][1]
     again = solve(request).stats
