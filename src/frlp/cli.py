@@ -159,6 +159,10 @@ def cmd_check(args) -> int:
     if not 0 <= args.demand < len(instance.demands):
         return _usage(f"demand index {args.demand} out of range")
     demand = instance.demands[args.demand]
+    if args.trace and (variant != CYCLIC or demand.routes is not None):
+        args.parser.error("argument --trace: no labeling search runs for a "
+                          "demand under the original variant or with "
+                          "explicit routes")
     try:
         stations = frozenset(instance.network.index(s.strip())
                              for s in args.stations.split(",") if s.strip())
@@ -360,10 +364,10 @@ def build_parser() -> _Parser:
                    help="comma-separated node names")
     p.add_argument("--demand", type=int, default=0)
     p.add_argument("--trace", action="store_true",
-                   help="print the labeling step log (disables dominance; "
-                        "labels that cannot close within the route budget "
-                        "are not listed)")
-    p.set_defaults(func=cmd_check)
+                   help="print the labeling step log of a cyclic deviation "
+                        "demand (disables dominance; labels that cannot "
+                        "close within the route budget are not listed)")
+    p.set_defaults(func=cmd_check, parser=p)
 
     p = sub.add_parser("generate", help="write a constructed instance")
     p.add_argument("--name", required=True,

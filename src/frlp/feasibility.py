@@ -11,10 +11,14 @@ d(o,j) + d(j,t) <= tau; for the cyclic variant, j must fit on a closed walk
 through o and t, before the destination (d(o,j) + d(j,t) + d(t,o) <= tau) or
 after it (d(o,t) + d(t,j) + d(j,o) <= tau). No admissible route leaves the
 corridor, so a station outside it never changes a verdict. The labeling
-search enforces the same bound label by label: a label is dropped when its
-length so far plus the shortest completion back to the origin exceeds tau.
-The replay of `frlp check --trace` (dominance off) therefore no longer lists
-labels that cannot close within tau.
+search enforces the same bound arc by arc: an extension is dropped when its
+length so far plus the shortest completion back to the origin exceeds tau,
+or when its charge distance exceeds the travel range. Both tests run on
+plain floats before a `Label` is built, so the search builds only the labels
+it keeps; `extend_label` then applies the one extension rule. The rejections
+are the same as when each label was built first and tested after, so the
+selected labels, and the replay of `frlp check --trace` (dominance off),
+are unchanged; that replay lists no label that cannot close within tau.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .network import CYCLIC, DIST_TOL, ORIGINAL, Demand, Instance, Network
@@ -31,21 +35,31 @@ from .routes import CYCLE, PATH, Route, is_traversable, make_route, route_budget
 INF = math.inf
 
 
-@dataclass(frozen=True)
 class Label:
-    """Resource state of a partial cycle from the origin."""
+    """Resource state of a partial cycle from the origin. A plain slotted
+    class: the search builds hundreds of thousands of them, and equality is
+    identity (compare `tuple5()` for the resource state)."""
 
-    delta_charge: int
-    delta_dest: int
-    l_start: float
-    l_charge: float
-    gamma_end: float
-    node: int = -1
-    parent: Optional["Label"] = field(default=None, compare=False, repr=False)
+    __slots__ = ("delta_charge", "delta_dest", "l_start", "l_charge",
+                 "gamma_end", "node", "parent")
+
+    def __init__(self, delta_charge: int, delta_dest: int, l_start: float,
+                 l_charge: float, gamma_end: float, node: int = -1,
+                 parent: Optional["Label"] = None):
+        self.delta_charge = delta_charge
+        self.delta_dest = delta_dest
+        self.l_start = l_start
+        self.l_charge = l_charge
+        self.gamma_end = gamma_end
+        self.node = node
+        self.parent = parent
 
     def tuple5(self):
         return (self.delta_charge, self.delta_dest, self.l_start,
                 self.l_charge, self.gamma_end)
+
+    def __repr__(self):
+        return f"Label{self.tuple5()} at node {self.node}"
 
 
 @dataclass(frozen=True)
@@ -115,16 +129,11 @@ def search_cycle(query: CycleQuery) -> CycleSearch:
     origin, dest = demand.origin, demand.destination
     d = instance.travel_range
     tau = query.tau
+    budget, reach = tau + DIST_TOL, d + DIST_TOL
 
     dist_to_dest = network.distances_to(dest)
     dist_to_origin = network.distances_to(origin)
     dest_to_origin = dist_to_origin[dest]
-
-    def completion(label: Label) -> float:
-        """Shortest remaining length back to the origin via the destination."""
-        if label.delta_dest:
-            return dist_to_origin[label.node]
-        return dist_to_dest[label.node] + dest_to_origin
 
     if origin in stations:
         seed = Label(1, 0, 0.0, 0.0, 0.0, node=origin)
@@ -134,52 +143,60 @@ def search_cycle(query: CycleQuery) -> CycleSearch:
     # Heap entries are [score, tie, label, alive]; a label superseded while
     # queued is marked dead in place and skipped when popped.
     counter = itertools.count()
-    entry = [completion(seed), next(counter), seed, True]
+    entry = [dist_to_dest[origin] + dest_to_origin, next(counter), seed, True]
     heap = [entry]
     kept = [[] for _ in range(network.num_nodes)]  # live entries per node
     kept[origin].append(entry)
     selected = []
-
-    def try_insert(label: Label):
-        score = completion(label)
-        if label.l_start + score > tau + DIST_TOL:
-            return  # cannot close within the budget
-        store = kept[label.node]
-        if query.dominance:
-            if any(_dominates(old[2], label) for old in store):
-                return
-            live = []
-            for old in store:
-                if _dominates(label, old[2]):
-                    old[3] = False
-                else:
-                    live.append(old)
-            store[:] = live
-        elif any(old[2].tuple5() == label.tuple5() for old in store):
-            return  # identical duplicates kept once
-        entry = [score, next(counter), label, True]
-        store.append(entry)
-        heapq.heappush(heap, entry)
 
     while heap:
         _, _, label, alive = heapq.heappop(heap)
         if not alive:
             continue
         selected.append(label)
-        if label.node == origin and label.delta_dest:
+        node = label.node
+        if node == origin and label.delta_dest:
             # Zero-length arc to the sink, allowed only from the origin.
-            if label.l_charge + label.gamma_end <= d + DIST_TOL:
+            if label.l_charge + label.gamma_end <= reach:
                 visits = _reconstruct(label)
                 witness = make_route(network, visits, CYCLE)
                 return CycleSearch(witness, label, selected)
-        for j2, length in network.adjacency[label.node]:
-            ext = extend_label(label, (label.node, j2, length), stations, d, tau)
-            if ext is None:
+        l_start, l_charge = label.l_start, label.l_charge
+        past_dest = label.delta_dest
+        for j2, length in network.adjacency[node]:
+            # Reject on plain floats before a label is built. The completion
+            # bound (the shortest way back to the origin via the destination)
+            # implies the length budget, since a completion is >= 0.
+            if past_dest or j2 == dest:
+                score = dist_to_origin[j2]
+            else:
+                score = dist_to_dest[j2] + dest_to_origin
+            if l_start + length + score > budget or l_charge + length > reach:
                 continue
-            if j2 == dest and not ext.delta_dest:
-                ext = Label(ext.delta_charge, 1, ext.l_start, ext.l_charge,
-                            ext.gamma_end, node=j2, parent=label)
-            try_insert(ext)
+            ext = extend_label(label, (node, j2, length), stations, d, tau)
+            if j2 == dest:
+                ext.delta_dest = 1  # extend_label leaves this to the caller
+            store = kept[j2]
+            if query.dominance:
+                dominated = False
+                for old in store:
+                    if _dominates(old[2], ext):
+                        dominated = True
+                        break
+                if dominated:
+                    continue
+                live = []
+                for old in store:
+                    if _dominates(ext, old[2]):
+                        old[3] = False
+                    else:
+                        live.append(old)
+                store[:] = live
+            elif any(old[2].tuple5() == ext.tuple5() for old in store):
+                continue  # identical duplicates kept once
+            entry = [score, next(counter), ext, True]
+            store.append(entry)
+            heapq.heappush(heap, entry)
     return CycleSearch(None, None, selected)
 
 

@@ -77,7 +77,9 @@ def enumerate_routes(instance: Instance, demand: Demand, variant: str,
     """All admissible routes of a demand: walks origin->destination (original)
     or closed walks through the destination (cyclic), within the length budget.
 
-    On undirected networks each cyclic reversal pair is reported once.
+    A closed walk and its reversal over arcs of the same lengths are
+    reported once, as on an undirected network. On a directed network
+    the reversal may run over other arcs, and is then another route.
     """
     network = instance.network
     if demand.routes is not None:
@@ -95,14 +97,14 @@ def enumerate_routes(instance: Instance, demand: Demand, variant: str,
     arcs = []
 
     def emit():
-        visits = tuple(prefix)
+        visits, lengths = tuple(prefix), tuple(arcs)
         if variant == CYCLIC:
-            canonical = min(visits, visits[::-1])
+            canonical = min((visits, lengths), (visits[::-1], lengths[::-1]))
             if canonical in seen:
                 return
             seen.add(canonical)
         results.append(Route(CYCLE if variant == CYCLIC else PATH, visits,
-                             tuple(arcs)))
+                             lengths))
         if len(results) > cap:
             raise EnumerationOverflowError(
                 f"more than {cap} routes for demand "

@@ -171,6 +171,23 @@ def test_check_searches_a_cyclic_demand_once(fig7_path, capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_check_trace_without_a_labeling_search_is_a_usage_error(
+        fig7_path, tmp_path, capsys):
+    fig2_path = tmp_path / "fig2.json"
+    fig2_path.write_text(serialize_instance(gen_example("fig2", 10.0)))
+    # The original variant, and a demand with explicit routes, run no
+    # labeling search: there is no step log to print.
+    for argv in (["check", fig7_path, "--stations", "4",
+                  "--variant", "original", "--trace"],
+                 ["check", str(fig2_path), "--stations", "2,4",
+                  "--variant", "cyclic", "--trace"]):
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: frlp check")
+        assert "error: argument --trace" in captured.err
+
+
 def test_check_unserved(fig7_path, capsys):
     assert run(["check", fig7_path, "--stations", "4",
                 "--variant", "original"]) == 0

@@ -200,3 +200,60 @@ def test_superseded_label_does_not_hide_witness():
     for dominance in (True, False):
         assert find_traversable_cycle(
             CycleQuery(inst, q, stations, tau, dominance=dominance)) is not None
+
+
+PIN_CASES = ((469, 12), (23, 14), (57, 16))
+
+
+def _pin_station_sets(n):
+    return (frozenset(), frozenset({3, 4, 5}), frozenset(range(0, n, 2)),
+            frozenset(range(1, n, 3)))
+
+
+@pytest.mark.parametrize("dominance,labels", [(True, 489), (False, 1002)])
+def test_search_selects_the_pinned_labels(dominance, labels):
+    # Totals and verdicts pinned from the frozen-dataclass search, which
+    # built every extension before testing the completion bound.
+    total, verdicts = 0, []
+    for seed, n in PIN_CASES:
+        inst = gen_random(seed, num_nodes=n, density=0.3, num_demands=4,
+                          variant=CYCLIC)
+        for q in inst.demands:
+            tau = route_budget(inst, q, CYCLIC)
+            for stations in _pin_station_sets(n):
+                result = search_cycle(
+                    CycleQuery(inst, q, stations, tau, dominance=dominance))
+                total += len(result.selected)
+                verdicts.append("1" if result.witness is not None else "0")
+    assert total == labels
+    assert "".join(verdicts) == \
+        "011000110010001000100111000100110010001000100010"
+
+
+def test_search_builds_no_label_beyond_the_completion_bound(monkeypatch):
+    from frlp import feasibility
+    from frlp.network import DIST_TOL
+    built = []
+
+    class CountingLabel(Label):
+        __slots__ = ()
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(feasibility, "Label", CountingLabel)
+    inst = gen_random(469, num_nodes=12, density=0.3, num_demands=6)
+    q = inst.demands[0]
+    tau = route_budget(inst, q, CYCLIC)
+    to_dest = inst.network.distances_to(q.destination)
+    to_origin = inst.network.distances_to(q.origin)
+    for dominance in (True, False):
+        built.clear()
+        search_cycle(CycleQuery(inst, q, frozenset({3, 4, 5}), tau,
+                                dominance=dominance))
+        assert built
+        for lab in built:
+            completion = (to_origin[lab.node] if lab.delta_dest
+                          else to_dest[lab.node] + to_origin[q.destination])
+            assert lab.l_start + completion <= tau + DIST_TOL, lab

@@ -87,6 +87,20 @@ def test_cyclic_reversal_pairs_reported_once():
             assert visits[::-1] not in seqs
 
 
+def test_cyclic_reversal_over_other_arcs_is_another_route():
+    # Two one-way triangles, 0->1->2->0 of arcs 3 and 0->2->1->0 of arcs 6:
+    # the walks (0,1,2,0) and (0,2,1,0) are reversals over different arcs.
+    arcs = [(0, 1, 3.0), (1, 2, 3.0), (2, 0, 3.0),
+            (0, 2, 6.0), (2, 1, 6.0), (1, 0, 6.0)]
+    inst = build_instance(
+        ["0", "1", "2"], [Edge(u, v, w, directed=True) for u, v, w in arcs],
+        [Demand(0, 1, 1.0, alpha=2.0)], D, variant_default=CYCLIC)
+    lengths = {r.visits: r.length
+               for r in enumerate_routes(inst, inst.demands[0], CYCLIC)}
+    assert lengths[(0, 1, 2, 0)] == pytest.approx(9.0)
+    assert lengths[(0, 2, 1, 0)] == pytest.approx(18.0)
+
+
 def test_explicit_routes_pass_through():
     fig2 = gen_example("fig2", 10.0)
     routes = enumerate_routes(fig2, fig2.demands[0], ORIGINAL)
