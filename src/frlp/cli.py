@@ -267,6 +267,8 @@ def cmd_solve(args) -> int:
           f"cuts: {stats.cuts}")
     print(f"lp solves: {stats.lp_solves} (cold {stats.lp_cold_starts})  "
           f"iterations: {stats.lp_iterations}")
+    print(f"served checks: {stats.served_calls} "
+          f"(memo hits {stats.served_memo_hits})")
     if args.stats_out:
         _write_stats_csv(args.stats_out, [
             (os.path.basename(args.instance), variant,

@@ -19,6 +19,15 @@ it keeps; `extend_label` then applies the one extension rule. The rejections
 are the same as when each label was built first and tested after, so the
 selected labels, and the replay of `frlp check --trace` (dominance off),
 are unchanged; that replay lists no label that cannot close within tau.
+
+The original check of a demand depends on the station set only through the
+open corridor nodes, so everything else is built once per demand: its tau,
+its corridor and the distance rows of the corridor's nodes. That check is
+kept in the network's distance cache, keyed by the demand, next to the rows
+it reads; the travel range is an argument of each search, since instances
+with other ranges may share a network. `is_served` asks the check for a
+verdict alone; `find_traversable_path` runs the same refueling Dijkstra with
+a parent map and builds a witness path from it.
 """
 
 from __future__ import annotations
@@ -206,55 +215,90 @@ def find_traversable_cycle(query: CycleQuery) -> Optional[Route]:
     return search_cycle(query).witness
 
 
+class _PathCheck:
+    """The original-variant check of one demand at route budget tau: its
+    corridor, and the distance rows of the corridor and of origin and
+    destination. The travel range is an argument of `search`, not a field,
+    because instances with other ranges may share the network."""
+
+    __slots__ = ("origin", "dest", "tau", "corridor", "rows")
+
+    def __init__(self, network: Network, origin: int, dest: int, tau: float):
+        self.origin, self.dest, self.tau = origin, dest, tau
+        self.corridor = _detour_nodes(network, origin, dest, tau)
+        self.rows = {a: network.distances_from(a)
+                     for a in self.corridor | {origin, dest}}
+
+    def search(self, stations, travel_range: float,
+               parent: Optional[dict] = None) -> bool:
+        """Dijkstra over the refueling network from the origin: its hubs are
+        origin, destination and the open corridor nodes, and a hop a -> b is
+        the shortest distance when it fits one charge, or half a charge when
+        it leaves an origin without a station or reaches a destination
+        without one. A hop from such an origin straight to such a
+        destination has no station and never serves. True iff the
+        destination is reached within tau; `parent`, when given, receives
+        the predecessor of every hub reached."""
+        origin, dest, rows = self.origin, self.dest, self.rows
+        hubs = self.corridor.intersection(stations) | {origin, dest}
+        full = travel_range + DIST_TOL
+        half = travel_range / 2.0 + DIST_TOL
+        # (hop limit, hop limit to the destination) out of the origin and
+        # out of any other hub
+        dest_open = dest in stations
+        from_other = (full, full if dest_open else half)
+        from_origin = from_other if origin in stations else \
+            (half, half if dest_open else -INF)
+        budget = self.tau + DIST_TOL
+        best = {origin: 0.0}
+        heap = [(0.0, origin)]
+        while heap:
+            cost, a = heapq.heappop(heap)
+            if cost > best[a] + DIST_TOL:
+                continue
+            if cost > budget:
+                return False  # every hub still to come costs at least this
+            if a == dest:
+                return True
+            row = rows[a]
+            limit, to_dest = from_origin if a == origin else from_other
+            for b in hubs:
+                hop = row[b]
+                if hop > (to_dest if b == dest else limit):
+                    continue
+                ncost = cost + hop
+                if ncost < best.get(b, INF) - DIST_TOL:
+                    best[b] = ncost
+                    if parent is not None:
+                        parent[b] = a
+                    heapq.heappush(heap, (ncost, b))
+        return False
+
+
+def _path_check(instance: Instance, demand: Demand) -> _PathCheck:
+    """The demand's check at its own route budget, built on first use and
+    kept in the network's distance cache, next to the rows it reads. The
+    demand fixes origin, destination and alpha, hence tau and the corridor."""
+    cache = instance.network._dist_cache
+    check = cache.get(demand)
+    if check is None:
+        check = _PathCheck(instance.network, demand.origin, demand.destination,
+                           route_budget(instance, demand, ORIGINAL))
+        cache[demand] = check
+    return check
+
+
 def find_traversable_path(instance: Instance, demand: Demand, stations,
                           tau_path: float) -> Optional[Route]:
     """Original-variant check via the refueling network: a round trip over a
     path is repeatable iff one can depart the origin half-charged and arrive
-    at the destination at least half-charged, recharging at stations."""
+    at the destination at least half-charged, recharging at stations.
+    Returns a witness path within `tau_path`, or None."""
     network = instance.network
-    stations = frozenset(stations)
     origin, dest = demand.origin, demand.destination
-    d = instance.travel_range
-
-    hubs = sorted((stations & _detour_nodes(network, origin, dest, tau_path))
-                  | {origin, dest})
-    dist = {a: network.distances_from(a) for a in hubs}
-
-    def cap(a: int, b: int) -> Optional[float]:
-        a_station = a in stations
-        b_station = b in stations
-        if a == origin and not a_station and b == dest and not b_station:
-            return None  # a walk with no station never serves the demand
-        half_out = (a == origin and not a_station)
-        half_in = (b == dest and not b_station)
-        return d / 2.0 if (half_out or half_in) else d
-
-    # Dijkstra over the refueling network from the origin.
-    best = {origin: 0.0}
-    parent = {origin: None}
-    heap = [(0.0, origin)]
-    targets = set(hubs)
-    while heap:
-        cost, a = heapq.heappop(heap)
-        if cost > best.get(a, INF) + DIST_TOL:
-            continue
-        if a == dest:
-            break
-        for b in targets:
-            if b == a:
-                continue
-            limit = cap(a, b)
-            if limit is None:
-                continue
-            hop = dist[a][b]
-            if hop > limit + DIST_TOL:
-                continue
-            ncost = cost + hop
-            if ncost < best.get(b, INF) - DIST_TOL:
-                best[b] = ncost
-                parent[b] = a
-                heapq.heappush(heap, (ncost, b))
-    if best.get(dest, INF) > tau_path + DIST_TOL:
+    check = _PathCheck(network, origin, dest, tau_path)
+    parent = {}
+    if not check.search(frozenset(stations), instance.travel_range, parent):
         return None
     hops = [dest]
     while hops[-1] != origin:
@@ -280,10 +324,10 @@ def corridor(instance: Instance, demand: Demand, variant: str) -> frozenset:
     network = instance.network
     if demand.routes is not None:
         return frozenset(j for route in demand.routes for j in route)
+    if variant == ORIGINAL:
+        return _path_check(instance, demand).corridor
     origin, dest = demand.origin, demand.destination
     tau = route_budget(instance, demand, variant)
-    if variant == ORIGINAL:
-        return _detour_nodes(network, origin, dest, tau)
     out = network.distances_from(origin)[dest]
     back = network.distances_from(dest)[origin]
     return (_detour_nodes(network, origin, dest, tau - back)
@@ -299,8 +343,8 @@ def is_served(instance: Instance, demand: Demand, stations,
                                   instance.travel_range)
                    for r in demand.routes)
     if variant == ORIGINAL:
-        tau = route_budget(instance, demand, ORIGINAL)
-        return find_traversable_path(instance, demand, stations, tau) is not None
+        return _path_check(instance, demand).search(stations,
+                                                    instance.travel_range)
     tau = route_budget(instance, demand, CYCLIC)
     query = CycleQuery(instance, demand, stations, tau)
     return find_traversable_cycle(query) is not None

@@ -72,21 +72,28 @@ class Network:
 
     @cached_property
     def adjacency(self):
-        """adjacency[u] -> tuple of (v, length) respecting edge directions."""
-        adj = [[] for _ in range(self.num_nodes)]
+        """adjacency[u] -> tuple of (v, length) respecting edge directions,
+        sorted by v. Of parallel arcs u -> v only the shortest is kept: a
+        longer one never makes a walk traversable that the shorter does not,
+        and would list the walk once more as a route."""
+        adj = [{} for _ in range(self.num_nodes)]
+
+        def add(u, v, length):
+            if length < adj[u].get(v, math.inf):
+                adj[u][v] = length
+
         for e in self.edges:
-            adj[e.u].append((e.v, e.length))
+            add(e.u, e.v, e.length)
             if not e.directed:
-                adj[e.v].append((e.u, e.length))
-        return tuple(tuple(sorted(a)) for a in adj)
+                add(e.v, e.u, e.length)
+        return tuple(tuple(sorted(a.items())) for a in adj)
 
     def arc_length(self, u: int, v: int) -> Optional[float]:
         """Length of the shortest direct arc u -> v, or None if absent."""
-        best = None
         for w, length in self.adjacency[u]:
-            if w == v and (best is None or length < best):
-                best = length
-        return best
+            if w == v:
+                return length
+        return None
 
     @cached_property
     def _dist_cache(self):

@@ -217,12 +217,13 @@ def test_solve_node_limit(fig7_path, capsys):
                 "--node-limit", "0"]) == 0
     out = capsys.readouterr().out
     assert "optimal: False" in out
-    assert "lp solves: 0 (cold 0)  iterations: 0" in out
+    # the one servedness check is the fallback placement's
+    assert "lp solves: 0 (cold 0)  iterations: 0\nserved checks: 1 (memo hits 0)\n" in out
     assert run(["solve", fig7_path, "--variant", "cyclic",
                 "--node-limit", "5"]) == 0
     out = capsys.readouterr().out
     assert "optimal: True" in out
-    assert "lp solves: 2 (cold 1)  iterations: 2" in out
+    assert "lp solves: 2 (cold 1)  iterations: 2\nserved checks: 8 (memo hits 3)\n" in out
     for bad in ("-1", "1.5"):
         assert run(["solve", fig7_path, "--node-limit", bad]) == 1
         captured = capsys.readouterr()

@@ -4,10 +4,12 @@ Hypothesis runs derandomized with a bounded number of examples, so every run
 checks the same inputs and the suite stays fast.
 """
 
+from dataclasses import replace
+
 from hypothesis import given, settings, strategies as st
 
-from frlp import (CYCLIC, CycleQuery, Demand, Edge, build_instance,
-                  is_served, route_budget)
+from frlp import (CYCLIC, ORIGINAL, CycleQuery, Demand, Edge, build_instance,
+                  find_traversable_path, is_served, route_budget)
 from frlp.feasibility import search_cycle
 from frlp.oracle import exhaustive_served
 
@@ -59,3 +61,27 @@ def test_cyclic_servedness_matches_the_oracle(inst):
                 CycleQuery(inst, q, stations, tau, dominance=False))
             assert (replay.witness is not None) == expected, \
                 (q, sorted(stations))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(directed_cyclic_instances())
+def test_original_servedness_matches_the_oracle(inst):
+    # Every station set: the refueling-network check, as a verdict and as a
+    # witness, against enumerating the admissible paths. The second instance
+    # shares the network, and so the demands' cached checks, under another
+    # travel range, which the cached checks must not carry over.
+    n = inst.num_nodes
+    routes = {}
+    for instance in (inst, replace(inst, travel_range=1.5 * D)):
+        assert instance.network is inst.network
+        for q in instance.demands:
+            tau = route_budget(instance, q, ORIGINAL)
+            for bits in range(1 << n):
+                stations = frozenset(j for j in range(n) if bits >> j & 1)
+                expected = exhaustive_served(instance, q, stations, ORIGINAL,
+                                             _route_cache=routes)
+                assert is_served(instance, q, stations, ORIGINAL) == expected, \
+                    (instance.travel_range, q, sorted(stations))
+                witness = find_traversable_path(instance, q, stations, tau)
+                assert (witness is not None) == expected, \
+                    (instance.travel_range, q, sorted(stations))

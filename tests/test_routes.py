@@ -3,10 +3,12 @@ import math
 
 import pytest
 
-from frlp import (CYCLIC, ORIGINAL, Demand, Edge, EnumerationOverflowError,
-                  Instance, Network, NoRouteError, build_instance,
+from frlp import (AGG, CYCLIC, DISAGG, MAX_COVER, ORIGINAL, Demand, Edge,
+                  EnumerationOverflowError, Instance, Network, NoRouteError,
+                  brute_force_solve, build_instance, build_model,
                   enumerate_routes, gen_example, gen_random, is_traversable,
-                  make_route, route_budget, trip_length)
+                  lp_bound, make_route, prepare_route_data, route_budget,
+                  trip_length)
 
 D = 12.0
 
@@ -99,6 +101,30 @@ def test_cyclic_reversal_over_other_arcs_is_another_route():
                for r in enumerate_routes(inst, inst.demands[0], CYCLIC)}
     assert lengths[(0, 1, 2, 0)] == pytest.approx(9.0)
     assert lengths[(0, 2, 1, 0)] == pytest.approx(18.0)
+
+
+def test_parallel_edges_list_each_walk_once():
+    # Edges 0-1 of lengths 3 and 8, and 1-2 of length 3. A walk over the
+    # longer 0-1 arc is never traversable when the same walk over the
+    # shorter one is not, so each walk is one route, and the bounds and the
+    # optimum are those of the network without the longer edge.
+    demands = [Demand(0, 2, 1.0, alpha=3.0)]
+    short = [Edge(0, 1, 3.0), Edge(1, 2, 3.0)]
+    parallel, single = (build_instance(["0", "1", "2"], edges, demands, 10.0)
+                        for edges in (short + [Edge(0, 1, 8.0)], short))
+    routes = enumerate_routes(parallel, parallel.demands[0], ORIGINAL)
+    assert len(routes) == 7
+    assert routes == enumerate_routes(single, single.demands[0], ORIGINAL)
+    for inst in (parallel, single):
+        route_data = prepare_route_data(inst, ORIGINAL)
+        families = [d.aggregated for d in route_data]
+        assert lp_bound(build_model(inst, DISAGG, route_data=route_data,
+                                    budget=1)) == pytest.approx(1.0)
+        assert lp_bound(build_model(inst, AGG, families=families,
+                                    budget=1)) == pytest.approx(1.0)
+        optimum = brute_force_solve(inst, ORIGINAL, MAX_COVER, budget=1)
+        assert optimum.objective == 1.0
+        assert optimum.optimal_sets == (frozenset({1}),)
 
 
 def test_explicit_routes_pass_through():
