@@ -159,7 +159,8 @@ def cmd_check(args) -> int:
     if not 0 <= args.demand < len(instance.demands):
         return _usage(f"demand index {args.demand} out of range")
     demand = instance.demands[args.demand]
-    if args.trace and (variant != CYCLIC or demand.routes is not None):
+    labeling = variant == CYCLIC and demand.routes is None
+    if args.trace and not labeling:
         args.parser.error("argument --trace: no labeling search runs for a "
                           "demand under the original variant or with "
                           "explicit routes")
@@ -168,7 +169,7 @@ def cmd_check(args) -> int:
                              for s in args.stations.split(",") if s.strip())
     except ValueError:
         return _usage("unknown station name")
-    if variant != CYCLIC or demand.routes is not None:
+    if not labeling:
         print(f"served: {is_served(instance, demand, stations, variant)}")
     else:
         # The one labeling search gives the verdict, as in `is_served`; with

@@ -33,7 +33,6 @@ class WitnessUndefinedError(ValueError):
 class CutSetFamily:
     sets: Tuple[frozenset, ...]
     num_nodes: int
-    minimal: bool = False
 
     def __post_init__(self):
         if any(not s for s in self.sets):
@@ -91,7 +90,7 @@ def cut_sets_for_cycle(cycle: Route, network: Network,
 def minimalize(family: CutSetFamily) -> CutSetFamily:
     """Keep exactly the members that are not strict supersets of another."""
     kept = _minimal_sets(family.sets)
-    return CutSetFamily(tuple(kept), family.num_nodes, minimal=True)
+    return CutSetFamily(tuple(kept), family.num_nodes)
 
 
 def _minimal_sets(sets: Iterable[frozenset]):
@@ -103,7 +102,7 @@ def _minimal_sets(sets: Iterable[frozenset]):
     return kept
 
 
-def aggregate_cut_sets(families, num_nodes=None, prune: bool = True,
+def aggregate_cut_sets(families, prune: bool = True,
                        cap: int = DEFAULT_AGGREGATION_CAP) -> CutSetFamily:
     """Per-demand family: all unions picking one member per per-route family.
 
@@ -114,8 +113,6 @@ def aggregate_cut_sets(families, num_nodes=None, prune: bool = True,
     families = list(families)
     if not families:
         raise ValueError("at least one per-route family is required")
-    if num_nodes is None:
-        num_nodes = families[0].num_nodes
 
     frontier = [frozenset(s) for s in set(families[0].sets)]
     if prune:
@@ -133,7 +130,7 @@ def aggregate_cut_sets(families, num_nodes=None, prune: bool = True,
                         f"aggregation product exceeds {cap} intermediate unions")
         frontier = _minimal_sets(unions) if prune else sorted(
             unions, key=lambda s: (len(s), sorted(s)))
-    return CutSetFamily(tuple(frontier), num_nodes, minimal=prune)
+    return CutSetFamily(tuple(frontier), families[0].num_nodes)
 
 
 def minimality_witness(family: CutSetFamily, member) -> Tuple[int, ...]:

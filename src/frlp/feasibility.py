@@ -20,13 +20,14 @@ are the same as when each label was built first and tested after, so the
 selected labels, and the replay of `frlp check --trace` (dominance off),
 are unchanged; that replay lists no label that cannot close within tau.
 
-The original check of a demand depends on the station set only through the
-open corridor nodes, so everything else is built once per demand: its tau,
-its corridor and the distance rows of the corridor's nodes. That check is
-kept in the network's distance cache, keyed by the demand, next to the rows
-it reads; the travel range is an argument of each search, since instances
-with other ranges may share a network. `is_served` asks the check for a
-verdict alone; `find_traversable_path` runs the same refueling Dijkstra with
+Each demand gets one check per variant, picked and built in one place on
+first use: explicit routes (made once, served iff one is traversable), the
+original refueling Dijkstra over the distance rows of the corridor's nodes,
+or the cyclic labeling search at the demand's tau. The check holds the
+corridor and is kept in the network's distance cache, keyed by (demand,
+variant), next to the rows it reads; each verdict reads the travel range
+from its instance, since instances with other ranges may share a network.
+`find_traversable_path` runs the same refueling Dijkstra at a given tau with
 a parent map and builds a witness path from it.
 """
 
@@ -209,17 +210,11 @@ def search_cycle(query: CycleQuery) -> CycleSearch:
     return CycleSearch(None, None, selected)
 
 
-def find_traversable_cycle(query: CycleQuery) -> Optional[Route]:
-    """Witness cycle in the deviation route set traversable under the
-    query's stations, or None."""
-    return search_cycle(query).witness
-
-
 class _PathCheck:
     """The original-variant check of one demand at route budget tau: its
     corridor, and the distance rows of the corridor and of origin and
-    destination. The travel range is an argument of `search`, not a field,
-    because instances with other ranges may share the network."""
+    destination. The travel range is read from the instance of each verdict,
+    not kept, because instances with other ranges may share the network."""
 
     __slots__ = ("origin", "dest", "tau", "corridor", "rows")
 
@@ -229,7 +224,7 @@ class _PathCheck:
         self.rows = {a: network.distances_from(a)
                      for a in self.corridor | {origin, dest}}
 
-    def search(self, stations, travel_range: float,
+    def served(self, instance: Instance, stations,
                parent: Optional[dict] = None) -> bool:
         """Dijkstra over the refueling network from the origin: its hubs are
         origin, destination and the open corridor nodes, and a hop a -> b is
@@ -241,8 +236,8 @@ class _PathCheck:
         the predecessor of every hub reached."""
         origin, dest, rows = self.origin, self.dest, self.rows
         hubs = self.corridor.intersection(stations) | {origin, dest}
-        full = travel_range + DIST_TOL
-        half = travel_range / 2.0 + DIST_TOL
+        full = instance.travel_range + DIST_TOL
+        half = instance.travel_range / 2.0 + DIST_TOL
         # (hop limit, hop limit to the destination) out of the origin and
         # out of any other hub
         dest_open = dest in stations
@@ -275,19 +270,6 @@ class _PathCheck:
         return False
 
 
-def _path_check(instance: Instance, demand: Demand) -> _PathCheck:
-    """The demand's check at its own route budget, built on first use and
-    kept in the network's distance cache, next to the rows it reads. The
-    demand fixes origin, destination and alpha, hence tau and the corridor."""
-    cache = instance.network._dist_cache
-    check = cache.get(demand)
-    if check is None:
-        check = _PathCheck(instance.network, demand.origin, demand.destination,
-                           route_budget(instance, demand, ORIGINAL))
-        cache[demand] = check
-    return check
-
-
 def find_traversable_path(instance: Instance, demand: Demand, stations,
                           tau_path: float) -> Optional[Route]:
     """Original-variant check via the refueling network: a round trip over a
@@ -298,7 +280,7 @@ def find_traversable_path(instance: Instance, demand: Demand, stations,
     origin, dest = demand.origin, demand.destination
     check = _PathCheck(network, origin, dest, tau_path)
     parent = {}
-    if not check.search(frozenset(stations), instance.travel_range, parent):
+    if not check.served(instance, frozenset(stations), parent):
         return None
     hops = [dest]
     while hops[-1] != origin:
@@ -318,33 +300,48 @@ def _detour_nodes(network: Network, a: int, b: int, budget: float) -> frozenset:
                      if out[j] + back[j] <= budget + DIST_TOL)
 
 
+def _check(instance: Instance, demand: Demand, variant: str):
+    """The demand's check under the variant: a pair (corridor, served), where
+    `served(instance, stations)` gives a verdict. The one place that tells
+    explicit routes, ORIGINAL and CYCLIC apart. Built on first use and kept
+    in the network's distance cache, keyed by (demand, variant)."""
+    network = instance.network
+    check = network._dist_cache.get((demand, variant))
+    if check is not None:
+        return check
+    if demand.routes is not None:
+        routes = [make_route(network, r) for r in demand.routes]
+        zone = frozenset(j for r in demand.routes for j in r)
+
+        def served(inst, stations):
+            return any(is_traversable(r, stations, inst.travel_range)
+                       for r in routes)
+    elif variant == ORIGINAL:
+        path = _PathCheck(network, demand.origin, demand.destination,
+                          route_budget(instance, demand, ORIGINAL))
+        zone, served = path.corridor, path.served
+    else:
+        origin, dest = demand.origin, demand.destination
+        tau = route_budget(instance, demand, CYCLIC)
+        out = network.distances_to(dest)[origin]
+        back = network.distances_to(origin)[dest]
+        zone = (_detour_nodes(network, origin, dest, tau - back)
+                | _detour_nodes(network, dest, origin, tau - out))
+
+        def served(inst, stations):
+            query = CycleQuery(inst, demand, stations, tau)
+            return search_cycle(query).witness is not None
+    check = network._dist_cache[(demand, variant)] = (zone, served)
+    return check
+
+
 def corridor(instance: Instance, demand: Demand, variant: str) -> frozenset:
     """Nodes that can lie on an admissible route of the demand; stations
     outside this set never change its servedness."""
-    network = instance.network
-    if demand.routes is not None:
-        return frozenset(j for route in demand.routes for j in route)
-    if variant == ORIGINAL:
-        return _path_check(instance, demand).corridor
-    origin, dest = demand.origin, demand.destination
-    tau = route_budget(instance, demand, variant)
-    out = network.distances_from(origin)[dest]
-    back = network.distances_from(dest)[origin]
-    return (_detour_nodes(network, origin, dest, tau - back)
-            | _detour_nodes(network, dest, origin, tau - out))
+    return _check(instance, demand, variant)[0]
 
 
 def is_served(instance: Instance, demand: Demand, stations,
               variant: str) -> bool:
     """True iff the demand is served by the station set under the variant."""
-    stations = frozenset(stations)
-    if demand.routes is not None:
-        return any(is_traversable(make_route(instance.network, r), stations,
-                                  instance.travel_range)
-                   for r in demand.routes)
-    if variant == ORIGINAL:
-        return _path_check(instance, demand).search(stations,
-                                                    instance.travel_range)
-    tau = route_budget(instance, demand, CYCLIC)
-    query = CycleQuery(instance, demand, stations, tau)
-    return find_traversable_cycle(query) is not None
+    return _check(instance, demand, variant)[1](instance, frozenset(stations))

@@ -83,7 +83,7 @@ def prop5b_analytic_family(n: int, num_nodes: int) -> CutSetFamily:
                frozenset({2 * n + 2}), frozenset({2 * n + 3})]
     middle = range(2, 2 * n + 2)
     members.extend(frozenset(c) for c in itertools.combinations(middle, n))
-    return CutSetFamily(tuple(members), num_nodes, minimal=True)
+    return CutSetFamily(tuple(members), num_nodes)
 
 
 def gen_prop5b(n: int, delta: Optional[float] = None, f1: float = 1.0,

@@ -72,7 +72,8 @@ class Solution:
 class _Verdicts:
     """Servedness verdicts of one solve, memoised per demand and set of open
     nodes inside the demand's corridor (kept as a bitmask, which is far
-    smaller than a frozenset key)."""
+    smaller than a frozenset key). The corridors are read from the demands'
+    cached checks, which also answer each memo miss."""
 
     def __init__(self, instance: Instance, variant: str, stats: SolveStats):
         self.instance = instance

@@ -17,8 +17,8 @@ from frlp import (CYCLIC, DISAGG, MIN_STATIONS, ORIGINAL, AGG, CycleQuery,
                   aggregate_cut_sets, brute_force_solve, build_instance,
                   build_model, cut_sets_for_cycle,
                   enumerate_routes, eval_v_agg, eval_v_disagg, eval_v_tight,
-                  find_traversable_cycle, gen_example, gen_prop5a, gen_prop5b,
-                  gen_random, is_served, is_traversable, lp_bound, make_route,
+                  gen_example, gen_prop5a, gen_prop5b, gen_random,
+                  is_served, is_traversable, lp_bound, make_route,
                   minimality_witness, minimalize, prepare_route_data,
                   reevaluate, route_budget, search_cycle, solve)
 from frlp.lp import MAX_COVER, served_vector
@@ -93,8 +93,8 @@ def test_criterion_03_behavioral_split():
         assert not is_served(inst, q, {3}, ORIGINAL)
         assert is_served(inst, q, {3}, CYCLIC)
         tau = route_budget(inst, q, CYCLIC)
-        witness = find_traversable_cycle(
-            CycleQuery(inst, q, frozenset({3}), tau))
+        witness = search_cycle(
+            CycleQuery(inst, q, frozenset({3}), tau)).witness
         assert witness.visits == (0, 1, 3, 0)
 
 
@@ -258,11 +258,11 @@ def test_criterion_10_dominance_soundness(small_pool):
                 tau = route_budget(inst, q, CYCLIC)
                 for bits in range(1 << n):
                     stations = frozenset(j for j in range(n) if bits >> j & 1)
-                    fast = find_traversable_cycle(
-                        CycleQuery(inst, q, stations, tau)) is not None
-                    slow = find_traversable_cycle(
+                    fast = search_cycle(
+                        CycleQuery(inst, q, stations, tau)).witness is not None
+                    slow = search_cycle(
                         CycleQuery(inst, q, stations, tau,
-                                   dominance=False)) is not None
+                                   dominance=False)).witness is not None
                     assert fast == slow, (q, sorted(stations))
 
 

@@ -4,8 +4,9 @@ import pytest
 
 from frlp import (CYCLIC, ORIGINAL, CycleQuery, Demand, Edge, Label,
                   build_instance, enumerate_routes, extend_label,
-                  find_traversable_cycle, find_traversable_path, gen_example,
-                  gen_random, is_served, route_budget)
+                  find_traversable_path, gen_example, gen_random, is_served,
+                  route_budget)
+from frlp import feasibility
 from frlp.feasibility import corridor, search_cycle
 from frlp.oracle import exhaustive_served
 
@@ -53,15 +54,15 @@ def test_fig8_trace():
     assert result.witness.visits == (0, 1, 2, 0)
 
 
-def test_find_traversable_cycle_example3():
+def test_search_cycle_witness_example3():
     inst = fig7()
     q = inst.demands[0]
     tau = route_budget(inst, q, CYCLIC)
-    witness = find_traversable_cycle(CycleQuery(inst, q, frozenset({3}), tau))
+    witness = search_cycle(CycleQuery(inst, q, frozenset({3}), tau)).witness
     assert witness.visits == (0, 1, 3, 0)
     assert witness.length == pytest.approx(D)
-    assert find_traversable_cycle(
-        CycleQuery(inst, q, frozenset(), tau)) is None
+    assert search_cycle(
+        CycleQuery(inst, q, frozenset(), tau)).witness is None
 
 
 def test_find_traversable_path_goldens():
@@ -119,8 +120,8 @@ def test_witnesses_are_valid(small_pool):
             tau = route_budget(inst, q, CYCLIC)
             for bits in range(1 << n):
                 stations = frozenset(j for j in range(n) if bits >> j & 1)
-                witness = find_traversable_cycle(
-                    CycleQuery(inst, q, stations, tau))
+                witness = search_cycle(
+                    CycleQuery(inst, q, stations, tau)).witness
                 if witness is not None:
                     assert witness.length <= tau + 1e-9
                     assert witness.visits[0] == witness.visits[-1] == q.origin
@@ -188,6 +189,37 @@ def test_corridor_of_explicit_routes():
         _assert_corridor_sound(inst, variant)
 
 
+def test_explicit_routes_are_made_once(monkeypatch):
+    # A demand's check is built once: its routes are made on the first
+    # verdict and reused by every later one.
+    made = []
+    make_route = feasibility.make_route
+
+    def counted(network, visits, kind=None):
+        made.append(tuple(visits))
+        return make_route(network, visits, kind)
+
+    monkeypatch.setattr(feasibility, "make_route", counted)
+    fig2 = gen_example("fig2", 10.0)
+    q = fig2.demands[0]
+    for bits in range(1 << fig2.num_nodes):
+        stations = {j for j in range(fig2.num_nodes) if bits >> j & 1}
+        assert is_served(fig2, q, stations, ORIGINAL) == \
+            exhaustive_served(fig2, q, stations, ORIGINAL)
+    assert sorted(made) == sorted(q.routes)
+
+
+def test_checks_are_kept_per_variant():
+    # On a fresh network the cyclic check is built first; the original
+    # variant must get its own check, not the cached cyclic one.
+    inst = fig7()
+    q = inst.demands[0]
+    assert is_served(inst, q, {3}, CYCLIC)
+    assert not is_served(inst, q, {3}, ORIGINAL)
+    assert corridor(inst, q, CYCLIC) == frozenset({0, 1, 2, 3})
+    assert corridor(inst, q, ORIGINAL) == frozenset({0, 1, 2})
+
+
 def test_superseded_label_does_not_hide_witness():
     # A superseded label must not be mistaken for a live one (or vice versa)
     # when its queue entry is popped.
@@ -198,8 +230,8 @@ def test_superseded_label_does_not_hide_witness():
     assert exhaustive_served(inst, q, stations, CYCLIC)
     tau = route_budget(inst, q, CYCLIC)
     for dominance in (True, False):
-        assert find_traversable_cycle(
-            CycleQuery(inst, q, stations, tau, dominance=dominance)) is not None
+        assert search_cycle(CycleQuery(inst, q, stations, tau,
+                                       dominance=dominance)).witness is not None
 
 
 PIN_CASES = ((469, 12), (23, 14), (57, 16))

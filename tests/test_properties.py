@@ -6,10 +6,14 @@ checks the same inputs and the suite stays fast.
 
 from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from frlp import (CYCLIC, ORIGINAL, CycleQuery, Demand, Edge, build_instance,
-                  find_traversable_path, is_served, route_budget)
+from frlp import (CYCLIC, MAX_COVER, MIN_STATIONS, ORIGINAL, CycleQuery,
+                  Demand, Edge, PlacementConstraints, SolveRequest,
+                  UnservableError, brute_force_solve, build_instance,
+                  enumerate_routes, find_traversable_path, is_served,
+                  reevaluate, route_budget, solve)
 from frlp.feasibility import search_cycle
 from frlp.oracle import exhaustive_served
 
@@ -18,11 +22,11 @@ LENGTHS = tuple(f * D for f in (0.25, 1.0 / 3.0, 0.5, 2.0 / 3.0, 1.0))
 
 
 @st.composite
-def directed_cyclic_instances(draw):
-    """A one-way ring of 3 to 7 nodes, so that every node reaches every
-    other, plus chords that are one-way or two-way; one to three demands
-    with deviation factors, under the cyclic variant."""
-    n = draw(st.integers(3, 7))
+def directed_cyclic_instances(draw, max_nodes=7):
+    """A one-way ring of 3 to `max_nodes` nodes, so that every node reaches
+    every other, plus chords that are one-way or two-way; one to three
+    demands with deviation factors, under the cyclic variant."""
+    n = draw(st.integers(3, max_nodes))
     length = st.sampled_from(LENGTHS)
     edges = [Edge(u, (u + 1) % n, draw(length), directed=True)
              for u in range(n)]
@@ -85,3 +89,76 @@ def test_original_servedness_matches_the_oracle(inst):
                 witness = find_traversable_path(instance, q, stations, tau)
                 assert (witness is not None) == expected, \
                     (instance.travel_range, q, sorted(stations))
+
+
+@st.composite
+def placement_instances(draw):
+    """A ring instance of 3 to 6 nodes under either variant (undirected
+    under the original one, which requires it), with demand volumes of 1 to
+    3, some demands replaced by one to three of their own admissible routes
+    given explicitly, forced-open and forced-closed nodes, and a budget of
+    up to two stations beyond the forced-open ones."""
+    ring = draw(directed_cyclic_instances(max_nodes=6))
+    variant = draw(st.sampled_from((ORIGINAL, CYCLIC)))
+    names, edges = ring.network.node_names, ring.network.edges
+    if variant == ORIGINAL:
+        edges = tuple(replace(e, directed=False) for e in edges)
+    inst = build_instance(names, edges, ring.demands, D,
+                          variant_default=variant)
+    demands = []
+    for q in inst.demands:
+        q = replace(q, volume=float(draw(st.integers(1, 3))))
+        routes = enumerate_routes(inst, q, variant)
+        if routes and draw(st.booleans()):
+            picked = draw(st.lists(st.sampled_from(routes), min_size=1,
+                                   max_size=3, unique_by=lambda r: r.visits))
+            q = replace(q, alpha=None,
+                        routes=tuple(r.visits for r in picked))
+        demands.append(q)
+    roles = draw(st.lists(st.sampled_from("..oc"), min_size=inst.num_nodes,
+                          max_size=inst.num_nodes))
+    forced_open = frozenset(j for j, role in enumerate(roles) if role == "o")
+    placement = PlacementConstraints(
+        budget=len(forced_open) + draw(st.integers(0, 2)),
+        forced_open=forced_open,
+        forced_closed=frozenset(j for j, role in enumerate(roles)
+                                if role == "c"))
+    return variant, build_instance(names, edges, demands, D, placement,
+                                   variant_default=variant)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(placement_instances(), st.sampled_from((MAX_COVER, MIN_STATIONS)),
+       st.sampled_from((None, 1, 2)))
+def test_solve_matches_the_oracle(case, objective, node_limit):
+    # Branch-and-cut against enumerating every allowed placement: max-cover
+    # under the placement budget, min-stations at coverage 0.5. A solve that
+    # proves optimality has the oracle's objective; a solve stopped by its
+    # node limit has a feasible objective and a bound on the oracle's other
+    # side. Either way its served flags are the verdicts of `is_served`.
+    variant, inst = case
+    coverage = 0.5 if objective == MIN_STATIONS else 1.0
+    best = brute_force_solve(inst, variant, objective,
+                             coverage=coverage).objective
+    request = SolveRequest(inst, variant, objective, coverage=coverage,
+                           node_limit=node_limit)
+    if best == float("inf"):
+        with pytest.raises(UnservableError):
+            solve(request)
+        return
+    solution = solve(request)
+    stations = solution.stations
+    assert solution.served == tuple(is_served(inst, q, stations, variant)
+                                    for q in inst.demands)
+    assert inst.placement.forced_open <= stations
+    assert not inst.placement.forced_closed & stations
+    if objective == MAX_COVER:
+        assert len(stations) <= inst.placement.budget
+        assert solution.objective == pytest.approx(
+            reevaluate(inst, stations, variant))
+        assert solution.objective <= best + 1e-9 <= solution.bound + 2e-9
+    else:
+        assert solution.objective == len(stations)
+        assert solution.bound - 1e-9 <= best <= solution.objective
+    if solution.optimal:
+        assert solution.objective == pytest.approx(best)
