@@ -14,9 +14,9 @@ from .feasibility import (CycleQuery, Label, corridor, extend_label,
 from .generators import (gen_example, gen_prop5a, gen_prop5b, gen_random,
                          prop5b_analytic_family)
 from .lp import (AGG, DISAGG, DemandRoutes, LinearProgram, LpSolution,
-                 MipModel, NumericalError, build_model, covering_lp,
-                 eval_v_agg, eval_v_disagg, eval_v_tight, lp_bound,
-                 prepare_route_data, solve_lp)
+                 NumericalError, build_model, covering_lp, eval_v_agg,
+                 eval_v_disagg, eval_v_tight, lp_bound, prepare_route_data,
+                 solve_lp)
 from .network import (CYCLIC, MAX_COVER, MIN_STATIONS, ORIGINAL, Demand,
                       Edge, Instance, Network, ParseError,
                       PlacementConstraints, UnknownNodeError, ValidationError,

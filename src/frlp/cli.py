@@ -13,16 +13,19 @@ import logging
 import os
 import sys
 from dataclasses import replace
+from typing import Optional
 
 from . import generators
+from .covering import AggregationOverflowError
 from .feasibility import CycleQuery, search_cycle, is_served
 from .lp import (AGG, DISAGG, NumericalError, TIGHT_NODE_CAP, build_model,
                  lp_bound, prepare_route_data)
 from .network import (CYCLIC, MAX_COVER, MIN_STATIONS, ORIGINAL, Instance,
                       ParseError, ValidationError, build_instance,
-                      parse_instance, serialize_instance, trip_length)
+                      parse_instance, serialize_instance, trip_length,
+                      variant_violations)
 from .oracle import OracleSizeError, brute_force_solve
-from .routes import enumerate_routes, route_budget
+from .routes import EnumerationOverflowError, enumerate_routes, route_budget
 from .solver import SolveRequest, UnservableError, reevaluate, solve
 
 log = logging.getLogger("frlp")
@@ -44,10 +47,14 @@ def _setup_logging():
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _load(path: str) -> Instance:
+def _load(path: str, variant: Optional[str] = None) -> Instance:
+    """The instance in the file, whose network must also admit `variant`."""
     try:
         with open(path) as handle:
             instance = parse_instance(handle.read())
+        violations = variant_violations(instance.network, variant)
+        if violations:
+            raise ValidationError(violations)
     except OSError as exc:
         raise SystemExit(_usage(f"cannot read {path}: {exc}"))
     except (ParseError, ValidationError) as exc:
@@ -75,6 +82,14 @@ def _override_alpha(instance: Instance, alpha) -> Instance:
                               instance.variant_default)
     except ValidationError as exc:
         raise SystemExit(_usage(f"alpha {alpha:g}: {exc}"))
+
+
+def _instance_and_variant(args):
+    """The instance of `args.instance` with `--alpha-override` applied, and
+    the variant to run it under: `--variant`, else the instance's default."""
+    instance = _override_alpha(_load(args.instance, args.variant),
+                               args.alpha_override)
+    return instance, args.variant or instance.variant_default
 
 
 def _node_count(text: str) -> int:
@@ -121,8 +136,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    instance = _override_alpha(_load(args.instance), args.alpha_override)
-    variant = args.variant or instance.variant_default
+    instance, variant = _instance_and_variant(args)
     for qi, demand in enumerate(instance.demands):
         o = instance.network.name(demand.origin)
         t = instance.network.name(demand.destination)
@@ -137,8 +151,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_cutsets(args) -> int:
-    instance = _override_alpha(_load(args.instance), args.alpha_override)
-    variant = args.variant or instance.variant_default
+    instance, variant = _instance_and_variant(args)
     for qi, data in enumerate(prepare_route_data(instance, variant)):
         o = instance.network.name(data.demand.origin)
         t = instance.network.name(data.demand.destination)
@@ -154,8 +167,7 @@ def cmd_cutsets(args) -> int:
 
 
 def cmd_check(args) -> int:
-    instance = _override_alpha(_load(args.instance), args.alpha_override)
-    variant = args.variant or instance.variant_default
+    instance, variant = _instance_and_variant(args)
     if not 0 <= args.demand < len(instance.demands):
         return _usage(f"demand index {args.demand} out of range")
     demand = instance.demands[args.demand]
@@ -218,8 +230,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    instance = _override_alpha(_load(args.instance), args.alpha_override)
-    variant = args.variant or instance.variant_default
+    instance, variant = _instance_and_variant(args)
     route_data = prepare_route_data(instance, variant)
     families = [d.aggregated for d in route_data]
     disagg = lp_bound(build_model(instance, DISAGG, route_data=route_data,
@@ -250,8 +261,7 @@ def _run_solve(instance, variant, args, node_limit=None):
 
 
 def cmd_solve(args) -> int:
-    instance = _override_alpha(_load(args.instance), args.alpha_override)
-    variant = args.variant or instance.variant_default
+    instance, variant = _instance_and_variant(args)
     try:
         solution = _run_solve(instance, variant, args, args.node_limit)
     except (UnservableError, NumericalError) as exc:
@@ -280,8 +290,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    instance = _override_alpha(_load(args.instance), args.alpha_override)
-    variant = args.variant or instance.variant_default
+    instance, variant = _instance_and_variant(args)
     objective = MAX_COVER if args.objective == "maxcover" else MIN_STATIONS
     try:
         result = brute_force_solve(instance, variant, objective,
@@ -305,7 +314,7 @@ def _write_stats_csv(path, rows):
 
 
 def cmd_sweep(args) -> int:
-    instance = _load(args.instance)
+    instance = _load(args.instance, ORIGINAL)
     alphas = [float(a) for a in args.alphas.split(",")]
     label = os.path.basename(args.instance)
     rows = []
@@ -337,9 +346,8 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="frlp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, instance=True):
-        if instance:
-            _add_instance_arg(p)
+    def common(p):
+        _add_instance_arg(p)
         p.add_argument("--variant", choices=[ORIGINAL, CYCLIC])
         p.add_argument("--alpha-override", type=float)
 
@@ -436,7 +444,8 @@ def run(argv=None) -> int:
         return 0
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
-    except (UnservableError, NumericalError, OracleSizeError) as exc:
+    except (UnservableError, NumericalError, OracleSizeError,
+            EnumerationOverflowError, AggregationOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return SOLVE_ERROR
     except MemoryError as exc:

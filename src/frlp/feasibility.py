@@ -15,10 +15,9 @@ search enforces the same bound arc by arc: an extension is dropped when its
 length so far plus the shortest completion back to the origin exceeds tau,
 or when its charge distance exceeds the travel range. Both tests run on
 plain floats before a `Label` is built, so the search builds only the labels
-it keeps; `extend_label` then applies the one extension rule. The rejections
-are the same as when each label was built first and tested after, so the
-selected labels, and the replay of `frlp check --trace` (dominance off),
-are unchanged; that replay lists no label that cannot close within tau.
+it keeps; `extend_label` then applies the one extension rule. The replay of
+`frlp check --trace` (dominance off) lists no label that cannot close
+within tau.
 
 Each demand gets one check per variant, picked and built in one place on
 first use: explicit routes (made once, served iff one is traversable), the

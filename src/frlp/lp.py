@@ -8,15 +8,14 @@ column per row (the slack, fixed at 0 on an = row). Every solve starts from
 a basis of logicals or, given the optimal `Basis` of an earlier solve, from
 that basis with the logicals of the rows added since: the dual simplex runs
 on the objective when the start is dual feasible, and on zero costs, for
-which every basis is, otherwise; then the primal simplex finishes, so no
-artificial column and no phase 1 are needed. Every returned solution passes
-the same residual check.
-Model builders transcribe the per-route (disaggregated) and per-demand
-(aggregated) max-cover formulations (`build_model`); the aggregated one, for
-either objective, comes from `covering_lp`, which the branch-and-cut solver
-also builds its relaxations with. The evaluators compute the three concave
-servedness bounds (per-route LP value, aggregated closed form, tightest
-concave interpolant over explicit servedness vectors).
+which every basis is, otherwise; then the primal simplex finishes. Every
+returned solution passes the residual check.
+Model builders give the LP relaxations of the per-route (disaggregated) and
+per-demand (aggregated) max-cover formulations (`build_model`); the
+aggregated one, for either objective, comes from `covering_lp`, which the
+branch-and-cut solver also builds its relaxations with. The evaluators
+compute the three concave servedness bounds (per-route LP value, aggregated
+closed form, tightest concave interpolant over explicit servedness vectors).
 """
 
 from __future__ import annotations
@@ -97,14 +96,6 @@ class LpSolution:
     iterations: int = 0  # simplex pivots plus bound flips, every pass
     basis: Optional[Basis] = None  # the optimal basis
     cold_start: bool = True  # started from the logical basis
-
-
-@dataclass
-class MipModel:
-    """A covering MIP, held as its LP relaxation (every variable of the MIP
-    is binary)."""
-
-    lp: LinearProgram
 
 
 def _standard_form(lp: LinearProgram):
@@ -250,7 +241,6 @@ class _Simplex:
         m, n = self.m, self.n
         movable = self.ub > 0.0
         degenerate = 0
-        bland = False
         bland_trigger = 10 * (m + n)
         max_iter = 50 * (m + n) + 10000
         for _ in range(max_iter):
@@ -268,8 +258,7 @@ class _Simplex:
                 u = np.where(self.at_upper, self.ub, 0.0)
                 u[self.basis] = xB
                 return OPTIMAL, u, y
-            if bland or degenerate > bland_trigger:
-                bland = True
+            if degenerate > bland_trigger:
                 entering = int(candidates[0])
             else:
                 entering = int(candidates[np.argmin(gain[candidates])])
@@ -320,7 +309,6 @@ class _Simplex:
         movable = self.ub > 0.0
         tol = DUAL_TOL * (1.0 + float(np.abs(c).max(initial=0.0)))
         degenerate = 0
-        bland = False
         bland_trigger = 10 * (m + n)
         max_iter = 50 * (m + n) + 10000
         reduced = None
@@ -340,8 +328,8 @@ class _Simplex:
             infeasible = np.flatnonzero(excess > PRIMAL_TOL)
             if infeasible.size == 0:
                 return OPTIMAL
-            if bland or degenerate > bland_trigger:
-                bland = True
+            bland = degenerate > bland_trigger
+            if bland:
                 r = int(min(infeasible, key=lambda i: self.basis[i]))
             else:
                 r = int(infeasible[np.argmax(excess[infeasible])])
@@ -600,8 +588,9 @@ def covering_lp(instance: Instance, objective: str,
 def build_model(instance: Instance, tag: str,
                 route_data: Optional[Sequence[DemandRoutes]] = None,
                 families: Optional[Sequence[CutSetFamily]] = None,
-                budget: Optional[int] = None) -> MipModel:
-    """Max-cover MIP for one of the formulation tags DISAGG and AGG.
+                budget: Optional[int] = None) -> LinearProgram:
+    """LP relaxation of the max-cover MIP for one of the formulation tags
+    DISAGG and AGG (every variable of the MIP is binary).
 
     disagg needs route_data; agg needs one covering family per demand and
     is built by `covering_lp`.
@@ -625,18 +614,18 @@ def build_model(instance: Instance, tag: str,
             lp.add_row([(c, 1.0) for c in z_cols], LE, 1.0)
         _add_budget_row(lp, instance, budget)
         _apply_placement(lp, instance)
-        return MipModel(lp)
+        return lp
     if tag != AGG:
         raise ValueError(f"unknown formulation tag {tag!r}")
     if families is None:
         raise ValueError("agg model requires families")
     rows = [(qi, s) for qi, family in enumerate(families) for s in family.sets]
-    return MipModel(covering_lp(instance, MAX_COVER, rows, budget))
+    return covering_lp(instance, MAX_COVER, rows, budget)
 
 
-def lp_bound(model: MipModel) -> float:
-    """Optimum of the continuous relaxation (integrality dropped)."""
-    solution = solve_lp(model.lp)
+def lp_bound(lp: LinearProgram) -> float:
+    """Optimum of a relaxation, such as `build_model`'s."""
+    solution = solve_lp(lp)
     if solution.status != OPTIMAL:
         raise NumericalError(f"relaxation is {solution.status}")
     return solution.value

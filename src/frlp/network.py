@@ -251,6 +251,14 @@ def budget_violations(budget: Optional[int], placement: PlacementConstraints):
     return []
 
 
+def variant_violations(network: Network, variant: Optional[str]):
+    """The routing variant rule (no rule when `variant` is None): the
+    original variant requires an undirected network."""
+    if variant == ORIGINAL and any(e.directed for e in network.edges):
+        return ["original variant requires an undirected network"]
+    return []
+
+
 def _hard_violations(instance: Instance):
     """Every violation that pruning cannot repair. No shortest path is
     computed; the bounds are written so that NaN fails them."""
@@ -268,9 +276,7 @@ def _hard_violations(instance: Instance):
             violations.append(f"{where}: self-loop")
         if not 0 < e.length < math.inf:
             violations.append(f"{where}: non-positive or non-finite length {e.length}")
-    if instance.variant_default == ORIGINAL:
-        if any(e.directed for e in net.edges):
-            violations.append("original variant requires an undirected network")
+    violations.extend(variant_violations(net, instance.variant_default))
     for i, q in enumerate(instance.demands):
         tag = f"demand #{i}"
         if not (0 <= q.origin < n and 0 <= q.destination < n):
@@ -346,12 +352,9 @@ def validate_instance(instance: Instance):
 
 
 def _parse_node_ref(value, name_to_id, context):
+    """A node reference is a node name, also when it is a number."""
     if isinstance(value, bool):
         raise ParseError(f"{context}: invalid node reference {value!r}")
-    if isinstance(value, int):
-        if value not in name_to_id.values():
-            raise ParseError(f"{context}: unknown node id {value}")
-        return value
     key = str(value)
     if key not in name_to_id:
         raise ParseError(f"{context}: unknown node name {key!r}")
@@ -422,7 +425,11 @@ def parse_instance(document: str) -> Instance:
             length = _parse_number(item["length"], f"{ctx}: 'length'")
         except KeyError as exc:
             raise ParseError(f"{ctx}: missing field {exc.args[0]!r}")
-        edges.append(Edge(u, v, length, bool(item.get("directed", False))))
+        directed = item.get("directed", False)
+        if not isinstance(directed, bool):
+            raise ParseError(f"{ctx}: 'directed' must be true or false, "
+                             f"not {directed!r}")
+        edges.append(Edge(u, v, length, directed))
 
     demands = []
     for i, item in enumerate(data["demands"]):

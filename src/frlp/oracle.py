@@ -77,19 +77,11 @@ def brute_force_solve(instance: Instance, variant: str, objective: str,
     route_cache: dict = {}
     demands = instance.demands
     total_volume = sum(q.volume for q in demands)
-    served_memo: Dict[Tuple[int, FrozenSet[int]], bool] = {}
 
     def served_map(stations: FrozenSet[int]) -> Tuple[bool, ...]:
-        out = []
-        for qi, q in enumerate(demands):
-            key = (qi, stations)
-            verdict = served_memo.get(key)
-            if verdict is None:
-                verdict = exhaustive_served(instance, q, stations, variant,
-                                            route_cache)
-                served_memo[key] = verdict
-            out.append(verdict)
-        return tuple(out)
+        return tuple(exhaustive_served(instance, q, stations, variant,
+                                       route_cache)
+                     for q in demands)
 
     if objective == MAX_COVER:
         best = -1.0

@@ -225,8 +225,10 @@ def solve(request: SolveRequest) -> Solution:
                 solution = None
                 break
             x = solution.primal[:n]
-            if any(min(v, 1.0 - v) > INT_TOL for v in x):
-                break  # fractional: branch
+            fractional = [(min(v, 1.0 - v), j) for j, v in enumerate(x)
+                          if min(v, 1.0 - v) > INT_TOL]
+            if fractional:
+                break  # branch
             # Integral station vector: claim the strongest y consistent with
             # the pool, then separate lazily.
             x_int = [1 if v > 0.5 else 0 for v in x]
@@ -248,9 +250,6 @@ def solve(request: SolveRequest) -> Solution:
 
         if solution is None:
             continue
-        x = solution.primal[:n]
-        fractional = [(min(v, 1.0 - v), j) for j, v in enumerate(x)
-                      if min(v, 1.0 - v) > INT_TOL]
         if fractional:
             # Most fractional first; ties to the lowest index.
             _, j = max(fractional, key=lambda t: (t[0], -t[1]))

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from frlp import cli, gen_example, serialize_instance
+from frlp import (AggregationOverflowError, EnumerationOverflowError, cli,
+                  gen_example, lp, serialize_instance)
 from frlp.cli import run
 
 CSV_COLUMNS = ["instance", "routing", "alpha", "time_s",
@@ -83,6 +84,56 @@ def test_validate_rejects_nan_edge_length(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert run(["validate", str(path)]) == 1
     assert "'length' must be a finite number" in capsys.readouterr().out
+
+
+def test_validate_rejects_a_directed_flag_that_is_not_a_boolean(tmp_path,
+                                                               capsys):
+    doc = json.loads(serialize_instance(gen_example("fig7", 12.0)))
+    doc["edges"][0]["directed"] = "false"
+    path = tmp_path / "directed.json"
+    path.write_text(json.dumps(doc))
+    assert run(["validate", str(path)]) == 1
+    assert "'directed' must be true or false" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", [
+    ["solve", "--variant", "original"],
+    ["check", "--stations", "3", "--variant", "original"],
+    ["enumerate", "--variant", "original"],
+    ["cutsets", "--variant", "original"],
+    ["bounds", "--variant", "original"],
+    ["oracle", "--variant", "original"],
+    ["sweep"],  # its original pass
+], ids=lambda command: command[0])
+def test_original_variant_on_a_one_way_network_is_a_usage_error(
+        tmp_path, capsys, command):
+    doc = json.loads(serialize_instance(gen_example("fig7", 12.0)))
+    assert doc["variant"] == "cyclic"
+    doc["edges"] = [{"u": u, "v": v, "length": length, "directed": True}
+                    for u, v, length in (("1", "2", 4.0), ("1", "3", 3.0),
+                                         ("3", "2", 3.0), ("2", "4", 4.0),
+                                         ("4", "1", 4.0))]
+    path = tmp_path / "one-way.json"
+    path.write_text(json.dumps(doc))
+    assert run(["solve", str(path)]) == 0  # the cyclic default is admitted
+    capsys.readouterr()
+    assert run([command[0], str(path)] + command[1:]) == 1
+    assert capsys.readouterr().err == \
+        f"error: {path}: original variant requires an undirected network\n"
+
+
+@pytest.mark.parametrize("command, owner, name, error", [
+    ("enumerate", cli, "enumerate_routes", EnumerationOverflowError),
+    ("bounds", lp, "aggregate_cut_sets", AggregationOverflowError),
+], ids=["enumerate", "bounds"])
+def test_overflow_is_a_solve_failure(fig7_path, capsys, monkeypatch, command,
+                                     owner, name, error):
+    def overflowing(*args, **kwargs):
+        raise error("more than 10 routes")
+
+    monkeypatch.setattr(owner, name, overflowing)
+    assert run([command, fig7_path]) == 2
+    assert capsys.readouterr().err == "error: more than 10 routes\n"
 
 
 def test_alpha_override_below_one_is_a_usage_error(fig7_path, capsys):

@@ -497,7 +497,7 @@ def test_cover_relaxations_keep_bounds_and_start_on_slacks(monkeypatch):
     pairs = [(qi, s) for qi, d in enumerate(route_data)
              for s in d.aggregated.sets]
     max_cover = covering_lp(inst, MAX_COVER, pairs, budget=3)
-    disagg = build_model(inst, DISAGG, route_data=route_data, budget=3).lp
+    disagg = build_model(inst, DISAGG, route_data=route_data, budget=3)
     full_min = covering_lp(inst, MIN_STATIONS, pairs)
     for lp in (max_cover, disagg, full_min):
         simplex = solved_simplex(lp, monkeypatch)
@@ -567,14 +567,14 @@ def test_basis_inverse_that_cannot_fit_fails_before_a_is_written():
 def test_build_model_example1_disagg_rows():
     fig2 = gen_example("fig2", 10.0)
     route_data = prepare_route_data(fig2, ORIGINAL)
-    model = build_model(fig2, DISAGG, route_data=route_data)
-    assert len(model.lp.rows) == 8  # 3 + 4 covering rows + one route-choice row
+    lp = build_model(fig2, DISAGG, route_data=route_data)
+    assert len(lp.rows) == 8  # 3 + 4 covering rows + one route-choice row
     # the five station columns, then one route-use column per route
     routes = sum(len(d.routes) for d in route_data)
     assert routes == 2
-    assert model.lp.objective == [0.0] * 5 + [fig2.demands[0].volume] * routes
+    assert lp.objective == [0.0] * 5 + [fig2.demands[0].volume] * routes
     # route columns have no upper bound: the route-choice row implies z <= 1
-    assert model.lp.bounds == [(0.0, 1.0)] * 5 + [(0.0, math.inf)] * routes
+    assert lp.bounds == [(0.0, 1.0)] * 5 + [(0.0, math.inf)] * routes
 
 
 def test_build_model_example2_agg_rows():
@@ -584,8 +584,8 @@ def test_build_model_example2_agg_rows():
     d1 = cut_sets_for_cycle(make_route(net, (0, 1, 3, 4), kind="path"), net, 10.0)
     d2 = cut_sets_for_cycle(make_route(net, (0, 1, 2, 3, 4), kind="path"), net, 10.0)
     full = aggregate_cut_sets([d1, d2], prune=False)
-    model = build_model(fig2, AGG, families=[full])
-    assert len(model.lp.rows) == 10
+    lp = build_model(fig2, AGG, families=[full])
+    assert len(lp.rows) == 10
 
 
 def test_covering_lp_min_stations_empty():
@@ -656,8 +656,8 @@ def test_build_model_agg_is_the_covering_lp():
     inst = gen_random(3, num_nodes=7, density=0.4, num_demands=3)
     families = [d.aggregated for d in prepare_route_data(inst, ORIGINAL)]
     pairs = [(qi, s) for qi, f in enumerate(families) for s in f.sets]
-    model = build_model(inst, AGG, families=families, budget=2)
-    assert model.lp == covering_lp(inst, MAX_COVER, pairs, budget=2)
+    lp = build_model(inst, AGG, families=families, budget=2)
+    assert lp == covering_lp(inst, MAX_COVER, pairs, budget=2)
     # min-stations relaxations come from covering_lp alone
     with pytest.raises(ValueError, match="unknown formulation tag"):
         build_model(inst, MIN_STATIONS, families=families)

@@ -82,6 +82,11 @@ def test_parse_errors():
         parse_instance(json.dumps({
             "range": 1, "nodes": ["a"], "demands": [],
             "edges": [{"u": "a", "v": "b", "length": 1}]}))
+    # a reference is a name: 0 is not the id of node "a"
+    with pytest.raises(ParseError, match="unknown node name '0'"):
+        parse_instance(json.dumps({
+            "range": 1, "nodes": ["a", "b"], "demands": [],
+            "edges": [{"u": 0, "v": "b", "length": 1}]}))
     # routes is a list of lists of node references, placement.open and
     # placement.closed are lists: a string is not read character by character
     doc = json.loads(serialize_instance(fig7()))
@@ -95,6 +100,21 @@ def test_parse_errors():
         doc["placement"] = {key: value}
         with pytest.raises(ParseError, match=f"'placement.{key}' must be a list"):
             parse_instance(json.dumps(doc))
+
+
+def test_integer_node_references_are_names():
+    instance = parse_instance(json.dumps({
+        "range": 10, "nodes": [1, 2, 3],
+        "edges": [{"u": 1, "v": 2, "length": 2},
+                  {"u": 2, "v": 3, "length": 2}],
+        "demands": [{"origin": 1, "destination": 3, "alpha": 1.0}],
+        "placement": {"open": [2]}}))
+    net = instance.network
+    assert [(net.name(e.u), net.name(e.v)) for e in net.edges] == \
+        [("1", "2"), ("2", "3")]
+    q = instance.demands[0]
+    assert (net.name(q.origin), net.name(q.destination)) == ("1", "3")
+    assert [net.name(j) for j in instance.placement.forced_open] == ["2"]
 
 
 def test_validation_error_for_negative_length():
@@ -212,8 +232,9 @@ def test_parse_rejects_budget_that_is_not_a_whole_number(budget):
     (("demands", 0, "alpha"), float("nan")),
     (("demands", 0, "alpha"), "x"),
     (("nodes",), "abc"),
+    (("edges", 0, "directed"), "false"),
 ], ids=["nan-length", "infinite-range", "nan-volume", "nan-alpha",
-        "string-alpha", "string-nodes"])
+        "string-alpha", "string-nodes", "string-directed"])
 def test_parse_rejects_values_that_are_not_finite_typed_numbers(path, value):
     doc = json.loads(serialize_instance(fig7()))
     target = doc
