@@ -1,8 +1,10 @@
 """Command-line entry point.
 
 Subcommands: solve, bounds, enumerate, cutsets, check, generate, validate,
-sweep, oracle. Exit codes: 0 success, 1 usage/validation error, 2 solve
-failure. Set FRLP_LOG=debug|info|warning for logging verbosity.
+sweep, oracle. Commands raise; `run` alone turns an error into one
+`error: ...` line and an exit code: 0 success, 1 usage/validation error (an
+unreadable or unwritable file included), 2 solve failure. Set
+FRLP_LOG=debug|info|warning for logging verbosity.
 """
 
 from __future__ import annotations
@@ -55,18 +57,11 @@ def _load(path: str, variant: Optional[str] = None) -> Instance:
         violations = variant_violations(instance.network, variant)
         if violations:
             raise ValidationError(violations)
-    except OSError as exc:
-        raise SystemExit(_usage(f"cannot read {path}: {exc}"))
     except (ParseError, ValidationError) as exc:
-        raise SystemExit(_usage(f"{path}: {exc}"))
+        raise ValueError(f"{path}: {exc}")
     for line in instance.pruning_report:
         log.info("pruning: %s", line)
     return instance
-
-
-def _usage(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return USAGE_ERROR
 
 
 def _override_alpha(instance: Instance, alpha) -> Instance:
@@ -81,7 +76,7 @@ def _override_alpha(instance: Instance, alpha) -> Instance:
                               demands, instance.travel_range, instance.placement,
                               instance.variant_default)
     except ValidationError as exc:
-        raise SystemExit(_usage(f"alpha {alpha:g}: {exc}"))
+        raise ValueError(f"alpha {alpha:g}: {exc}")
 
 
 def _instance_and_variant(args):
@@ -92,15 +87,16 @@ def _instance_and_variant(args):
     return instance, args.variant or instance.variant_default
 
 
-def _node_count(text: str) -> int:
-    """argparse type of --node-limit: a whole number of nodes, >= 0."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative: {value}")
-    return value
+def _nonnegative(convert):
+    """argparse type of a number `convert` reads that is >= 0 (not nan)."""
+    def parse(text):
+        value = convert(text)  # argparse reports a ValueError as invalid
+        if not value >= 0:
+            raise argparse.ArgumentTypeError(f"must be nonnegative: {text}")
+        return value
+
+    parse.__name__ = convert.__name__
+    return parse
 
 
 def _add_instance_arg(p):
@@ -116,11 +112,8 @@ def _names(instance, nodes):
 # ---------------------------------------------------------------------------
 
 def cmd_validate(args) -> int:
-    try:
-        with open(args.instance) as handle:
-            text = handle.read()
-    except OSError as exc:
-        return _usage(str(exc))
+    with open(args.instance) as handle:
+        text = handle.read()
     try:
         instance = parse_instance(text)
     except (ParseError, ValidationError) as exc:
@@ -169,7 +162,7 @@ def cmd_cutsets(args) -> int:
 def cmd_check(args) -> int:
     instance, variant = _instance_and_variant(args)
     if not 0 <= args.demand < len(instance.demands):
-        return _usage(f"demand index {args.demand} out of range")
+        raise ValueError(f"demand index {args.demand} out of range")
     demand = instance.demands[args.demand]
     labeling = variant == CYCLIC and demand.routes is None
     if args.trace and not labeling:
@@ -180,7 +173,7 @@ def cmd_check(args) -> int:
         stations = frozenset(instance.network.index(s.strip())
                              for s in args.stations.split(",") if s.strip())
     except ValueError:
-        return _usage("unknown station name")
+        raise ValueError("unknown station name")
     if not labeling:
         print(f"served: {is_served(instance, demand, stations, variant)}")
     else:
@@ -206,20 +199,17 @@ def cmd_check(args) -> int:
 
 def cmd_generate(args) -> int:
     name = args.name
+    d = {} if args.d is None else {"d": args.d}  # unset: the generator default
     if name in ("fig2", "fig7", "fig8"):
-        instance = generators.gen_example(name, args.d)
+        instance = generators.gen_example(name, **d)
     elif name == "prop5a":
-        instance = generators.gen_prop5a(args.n, d=args.d or 1.0)
+        instance = generators.gen_prop5a(args.n, **d)
     elif name == "prop5b":
-        instance, _ = generators.gen_prop5b(args.n, delta=args.delta,
-                                            d=args.d or 1.0)
-    elif name == "random":
+        instance = generators.gen_prop5b_instance(args.n, delta=args.delta, **d)
+    else:
         instance = generators.gen_random(args.seed, args.nodes,
                                          density=args.density,
-                                         num_demands=args.demands,
-                                         d=args.d or 12.0)
-    else:
-        return _usage(f"unknown generator {name!r}")
+                                         num_demands=args.demands, **d)
     text = serialize_instance(instance)
     if args.out:
         with open(args.out, "w") as handle:
@@ -262,11 +252,7 @@ def _run_solve(instance, variant, args, node_limit=None):
 
 def cmd_solve(args) -> int:
     instance, variant = _instance_and_variant(args)
-    try:
-        solution = _run_solve(instance, variant, args, args.node_limit)
-    except (UnservableError, NumericalError) as exc:
-        print(f"solve failed: {exc}", file=sys.stderr)
-        return SOLVE_ERROR
+    solution = _run_solve(instance, variant, args, args.node_limit)
     print(f"objective: {solution.objective:g}  "
           f"bound: {solution.bound:g}  optimal: {solution.optimal}")
     print(f"stations: {_names(instance, solution.stations)}")
@@ -292,12 +278,8 @@ def cmd_solve(args) -> int:
 def cmd_oracle(args) -> int:
     instance, variant = _instance_and_variant(args)
     objective = MAX_COVER if args.objective == "maxcover" else MIN_STATIONS
-    try:
-        result = brute_force_solve(instance, variant, objective,
-                                   budget=args.budget, coverage=args.coverage)
-    except OracleSizeError as exc:
-        print(f"oracle failed: {exc}", file=sys.stderr)
-        return SOLVE_ERROR
+    result = brute_force_solve(instance, variant, objective,
+                               budget=args.budget, coverage=args.coverage)
     print(f"objective: {result.objective:g}")
     for stations in result.optimal_sets[:8]:
         print(f"optimal: {_names(instance, stations)}")
@@ -323,12 +305,7 @@ def cmd_sweep(args) -> int:
     for alpha in alphas:
         inst_a = _override_alpha(instance, alpha)
         for variant in (ORIGINAL, CYCLIC):
-            try:
-                solution = _run_solve(inst_a, variant, args)
-            except (UnservableError, NumericalError) as exc:
-                print(f"solve failed ({variant}, alpha={alpha}): {exc}",
-                      file=sys.stderr)
-                return SOLVE_ERROR
+            solution = _run_solve(inst_a, variant, args)
             served_cyclic = reevaluate(inst_a, solution.stations, CYCLIC)
             stats = solution.stats
             print(f"{alpha:>6g} {variant:>9} {solution.objective:>10g} "
@@ -402,8 +379,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("solve", help="branch-and-cut solve")
     common(p)
     solve_flags(p)
-    p.add_argument("--time-limit", type=float, help="seconds per solve")
-    p.add_argument("--node-limit", type=_node_count,
+    p.add_argument("--time-limit", type=_nonnegative(float),
+                   help="seconds per solve")
+    p.add_argument("--node-limit", type=_nonnegative(int),
                    help="branch-and-bound nodes to solve at most")
     p.add_argument("--stats-out", help="CSV stats output path")
     p.set_defaults(func=cmd_solve)
@@ -417,7 +395,8 @@ def build_parser() -> _Parser:
     _add_instance_arg(p)
     p.add_argument("--alphas", default="1.0,1.2,1.5")
     solve_flags(p)
-    p.add_argument("--time-limit", type=float, help="seconds per solve")
+    p.add_argument("--time-limit", type=_nonnegative(float),
+                   help="seconds per solve")
     p.add_argument("--csv-out", help="CSV stats output path")
     p.set_defaults(func=cmd_sweep)
     return parser
@@ -442,17 +421,17 @@ def run(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 0
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else USAGE_ERROR
+    except SystemExit as exc:  # args.parser.error, after the usage line
+        return exc.code
     except (UnservableError, NumericalError, OracleSizeError,
             EnumerationOverflowError, AggregationOverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return SOLVE_ERROR
+        status, message = SOLVE_ERROR, exc
     except MemoryError as exc:
-        print(f"error: out of memory: {exc}", file=sys.stderr)
-        return SOLVE_ERROR
-    except ValueError as exc:  # an option value the library rejects
-        return _usage(str(exc))
+        status, message = SOLVE_ERROR, f"out of memory: {exc}"
+    except (OSError, ValueError) as exc:  # a file, or a value the library rejects
+        status, message = USAGE_ERROR, exc
+    print(f"error: {message}", file=sys.stderr)
+    return status
 
 
 def main() -> None:

@@ -88,16 +88,22 @@ def prop5b_analytic_family(n: int, num_nodes: int) -> CutSetFamily:
 
 def gen_prop5b(n: int, delta: Optional[float] = None, f1: float = 1.0,
                d: float = 1.0) -> Tuple[Instance, CutSetFamily]:
+    """(`gen_prop5b_instance`, its aggregated family of C(2n, n) + 4 sets)."""
+    instance = gen_prop5b_instance(n, delta, f1, d)
+    return instance, prop5b_analytic_family(n, instance.num_nodes)
+
+
+def gen_prop5b_instance(n: int, delta: Optional[float] = None, f1: float = 1.0,
+                        d: float = 1.0) -> Instance:
     """Gap family between the aggregated relaxation and the integer hull:
     2n+4 nodes, a clique of 2n middle nodes bracketed by two near-range
     approach edges, one demand whose single admissible route walks through
     every permutation of the middle nodes; station budget 6.
 
-    Returns (instance, aggregated family). The family is emitted in closed
-    form; for n <= 4 the explicit permutation walk is attached to the demand
-    (the factorial walk is cross-validated against the closed form at small
-    n), for larger n the demand carries the shortest route as a placeholder
-    and the closed-form family is authoritative.
+    For n <= 4 the explicit permutation walk is attached to the demand (the
+    factorial walk is cross-validated against the closed-form family at
+    small n); for larger n the demand carries the shortest route as a
+    placeholder and the closed-form family is authoritative.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -121,10 +127,9 @@ def gen_prop5b(n: int, delta: Optional[float] = None, f1: float = 1.0,
     else:
         routes = ((0, 1, 2, 2 * n + 2, 2 * n + 3),)  # placeholder shortest route
     demand = Demand(0, num - 1, f1, routes=routes)
-    instance = build_instance(names, edges, [demand], d,
-                              placement=PlacementConstraints(budget=6),
-                              variant_default=ORIGINAL)
-    return instance, prop5b_analytic_family(n, num)
+    return build_instance(names, edges, [demand], d,
+                          placement=PlacementConstraints(budget=6),
+                          variant_default=ORIGINAL)
 
 
 def _permutation_walk(n: int):

@@ -397,6 +397,8 @@ def parse_instance(document: str) -> Instance:
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: "
                          f"{exc.msg}") from exc
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
     if not isinstance(data, dict):
         raise ParseError("top-level value must be an object")
     for key in ("range", "nodes", "edges", "demands"):

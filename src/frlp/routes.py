@@ -110,30 +110,34 @@ def enumerate_routes(instance: Instance, demand: Demand, variant: str,
                 f"more than {cap} routes for demand "
                 f"{network.name(origin)}->{network.name(dest)}")
 
-    def dfs(node, length, visited_dest):
-        if variant == ORIGINAL:
-            if node == dest:
-                emit()
-        elif node == origin and visited_dest and len(prefix) > 1:
-            emit()
-        for nxt, arc in network.adjacency[node]:
+    # Depth first, with an explicit stack of adjacency iterators: a route
+    # may be longer than Python's recursion limit.
+    adjacency = network.adjacency
+    original = variant == ORIGINAL
+    stack = [(iter(adjacency[origin]), 0.0, False)]  # validation: origin != dest
+    while stack:
+        successors, length, visited_dest = stack[-1]
+        for nxt, arc in successors:
             nlen = length + arc
             ndest = visited_dest or nxt == dest
-            if variant == ORIGINAL:
+            if original:
                 bound = nlen + dist_to_dest[nxt]
             elif ndest:
                 bound = nlen + dist_to_origin[nxt]
             else:
                 bound = nlen + dist_to_dest[nxt] + dest_to_origin
-            if bound > tau + DIST_TOL:
-                continue
-            prefix.append(nxt)
-            arcs.append(arc)
-            dfs(nxt, nlen, ndest)
-            arcs.pop()
-            prefix.pop()
-
-    dfs(origin, 0.0, origin == dest)
+            if bound <= tau + DIST_TOL:
+                prefix.append(nxt)
+                arcs.append(arc)
+                if (nxt == dest) if original else (nxt == origin and ndest):
+                    emit()
+                stack.append((iter(adjacency[nxt]), nlen, ndest))
+                break
+        else:
+            stack.pop()
+            if arcs:
+                arcs.pop()
+                prefix.pop()
     results.sort(key=lambda r: (r.length, r.visits))
     return results
 

@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from frlp import (AggregationOverflowError, EnumerationOverflowError, cli,
-                  gen_example, lp, serialize_instance)
+from frlp import (AggregationOverflowError, Demand, Edge,
+                  EnumerationOverflowError, OracleSizeError, build_instance,
+                  cli, gen_example, generators, lp, serialize_instance)
 from frlp.cli import run
 
 CSV_COLUMNS = ["instance", "routing", "alpha", "time_s",
@@ -125,7 +126,8 @@ def test_original_variant_on_a_one_way_network_is_a_usage_error(
 @pytest.mark.parametrize("command, owner, name, error", [
     ("enumerate", cli, "enumerate_routes", EnumerationOverflowError),
     ("bounds", lp, "aggregate_cut_sets", AggregationOverflowError),
-], ids=["enumerate", "bounds"])
+    ("oracle", cli, "brute_force_solve", OracleSizeError),
+], ids=["enumerate", "bounds", "oracle"])
 def test_overflow_is_a_solve_failure(fig7_path, capsys, monkeypatch, command,
                                      owner, name, error):
     def overflowing(*args, **kwargs):
@@ -383,3 +385,82 @@ def test_sweep_csv_columns(fig7_path, tmp_path, capsys):
     assert len(rows) == 1 + 2 * 2  # two alphas x two variants
     table = capsys.readouterr().out
     assert "original" in table and "cyclic" in table
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--name", "fig7", "--out"],
+    ["solve", "FIG7", "--stats-out"],
+    ["sweep", "FIG7", "--alphas", "1.0", "--csv-out"],
+], ids=lambda argv: argv[0])
+def test_output_into_a_missing_directory_is_a_usage_error(fig7_path, tmp_path,
+                                                         capsys, argv):
+    missing = str(tmp_path / "missing" / "out")
+    argv = [fig7_path if a == "FIG7" else a for a in argv] + [missing]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert missing in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, route_line", [
+    ("enumerate", "  (0,"), ("cutsets", "  route (0,")],
+    ids=["enumerate", "cutsets"])
+def test_a_route_longer_than_the_recursion_limit(tmp_path, capsys, command,
+                                                 route_line):
+    n = 1200  # more nodes on the one route than Python's recursion limit
+    instance = build_instance([str(i) for i in range(n)],
+                              [Edge(i, i + 1, 1.0) for i in range(n - 1)],
+                              [Demand(0, n - 1, 1.0, alpha=1.0)], 5.0)
+    path = tmp_path / "path.json"
+    path.write_text(serialize_instance(instance))
+    assert run([command, str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert sum(line.startswith(route_line) for line in lines) == 1
+
+
+@pytest.mark.parametrize("command", ["validate", "solve"])
+def test_json_nested_too_deeply_is_a_usage_error(tmp_path, capsys, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    assert run([command, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "invalid JSON: nested too deeply" in captured.out + captured.err
+
+
+def test_generate_prop5b_builds_only_the_instance(tmp_path, monkeypatch):
+    def unused(*args, **kwargs):
+        raise AssertionError("the covering family is not written")
+
+    monkeypatch.setattr(generators, "prop5b_analytic_family", unused)
+    assert run(["generate", "--name", "prop5b", "--n", "3",
+                "--out", str(tmp_path / "prop5b.json")]) == 0
+
+
+@pytest.mark.parametrize("name", ["fig7", "prop5a", "prop5b", "random"])
+def test_generate_zero_range_is_a_usage_error(capsys, name):
+    assert run(["generate", "--name", name, "--d", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: travel range must be positive")
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+@pytest.mark.parametrize("limit", ["nan", "-1"])
+def test_time_limit_that_is_not_a_nonnegative_number_is_a_usage_error(
+        fig7_path, capsys, command, limit):
+    assert run([command, fig7_path, "--time-limit", limit]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: frlp {command}")
+    assert "error: argument --time-limit" in err
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_unservable_solve_is_one_error_line(tmp_path, capsys, command):
+    path = tmp_path / "unservable.json"
+    path.write_text(json.dumps({
+        "range": 4, "nodes": ["1", "2"],
+        "edges": [{"u": "1", "v": "2", "length": 3}],
+        "demands": [{"origin": "1", "destination": "2", "alpha": 1.0}],
+        "placement": {"closed": ["1", "2"]}}))
+    assert run([command, str(path), "--objective", "minstations"]) == 2
+    assert capsys.readouterr().err == "error: unservable demands: 1->2\n"

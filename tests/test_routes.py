@@ -179,6 +179,18 @@ def test_traversability_monotone_in_stations():
                 assert is_traversable(r, small | {extra}, inst.travel_range)
 
 
+def test_a_route_longer_than_the_recursion_limit():
+    n = 1200  # the one cyclic route visits 2n - 1 nodes
+    inst = build_instance([str(i) for i in range(n)],
+                          [Edge(i, i + 1, 1.0) for i in range(n - 1)],
+                          [Demand(0, n - 1, 1.0, alpha=1.0)], 5.0)
+    q = inst.demands[0]
+    forward = tuple(range(n))
+    assert [r.visits for r in enumerate_routes(inst, q, ORIGINAL)] == [forward]
+    assert [r.visits for r in enumerate_routes(inst, q, CYCLIC)] == \
+        [forward + forward[-2::-1]]
+
+
 def test_enumerated_routes_respect_budget_and_network():
     for seed in range(5):
         inst = gen_random(seed, num_nodes=6, density=0.4, num_demands=2)
