@@ -4,12 +4,17 @@ aggregation, minimalization and servedness witnesses.
 A family encodes "at least one station in every member set". The per-route
 family makes a single route traversable; the aggregated per-demand family
 makes some route of the demand traversable.
+
+Members are frozensets of node ids, listed by size and then by sorted ids
+(`member_key`). Aggregation and minimalization work on int bitmasks (bit j
+is node j): a union is `a | b`, and `k` is a subset of `s` when
+`k & s == k`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Tuple
+from typing import Iterable, List, Tuple
 
 from .network import DIST_TOL, Network
 from .routes import Route
@@ -51,7 +56,12 @@ class CutSetFamily:
 
     def sorted_sets(self):
         """Members in a stable order (by size, then sorted node ids)."""
-        return sorted(self.sets, key=lambda s: (len(s), sorted(s)))
+        return sorted(self.sets, key=member_key)
+
+
+def member_key(member):
+    """Sort key of a member: its size, then its sorted node ids."""
+    return len(member), sorted(member)
 
 
 def cut_sets_for_cycle(cycle: Route, network: Network,
@@ -89,15 +99,30 @@ def cut_sets_for_cycle(cycle: Route, network: Network,
 
 def minimalize(family: CutSetFamily) -> CutSetFamily:
     """Keep exactly the members that are not strict supersets of another."""
-    kept = _minimal_sets(family.sets)
-    return CutSetFamily(tuple(kept), family.num_nodes)
+    kept = _minimal_masks(_mask(s) for s in family.sets)
+    return CutSetFamily(_unmasked(kept), family.num_nodes)
 
 
-def _minimal_sets(sets: Iterable[frozenset]):
-    unique = sorted(set(sets), key=lambda s: (len(s), sorted(s)))
+def _mask(member) -> int:
+    """Bit j set for each node id j of the member."""
+    mask = 0
+    for j in member:
+        mask |= 1 << j
+    return mask
+
+
+def _unmasked(masks: Iterable[int]) -> Tuple[frozenset, ...]:
+    """The members of the given masks, sorted by `member_key`."""
+    members = (frozenset(j for j in range(m.bit_length()) if m >> j & 1)
+               for m in masks)
+    return tuple(sorted(members, key=member_key))
+
+
+def _minimal_masks(masks: Iterable[int]) -> List[int]:
+    """The distinct masks that contain no other one, in size order."""
     kept = []
-    for s in unique:
-        if not any(k < s for k in kept):
+    for s in sorted(set(masks), key=int.bit_count):
+        if not any(k & s == k for k in kept):
             kept.append(s)
     return kept
 
@@ -108,29 +133,46 @@ def aggregate_cut_sets(families, prune: bool = True,
 
     With prune=True (default), subsumption pruning is applied on the fly and
     the result is minimal; with prune=False the full deduplicated product is
-    returned (exponential in the number of routes).
+    returned (exponential in the number of routes). Either way the members
+    are sorted by `member_key`.
+
+    The unions are formed on bitmasks. Under prune=True, a frontier set that
+    already contains a member of the next family is that row's only minimal
+    union (every other union of the row contains it), so the row's product
+    is skipped. `cap` bounds a count: the first family's distinct members
+    (its minimal ones under prune=True), plus |frontier| x |members| for
+    each later family, whether or not that family's unions are formed.
+    AggregationOverflowError is raised once a product takes it past `cap`.
     """
     families = list(families)
     if not families:
         raise ValueError("at least one per-route family is required")
 
-    frontier = [frozenset(s) for s in set(families[0].sets)]
+    frontier = {_mask(s) for s in families[0].sets}
     if prune:
-        frontier = _minimal_sets(frontier)
+        frontier = _minimal_masks(frontier)
     produced = len(frontier)
     for family in families[1:]:
-        members = set(family.sets)
-        unions = set()
+        members = {_mask(s) for s in family.sets}
+        product = len(frontier) * len(members)
+        produced += product
+        if product and produced > cap:
+            raise AggregationOverflowError(
+                f"aggregation product exceeds {cap} intermediate unions")
+        if not prune:
+            frontier = {a | b for a in frontier for b in members}
+            continue
+        kept, unions = [], set()
         for a in frontier:
             for b in members:
-                unions.add(a | b)
-                produced += 1
-                if produced > cap:
-                    raise AggregationOverflowError(
-                        f"aggregation product exceeds {cap} intermediate unions")
-        frontier = _minimal_sets(unions) if prune else sorted(
-            unions, key=lambda s: (len(s), sorted(s)))
-    return CutSetFamily(tuple(frontier), families[0].num_nodes)
+                if b & a == b:  # every union of this row contains a
+                    kept.append(a)
+                    break
+            else:
+                unions.update(a | b for b in members)
+        # kept is part of a minimal frontier: prune only when a row grew
+        frontier = _minimal_masks(kept + list(unions)) if unions else kept
+    return CutSetFamily(_unmasked(frontier), families[0].num_nodes)
 
 
 def minimality_witness(family: CutSetFamily, member) -> Tuple[int, ...]:

@@ -185,6 +185,10 @@ def gen_random(seed: int, num_nodes: int, density: float = 0.4,
     menu of fractions of the travel range."""
     if num_nodes < 2:
         raise ValueError("need at least 2 nodes")
+    if num_demands < 0:
+        raise ValueError("num_demands must be >= 0")
+    if not 0.0 <= density <= 1.0:  # also false for nan
+        raise ValueError("density must lie in [0, 1]")
     rng = random.Random(seed)
     names = [str(i + 1) for i in range(num_nodes)]
 

@@ -444,6 +444,15 @@ def test_generate_zero_range_is_a_usage_error(capsys, name):
     assert captured.err.startswith("error: travel range must be positive")
 
 
+@pytest.mark.parametrize("flag, value", [("--demands", "-1"), ("--density", "nan")])
+def test_generate_random_bad_argument_is_a_usage_error(capsys, flag, value):
+    assert run(["generate", "--name", "random", flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", ["solve", "sweep"])
 @pytest.mark.parametrize("limit", ["nan", "-1"])
 def test_time_limit_that_is_not_a_nonnegative_number_is_a_usage_error(

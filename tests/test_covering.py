@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from frlp import (CYCLIC, ORIGINAL, ConstructionError, CutSetFamily,
                   WitnessUndefinedError, aggregate_cut_sets,
@@ -159,3 +160,60 @@ def test_exactness_on_small_pool(small_pool):
                 for f, v in zip(families, verdicts):
                     assert f.hits_all(stations) == v
                 assert agg.hits_all(stations) == any(verdicts)
+
+
+def stable(sets):
+    return sorted(sets, key=lambda s: (len(s), sorted(s)))
+
+
+def plain_minimal(sets):
+    return {s for s in sets if not any(k < s for k in sets)}
+
+
+def plain_product(families):
+    product = {frozenset()}
+    for family in families:
+        product = {a | b for a in product for b in family.sets}
+    return product
+
+
+def plain_count(families, prune):
+    """The count `cap` bounds: the first frontier, plus |frontier| x
+    |distinct members| for every later family."""
+    frontier = set(families[0].sets)
+    if prune:
+        frontier = plain_minimal(frontier)
+    count = len(frontier)
+    for family in families[1:]:
+        members = set(family.sets)
+        count += len(frontier) * len(members)
+        frontier = {a | b for a in frontier for b in members}
+        if prune:
+            frontier = plain_minimal(frontier)
+    return count
+
+
+small_families = st.lists(
+    st.lists(st.frozensets(st.integers(0, 7), min_size=1), min_size=1,
+             max_size=4).map(lambda sets: CutSetFamily(tuple(sets), 8)),
+    min_size=1, max_size=5)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(small_families)
+def test_aggregate_matches_a_plain_frozenset_product(families):
+    product = plain_product(families)
+    reference = CutSetFamily(tuple(product), 8)
+    pruned = aggregate_cut_sets(families)
+    assert pruned.sets == minimalize(reference).sets
+    assert list(pruned.sets) == stable(plain_minimal(product))
+    assert list(aggregate_cut_sets(families, prune=False).sets) == \
+        stable(product)
+    for prune in (True, False):
+        count = plain_count(families, prune)
+        aggregate_cut_sets(families, prune=prune, cap=count)
+        if len(families) > 1:
+            with pytest.raises(AggregationOverflowError):
+                aggregate_cut_sets(families, prune=prune, cap=count - 1)
+        else:  # no union is formed, so nothing is counted against cap
+            aggregate_cut_sets(families, prune=prune, cap=count - 1)

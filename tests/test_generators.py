@@ -100,6 +100,19 @@ def test_gen_random_full_density_is_complete():
     assert len(inst.network.edges) == 15
 
 
+@pytest.mark.parametrize("bad", [{"num_demands": -1}, {"density": float("nan")},
+                                 {"density": float("inf")}, {"density": -0.1},
+                                 {"density": 1.5}])
+def test_gen_random_rejects_bad_arguments(bad):
+    with pytest.raises(ValueError):
+        gen_random(0, num_nodes=8, **bad)
+
+
+def test_gen_random_edge_arguments():
+    assert len(gen_random(0, num_nodes=8, num_demands=0).demands) == 0
+    assert len(gen_random(0, num_nodes=8, density=0.0).network.edges) == 7
+
+
 def test_gen_random_pool_validates(small_pool):
     for inst in small_pool:
         assert validate_instance(inst) == []
