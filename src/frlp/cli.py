@@ -24,8 +24,8 @@ from .lp import (AGG, DISAGG, NumericalError, TIGHT_NODE_CAP, build_model,
                  lp_bound, prepare_route_data)
 from .network import (CYCLIC, MAX_COVER, MIN_STATIONS, ORIGINAL, Instance,
                       ParseError, ValidationError, build_instance,
-                      parse_instance, serialize_instance, trip_length,
-                      variant_violations)
+                      parse_instance, require_variant, serialize_instance,
+                      trip_length)
 from .oracle import OracleSizeError, brute_force_solve
 from .routes import EnumerationOverflowError, enumerate_routes, route_budget
 from .solver import SolveRequest, UnservableError, reevaluate, solve
@@ -54,9 +54,7 @@ def _load(path: str, variant: Optional[str] = None) -> Instance:
     try:
         with open(path) as handle:
             instance = parse_instance(handle.read())
-        violations = variant_violations(instance.network, variant)
-        if violations:
-            raise ValidationError(violations)
+        require_variant(instance.network, variant)
     except (ParseError, ValidationError) as exc:
         raise ValueError(f"{path}: {exc}")
     for line in instance.pruning_report:
@@ -177,8 +175,10 @@ def cmd_check(args) -> int:
     if not labeling:
         print(f"served: {is_served(instance, demand, stations, variant)}")
     else:
-        # The one labeling search gives the verdict, as in `is_served`; with
-        # --trace it runs without dominance, which finds the same verdict.
+        # The full labeling search gives the verdict and its witness;
+        # `is_served` gives the same verdict, but skips the search for a
+        # station set its exact pre-check rejects. With --trace the search
+        # runs without dominance, which finds the same verdict.
         query = CycleQuery(instance, demand, stations,
                            route_budget(instance, demand, CYCLIC),
                            dominance=not args.trace)

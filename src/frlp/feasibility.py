@@ -13,11 +13,12 @@ after it (d(o,t) + d(t,j) + d(j,o) <= tau). No admissible route leaves the
 corridor, so a station outside it never changes a verdict. The labeling
 search enforces the same bound arc by arc: an extension is dropped when its
 length so far plus the shortest completion back to the origin exceeds tau,
-or when its charge distance exceeds the travel range. Both tests run on
-plain floats before a `Label` is built, so the search builds only the labels
-it keeps; `extend_label` then applies the one extension rule. The replay of
-`frlp check --trace` (dominance off) lists no label that cannot close
-within tau.
+or when its charge distance exceeds the travel range. Those tests, and
+dominance against the node's kept labels, run on plain floats before a
+`Label` is built, so the search builds only the labels it keeps;
+`_extension` is the one extension rule, which `extend_label` wraps. The
+replay of `frlp check --trace` (dominance off) lists no label that cannot
+close within tau.
 
 Each demand gets one check per variant, picked and built in one place on
 first use: explicit routes (made once, served iff one is traversable), the
@@ -25,7 +26,25 @@ original refueling Dijkstra over the distance rows of the corridor's nodes,
 or the cyclic labeling search at the demand's tau. The check holds the
 corridor and is kept in the network's distance cache, keyed by (demand,
 variant), next to the rows it reads; each verdict reads the travel range
-from its instance, since instances with other ranges may share a network.
+R from its instance, since instances with other ranges may share a network.
+Pairing the original variant with a directed network raises
+`ValidationError` (`network.require_variant`), here and in
+`routes.enumerate_routes`.
+
+The cyclic verdict first rejects, without a search, station sets that no
+admissible cycle can serve. Let the hubs be the open corridor stations;
+every admissible cycle stops at one, so with none it is unserved. Each
+charge segment of a cycle runs from one hub to the next (possibly the same)
+within R. If the destination is not a station, the segment through it runs
+from some hub a to some hub b (through the origin, perhaps), and by the
+triangle inequality is at least min_a d(a,t) + min_b d(t,b); if that exceeds
+R, no cycle is repeatable. The same holds for the segment through the
+origin, the wrap segment gamma_end + l_charge. The test compares against
+R + 2*DIST_TOL, so that float association never rejects a segment the
+search accepts at R + DIST_TOL. Only the verdict runs this pre-check:
+`search_cycle` itself, which `frlp check` and its `--trace` replay call,
+always runs the full search.
+
 `find_traversable_path` runs the same refueling Dijkstra at a given tau with
 a parent map and builds a witness path from it.
 """
@@ -38,7 +57,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .network import CYCLIC, DIST_TOL, ORIGINAL, Demand, Instance, Network
+from .network import (CYCLIC, DIST_TOL, ORIGINAL, Demand, Instance, Network,
+                      require_variant)
 from .routes import CYCLE, PATH, Route, is_traversable, make_route, route_budget
 
 INF = math.inf
@@ -89,34 +109,32 @@ class CycleSearch:
     selected: list  # labels in extraction order
 
 
+def _extension(delta_charge: int, l_start: float, l_charge: float,
+               gamma_end: float, length: float, has_station: bool):
+    """The one extension rule: the resources (delta_charge, l_start,
+    l_charge, gamma_end) after an arc of `length` into a node with or
+    without an open station. The caller tests budget and range."""
+    new_start = l_start + length
+    if has_station:
+        return 1, new_start, 0.0, gamma_end if delta_charge else new_start
+    return delta_charge, new_start, l_charge + length, gamma_end
+
+
 def extend_label(label: Label, arc, stations, travel_range: float,
                  tau: float) -> Optional[Label]:
     """Resource extension over a non-sink arc; None when the extension is
     rejected by the length budget or the range."""
     j1, j2, length = arc
     assert label.node == j1
-    new_start = label.l_start + length
-    new_charge_dist = label.l_charge + length
-    if new_start > tau + DIST_TOL or new_charge_dist > travel_range + DIST_TOL:
+    if (label.l_start + length > tau + DIST_TOL
+            or label.l_charge + length > travel_range + DIST_TOL):
         return None
-    has_station = j2 in stations
-    delta_charge = 1 if (label.delta_charge or has_station) else 0
-    if has_station:
-        l_charge = 0.0
-        gamma_end = new_start if not label.delta_charge else label.gamma_end
-    else:
-        l_charge = new_charge_dist
-        gamma_end = label.gamma_end
-    delta_dest = label.delta_dest  # destination handled by the caller
-    return Label(delta_charge, delta_dest, new_start, l_charge, gamma_end,
-                 node=j2, parent=label)
-
-
-def _dominates(a: Label, b: Label) -> bool:
-    return (a.delta_dest >= b.delta_dest
-            and a.l_start <= b.l_start + DIST_TOL
-            and a.l_charge <= b.l_charge + DIST_TOL
-            and a.gamma_end <= b.gamma_end + DIST_TOL)
+    delta_charge, l_start, l_charge, gamma_end = _extension(
+        label.delta_charge, label.l_start, label.l_charge, label.gamma_end,
+        length, j2 in stations)
+    # the destination flag is the caller's
+    return Label(delta_charge, label.delta_dest, l_start, l_charge,
+                 gamma_end, node=j2, parent=label)
 
 
 def _reconstruct(label: Label) -> Tuple[int, ...]:
@@ -136,9 +154,8 @@ def search_cycle(query: CycleQuery) -> CycleSearch:
     network = instance.network
     stations = query.stations
     origin, dest = demand.origin, demand.destination
-    d = instance.travel_range
-    tau = query.tau
-    budget, reach = tau + DIST_TOL, d + DIST_TOL
+    budget = query.tau + DIST_TOL
+    reach = instance.travel_range + DIST_TOL
 
     dist_to_dest = network.distances_to(dest)
     dist_to_origin = network.distances_to(origin)
@@ -170,6 +187,7 @@ def search_cycle(query: CycleQuery) -> CycleSearch:
                 visits = _reconstruct(label)
                 witness = make_route(network, visits, CYCLE)
                 return CycleSearch(witness, label, selected)
+        delta_charge, gamma_end = label.delta_charge, label.gamma_end
         l_start, l_charge = label.l_start, label.l_charge
         past_dest = label.delta_dest
         for j2, length in network.adjacency[node]:
@@ -177,32 +195,46 @@ def search_cycle(query: CycleQuery) -> CycleSearch:
             # bound (the shortest way back to the origin via the destination)
             # implies the length budget, since a completion is >= 0.
             if past_dest or j2 == dest:
-                score = dist_to_origin[j2]
+                reached, score = 1, dist_to_origin[j2]
             else:
-                score = dist_to_dest[j2] + dest_to_origin
+                reached, score = 0, dist_to_dest[j2] + dest_to_origin
             if l_start + length + score > budget or l_charge + length > reach:
                 continue
-            ext = extend_label(label, (node, j2, length), stations, d, tau)
-            if j2 == dest:
-                ext.delta_dest = 1  # extend_label leaves this to the caller
+            charged, start, charge, gamma = _extension(
+                delta_charge, l_start, l_charge, gamma_end, length,
+                j2 in stations)
             store = kept[j2]
+            # Dominance (or, without it, identity) against the node's kept
+            # labels, tested on the floats before a label is built.
             if query.dominance:
                 dominated = False
                 for old in store:
-                    if _dominates(old[2], ext):
+                    o = old[2]
+                    if (o.delta_dest >= reached
+                            and o.l_start <= start + DIST_TOL
+                            and o.l_charge <= charge + DIST_TOL
+                            and o.gamma_end <= gamma + DIST_TOL):
                         dominated = True
                         break
                 if dominated:
                     continue
                 live = []
                 for old in store:
-                    if _dominates(ext, old[2]):
+                    o = old[2]
+                    if (reached >= o.delta_dest
+                            and start <= o.l_start + DIST_TOL
+                            and charge <= o.l_charge + DIST_TOL
+                            and gamma <= o.gamma_end + DIST_TOL):
                         old[3] = False
                     else:
                         live.append(old)
                 store[:] = live
-            elif any(old[2].tuple5() == ext.tuple5() for old in store):
-                continue  # identical duplicates kept once
+            else:
+                state = (charged, reached, start, charge, gamma)
+                if any(old[2].tuple5() == state for old in store):
+                    continue  # identical duplicates kept once
+            ext = Label(charged, reached, start, charge, gamma, node=j2,
+                        parent=label)
             entry = [score, next(counter), ext, True]
             store.append(entry)
             heapq.heappush(heap, entry)
@@ -276,6 +308,7 @@ def find_traversable_path(instance: Instance, demand: Demand, stations,
     at the destination at least half-charged, recharging at stations.
     Returns a witness path within `tau_path`, or None."""
     network = instance.network
+    require_variant(network, ORIGINAL)
     origin, dest = demand.origin, demand.destination
     check = _PathCheck(network, origin, dest, tau_path)
     parent = {}
@@ -308,6 +341,7 @@ def _check(instance: Instance, demand: Demand, variant: str):
     check = network._dist_cache.get((demand, variant))
     if check is not None:
         return check
+    require_variant(network, variant)
     if demand.routes is not None:
         routes = [make_route(network, r) for r in demand.routes]
         zone = frozenset(j for r in demand.routes for j in r)
@@ -327,7 +361,22 @@ def _check(instance: Instance, demand: Demand, variant: str):
         zone = (_detour_nodes(network, origin, dest, tau - back)
                 | _detour_nodes(network, dest, origin, tau - out))
 
+        # The rows of the pre-check (module docstring): distances into and
+        # out of the destination and the origin.
+        ends = [(j, network.distances_to(j), network.distances_from(j))
+                for j in (dest, origin)]
+
         def served(inst, stations):
+            # no search for a station set that no admissible cycle serves
+            hubs = zone & stations
+            if not hubs:
+                return False
+            reach = inst.travel_range + 2 * DIST_TOL
+            for j, into, out_of in ends:
+                if j not in stations and (min(into[a] for a in hubs)
+                                          + min(out_of[b] for b in hubs)
+                                          > reach):
+                    return False
             query = CycleQuery(inst, demand, stations, tau)
             return search_cycle(query).witness is not None
     check = network._dist_cache[(demand, variant)] = (zone, served)

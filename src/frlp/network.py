@@ -259,6 +259,14 @@ def variant_violations(network: Network, variant: Optional[str]):
     return []
 
 
+def require_variant(network: Network, variant: Optional[str]):
+    """Raise ValidationError unless the network admits the variant (see
+    `variant_violations`)."""
+    violations = variant_violations(network, variant)
+    if violations:
+        raise ValidationError(violations)
+
+
 def _hard_violations(instance: Instance):
     """Every violation that pruning cannot repair. No shortest path is
     computed; the bounds are written so that NaN fails them."""

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .network import (CYCLIC, DIST_TOL, ORIGINAL, Demand, Instance, Network,
-                      trip_length)
+                      require_variant, trip_length)
 
 PATH = "path"
 CYCLE = "cycle"
@@ -80,8 +80,10 @@ def enumerate_routes(instance: Instance, demand: Demand, variant: str,
     A closed walk and its reversal over arcs of the same lengths are
     reported once, as on an undirected network. On a directed network
     the reversal may run over other arcs, and is then another route.
+    ValidationError when the network does not admit the variant.
     """
     network = instance.network
+    require_variant(network, variant)
     if demand.routes is not None:
         return [make_route(network, r) for r in demand.routes]
 

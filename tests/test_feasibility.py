@@ -1,11 +1,13 @@
 import math
+from dataclasses import replace
 
 import pytest
 
-from frlp import (CYCLIC, ORIGINAL, CycleQuery, Demand, Edge, Label,
+from frlp import (CYCLIC, MAX_COVER, ORIGINAL, CycleQuery, Demand, Edge,
+                  Label, SolveRequest, ValidationError, brute_force_solve,
                   build_instance, enumerate_routes, extend_label,
                   find_traversable_path, gen_example, gen_random, is_served,
-                  route_budget)
+                  reevaluate, route_budget, solve)
 from frlp import feasibility
 from frlp.feasibility import corridor, search_cycle
 from frlp.oracle import exhaustive_served
@@ -168,8 +170,7 @@ def test_corridor_sound_on_directed_network():
     inst = one_way_ring()
     # 0 -> 3 -> 0 around the ring uses every node once, in arc direction.
     assert corridor(inst, inst.demands[0], CYCLIC) == frozenset(range(6))
-    for variant in (ORIGINAL, CYCLIC):
-        _assert_corridor_sound(inst, variant)
+    _assert_corridor_sound(inst, CYCLIC)
     for q in inst.demands:
         for bits in range(1 << 6):
             stations = frozenset(j for j in range(6) if bits >> j & 1)
@@ -289,3 +290,78 @@ def test_search_builds_no_label_beyond_the_completion_bound(monkeypatch):
             completion = (to_origin[lab.node] if lab.delta_dest
                           else to_dest[lab.node] + to_origin[q.destination])
             assert lab.l_start + completion <= tau + DIST_TOL, lab
+
+
+def station_loop(lengths, travel_range):
+    """Origin 0 -> 1 -> destination 2 -> 1 -> 0 on one-way arcs of the four
+    `lengths`, plus a node 3 off the corridor (arcs 2 <-> 3 of length 100),
+    under the cyclic variant with alpha 1. With a station at 1 alone, the
+    charge segment through the destination is 1 -> 2 -> 1 and the one
+    through the origin 1 -> 0 -> 1."""
+    to_dest, into_dest, out_of_dest, back = lengths
+    arcs = [(0, 1, to_dest), (1, 2, into_dest), (2, 1, out_of_dest),
+            (1, 0, back), (2, 3, 100.0), (3, 2, 100.0)]
+    return build_instance(
+        [str(i) for i in range(4)],
+        [Edge(u, v, length, directed=True) for u, v, length in arcs],
+        [Demand(0, 2, 1.0, alpha=1.0)], travel_range, variant_default=CYCLIC)
+
+
+def test_cyclic_verdict_rejects_hopeless_station_sets_without_a_search(
+        monkeypatch):
+    # Every case is served at range 12 with a station at 1. At range 10 on
+    # the same network no search may run: the segment through the
+    # destination (first case) or through the origin (second) is 12, and
+    # the third and fourth cases open no corridor station. The verdict must
+    # read the range of its own instance, not of the one that built the
+    # check.
+    def no_search(query):
+        raise AssertionError("the labeling search ran")
+
+    cases = (((1.0, 4.0, 8.0, 1.0), {1}), ((4.0, 1.0, 1.0, 8.0), {1}),
+             ((1.0, 4.0, 8.0, 1.0), set()), ((1.0, 4.0, 8.0, 1.0), {3}))
+    for lengths, stations in cases:
+        inst = station_loop(lengths, 12.0)
+        q = inst.demands[0]
+        assert corridor(inst, q, CYCLIC) == frozenset({0, 1, 2})
+        assert is_served(inst, q, {1}, CYCLIC)
+        with monkeypatch.context() as patch:
+            patch.setattr(feasibility, "search_cycle", no_search)
+            short = replace(inst, travel_range=10.0)
+            assert not is_served(short, q, stations, CYCLIC), lengths
+            assert not is_served(inst, q, stations - {1}, CYCLIC)
+
+
+@pytest.mark.parametrize("lengths,travel_range", [
+    ((1.0, 4.0, 8.0, 1.0), 12.0),  # 4 + 8 = 12
+    ((8.0, 1.0, 1.0, 4.0), 12.0),  # 4 + 8 = 12 through the origin
+    ((0.1, 0.1, 0.2, 0.1), 0.3),  # 0.1 + 0.2 rounds above 0.3
+    ((0.2, 0.1, 0.1, 0.1), 0.3),  # 0.1 + 0.2 through the origin
+])
+def test_cyclic_segment_of_exactly_the_range_is_served(lengths,
+                                                       travel_range):
+    inst = station_loop(lengths, travel_range)
+    q = inst.demands[0]
+    tau = route_budget(inst, q, CYCLIC)
+    witness = search_cycle(CycleQuery(inst, q, frozenset({1}), tau)).witness
+    assert witness is not None and witness.visits == (0, 1, 2, 1, 0)
+    assert is_served(inst, q, {1}, CYCLIC)
+    assert exhaustive_served(inst, q, {1}, CYCLIC)
+
+
+@pytest.mark.parametrize("call", [
+    lambda inst, q: is_served(inst, q, {1}, ORIGINAL),
+    lambda inst, q: corridor(inst, q, ORIGINAL),
+    lambda inst, q: find_traversable_path(inst, q, {1}, 10.0),
+    lambda inst, q: enumerate_routes(inst, q, ORIGINAL),
+    lambda inst, q: reevaluate(inst, {1}, ORIGINAL),
+    lambda inst, q: brute_force_solve(inst, ORIGINAL, MAX_COVER),
+    lambda inst, q: solve(SolveRequest(inst, ORIGINAL, MAX_COVER)),
+], ids=["is_served", "corridor", "find_traversable_path", "enumerate_routes",
+        "reevaluate", "brute_force_solve", "solve"])
+def test_original_variant_on_a_directed_network_is_rejected(call):
+    inst = one_way_ring()
+    with pytest.raises(ValidationError, match="undirected"):
+        call(inst, inst.demands[0])
+    # the cyclic variant takes the same network
+    assert corridor(inst, inst.demands[0], CYCLIC)

@@ -67,8 +67,71 @@ def test_cyclic_servedness_matches_the_oracle(inst):
                 (q, sorted(stations))
 
 
-@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
 @given(directed_cyclic_instances())
+def test_cyclic_servedness_under_another_range_of_the_network(inst):
+    # The cyclic twin of the original-variant case below: the second
+    # instance shares the network, and so the demands' cached checks, under
+    # a longer travel range, which the cached checks must not carry over.
+    n = inst.num_nodes
+    routes = {}
+    for instance in (inst, replace(inst, travel_range=1.5 * D)):
+        assert instance.network is inst.network
+        for q in instance.demands:
+            for bits in range(1 << n):
+                stations = frozenset(j for j in range(n) if bits >> j & 1)
+                expected = exhaustive_served(instance, q, stations, CYCLIC,
+                                             _route_cache=routes)
+                assert is_served(instance, q, stations, CYCLIC) == expected, \
+                    (instance.travel_range, q, sorted(stations))
+
+
+@st.composite
+def scaled_cyclic_instances(draw):
+    """A ring instance of `directed_cyclic_instances`, kept directed or
+    made undirected, with every length and the range scaled by one factor,
+    so that a sum of lengths equal to the range may round above or below
+    it."""
+    ring = draw(directed_cyclic_instances())
+    scale = draw(st.sampled_from((1.0, 0.1, 0.3, 0.7)))
+    directed = draw(st.booleans())
+    edges = [replace(e, length=e.length * scale,
+                     directed=e.directed and directed)
+             for e in ring.network.edges]
+    return build_instance(ring.network.node_names, edges, ring.demands,
+                          D * scale, variant_default=CYCLIC)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(scaled_cyclic_instances(), st.data())
+def test_cyclic_verdict_is_the_labeling_search(inst, data):
+    # `is_served` rejects some station sets before any search: on random
+    # station sets it must agree with the search itself, under the
+    # instance's range and under a longer one on the same network.
+    n = inst.num_nodes
+    station_sets = data.draw(st.lists(st.integers(0, (1 << n) - 1),
+                                      min_size=1, max_size=24))
+    for instance in (inst, replace(inst, travel_range=1.5 * inst.travel_range)):
+        for q in instance.demands:
+            tau = route_budget(instance, q, CYCLIC)
+            for bits in station_sets:
+                stations = frozenset(j for j in range(n) if bits >> j & 1)
+                search = search_cycle(CycleQuery(instance, q, stations, tau))
+                assert is_served(instance, q, stations, CYCLIC) == \
+                    (search.witness is not None), \
+                    (instance.travel_range, q, sorted(stations))
+
+
+def undirected(inst):
+    """The instance with every edge two-way, as the original variant
+    requires."""
+    edges = tuple(replace(e, directed=False) for e in inst.network.edges)
+    return build_instance(inst.network.node_names, edges, inst.demands, D,
+                          variant_default=ORIGINAL)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(directed_cyclic_instances().map(undirected))
 def test_original_servedness_matches_the_oracle(inst):
     # Every station set: the refueling-network check, as a verdict and as a
     # witness, against enumerating the admissible paths. The second instance
