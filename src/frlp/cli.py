@@ -427,7 +427,8 @@ def run(argv=None) -> int:
             EnumerationOverflowError, AggregationOverflowError) as exc:
         status, message = SOLVE_ERROR, exc
     except MemoryError as exc:
-        status, message = SOLVE_ERROR, f"out of memory: {exc}"
+        detail = f": {exc}" if str(exc) else ""
+        status, message = SOLVE_ERROR, f"out of memory{detail}"
     except (OSError, ValueError) as exc:  # a file, or a value the library rejects
         status, message = USAGE_ERROR, exc
     print(f"error: {message}", file=sys.stderr)

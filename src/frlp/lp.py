@@ -3,13 +3,16 @@
 The solver is a dense bounded-variable simplex: small deterministic models
 only, no external dependencies. Variable bounds stay bounds, never rows: a
 nonbasic column sits at its lower or its upper bound. `_standard_form`
-builds the equality system, one row per program row, with one logical
-column per row (the slack, fixed at 0 on an = row). Every solve starts from
-a basis of logicals or, given the optimal `Basis` of an earlier solve, from
-that basis with the logicals of the rows added since: the dual simplex runs
-on the objective when the start is dual feasible, and on zero costs, for
-which every basis is, otherwise; then the primal simplex finishes. Every
-returned solution passes the residual check.
+builds the equality system, one row per program row, whose logical column
+(the slack, fixed at 0 on an = row) is the unit column of its row and is
+never stored. The basis inverse is kept in product form between two
+inversions of the basis: one rank-1 term per pivot, never added into an
+m x m array. Every solve starts from a basis of logicals or, given the
+optimal `Basis` of an earlier solve, from that basis with the logicals of
+the rows added since: the dual simplex runs on the objective when the start
+is dual feasible, and on zero costs, for which every basis is, otherwise;
+then the primal simplex finishes. Every returned solution passes the
+residual check.
 Model builders give the LP relaxations of the per-route (disaggregated) and
 per-demand (aggregated) max-cover formulations (`build_model`); the
 aggregated one, for either objective, comes from `covering_lp`, which the
@@ -99,18 +102,18 @@ class LpSolution:
 
 
 def _standard_form(lp: LinearProgram):
-    """The program as min c'u subject to A u = b, 0 <= u <= ub, where u is
-    x - lo followed by one logical column per row.
+    """The program as min c'u subject to [A I] u = b, 0 <= u <= ub, where u
+    is x - lo followed by one logical column per row.
 
-    Bounds stay bounds: A has one row per program row, and row i has the
-    logical column n + i with coefficient +1. A >= row is negated
-    (`row_sign`), so its logical is its slack too; the logical of an = row
-    is fixed at 0. The logicals are the start basis of every solve, whose
-    inverse is the identity, whether or not its basic values b lie within
-    their bounds. That m x m inverse is reserved together with A, before
-    either is written, so a basis inverse that cannot fit fails before A's
-    pages are touched.
-    Returns (A, b, c, lo, ub, row_sign, B_inv).
+    Bounds stay bounds: A holds the m x n structural block, one row per
+    program row, and the logical of row i is the unit column e_i, never
+    stored. A >= row is negated (`row_sign`), so its logical is its slack
+    too; the logical of an = row is fixed at 0. The logicals are the start
+    basis of every solve, whose inverse is the identity, whether or not its
+    basic values b lie within their bounds. The m x m space of a refactor,
+    the basis inverse and the basis it inverts, is reserved before A is
+    written, so a basis that cannot fit fails before any pivot.
+    Returns (A, b, c, lo, ub, row_sign, (B_inv, B)).
     """
     n = lp.num_vars
     lo = np.array([b[0] for b in lp.bounds], dtype=float)
@@ -126,8 +129,8 @@ def _standard_form(lp: LinearProgram):
             raise ValueError(f"unknown relation {rel!r}")
 
     m = len(lp.rows)
-    A = np.zeros((m, n + m))
-    B_inv = np.empty((m, m))
+    space = (np.empty((m, m)), np.empty((m, m)))
+    A = np.zeros((m, n))
     b = np.zeros(m)
     row_sign = np.ones(m)
     ub = np.full(n + m, np.inf)
@@ -139,53 +142,118 @@ def _standard_form(lp: LinearProgram):
             shifted -= coef * lo[j]
         if rel == GE:
             row_sign[i] = -1.0
-            A[i, :n] *= -1.0
+            A[i] *= -1.0
         elif rel == EQ:
             ub[n + i] = 0.0
         b[i] = row_sign[i] * shifted
-        A[i, n + i] = 1.0
 
     c = np.zeros(n + m)
     c[:n] = lp.objective
     if lp.sense == MAX:
         c[:n] *= -1.0
-    return A, b, c, lo, ub, row_sign, B_inv
+    return A, b, c, lo, ub, row_sign, space
 
 
 class _Simplex:
     """Bounded-variable revised simplex, primal (`run`) and dual (`dual`),
-    with an explicit basis inverse and a Bland fallback, on min c'u,
-    A u = b, 0 <= u <= ub, whose last m columns are the logicals.
+    with a Bland fallback, on min c'u, [A I] u = b, 0 <= u <= ub: the
+    columns of A, then the implicit logicals.
 
-    It starts from the logical basis, B_inv = I, with every other column at
-    0. A nonbasic column sits at 0 or, when `at_upper`, at its finite ub;
-    `rhs` is b less the columns at their upper bound, so the basic values
-    are B_inv @ rhs. Fixed columns (ub == 0) never enter. `pivots` counts
-    basis changes and `flips` the bound flips of entering columns whose own
-    bound is nearer than every basic variable's. The inverse is recomputed
-    after every REFACTOR_EVERY updates.
+    It starts from the logical basis with every other column at 0. A
+    nonbasic column sits at 0 or, when `at_upper`, at its finite ub; `rhs` is
+    b less the columns at their upper bound, so the basic values are
+    B^-1 rhs. Fixed columns (ub == 0) never enter. `pivots` counts basis
+    changes and `flips` the bound flips of entering columns whose own bound
+    is nearer than every basic variable's.
+
+    The inverse is kept in product form, B^-1 = B0^-1 - U'W, with one row of
+    U and of W per basis update since B0, the basis last inverted. Until the
+    first inversion B0 is the logical basis and B0^-1 = I is never formed.
+    The basis is inverted again, and U and W emptied, after every
+    REFACTOR_EVERY updates.
     """
 
-    def __init__(self, A, b, ub, B_inv):
+    def __init__(self, A, b, ub, space):
         self.A = A
         self.b = b
         self.ub = ub
-        self.m, self.n = A.shape
-        self.basis = list(range(self.n - self.m, self.n))
-        self.B_inv = B_inv
-        B_inv[:] = 0.0
-        np.fill_diagonal(B_inv, 1.0)
+        self.m, self.structural = A.shape
+        self.n = self.structural + self.m
+        self.basis = list(range(self.structural, self.n))
+        self.B0_inv, self.B = space  # B0's inverse, and room to form a basis
+        self.identity = True  # B0 is the logical basis
+        self.U = np.empty((REFACTOR_EVERY, self.m))
+        self.W = np.empty((REFACTOR_EVERY, self.m))
         self.at_upper = np.zeros(self.n, dtype=bool)
         self.rhs = b.copy()
         self.pivots = 0
         self.flips = 0
-        self.updates = 0  # rank-1 updates since the inverse was computed
+        self.updates = 0  # rows of U and W in use
+
+    def _price(self, y):
+        """y'[A I], one entry per column."""
+        return np.concatenate((y @ self.A, y))
+
+    def _ftran(self, v):
+        """B^-1 v."""
+        x = v.copy() if self.identity else self.B0_inv @ v
+        k = self.updates
+        if k:
+            x -= self.U[:k].T @ (self.W[:k] @ v)
+        return x
+
+    def _ftran_column(self, j):
+        """B^-1 times column j: for a logical, column j - structural of
+        B^-1."""
+        i = j - self.structural
+        if i < 0:
+            return self._ftran(self.A[:, j])
+        if self.identity:
+            d = np.zeros(self.m)
+            d[i] = 1.0
+        else:
+            d = self.B0_inv[:, i].copy()
+        k = self.updates
+        if k:
+            d -= self.U[:k].T @ self.W[:k, i]
+        return d
+
+    def _btran(self, v):
+        """v'B^-1."""
+        y = v.copy() if self.identity else v @ self.B0_inv
+        k = self.updates
+        if k:
+            y -= (self.U[:k] @ v) @ self.W[:k]
+        return y
+
+    def _inverse_row(self, r):
+        """Row r of B^-1."""
+        if self.identity:
+            row = np.zeros(self.m)
+            row[r] = 1.0
+        else:
+            row = self.B0_inv[r].copy()
+        k = self.updates
+        if k:
+            row -= self.U[:k, r] @ self.W[:k]
+        return row
 
     def _refactor(self):
-        self.B_inv[:] = np.linalg.inv(self.A[:, self.basis])
+        cols = np.array(self.basis, dtype=int)
+        structural = cols < self.structural
+        logical = np.flatnonzero(~structural)
+        B = self.B
+        B[:] = 0.0
+        B[:, structural] = self.A[:, cols[structural]]
+        B[cols[logical] - self.structural, logical] = 1.0
+        self.B0_inv[:] = np.linalg.inv(B)
+        self.identity = False
         self.updates = 0
         upper = np.flatnonzero(self.at_upper)
+        logical_upper = upper[upper >= self.structural]
+        upper = upper[upper < self.structural]
         self.rhs = self.b - self.A[:, upper] @ self.ub[upper]
+        self.rhs[logical_upper - self.structural] -= self.ub[logical_upper]
 
     def restart(self, basis, upper) -> bool:
         """Move to the basis `basis` (a column per row) with the nonbasic
@@ -203,37 +271,41 @@ class _Simplex:
             self._refactor()
         except np.linalg.LinAlgError:
             return False
-        return float(np.abs(self.B_inv).max(initial=0.0)) <= 1.0 / PIVOT_TOL
+        return float(np.abs(self.B0_inv).max(initial=0.0)) <= 1.0 / PIVOT_TOL
 
     def _set_upper(self, j, upper):
         """Put nonbasic column j at its upper (True) or lower bound."""
         if self.at_upper[j] != upper:
             self.at_upper[j] = upper
-            self.rhs += (-self.ub[j] if upper else self.ub[j]) * self.A[:, j]
+            step = -self.ub[j] if upper else self.ub[j]
+            if j < self.structural:
+                self.rhs += step * self.A[:, j]
+            else:
+                self.rhs[j - self.structural] += step
 
     def _pivot(self, entering, leaving_pos, d=None):
-        """Swap `entering` into the basis at `leaving_pos`; `d` is
-        B_inv @ A[:, entering] when the caller has it already.
+        """Swap `entering` into the basis at `leaving_pos`; `d` is B^-1
+        times the entering column when the caller has it already.
 
-        The basis inverse gets one rank-1 update: row i loses d[i] times the
-        scaled pivot row, the same float operations as a row-by-row update.
+        The new inverse is B^-1 - (d - e_r)(B^-1)_r / d_r, for the leaving
+        row r: U gains the row d - e_r and W the row (B^-1)_r / d_r.
         """
         if d is None:
-            d = self.B_inv @ self.A[:, entering]
+            d = self._ftran_column(entering)
         pivot = d[leaving_pos]
         if abs(pivot) < PIVOT_TOL:
             self._refactor()
-            d = self.B_inv @ self.A[:, entering]
+            d = self._ftran_column(entering)
             pivot = d[leaving_pos]
             if abs(pivot) < PIVOT_TOL:
                 raise NumericalError("degenerate pivot element")
+        k = self.updates
+        self.W[k] = self._inverse_row(leaving_pos) / pivot
+        self.U[k] = d
+        self.U[k, leaving_pos] -= 1.0
         self.basis[leaving_pos] = entering
         self.pivots += 1
         self.updates += 1
-        self.B_inv[leaving_pos] /= pivot
-        d = d.copy()
-        d[leaving_pos] = 0.0
-        self.B_inv -= np.outer(d, self.B_inv[leaving_pos])
 
     def run(self, c):
         """Minimize c'u from the current basis and bound sides; returns
@@ -246,9 +318,9 @@ class _Simplex:
         for _ in range(max_iter):
             if self.updates >= REFACTOR_EVERY:
                 self._refactor()
-            xB = self.B_inv @ self.rhs
-            y = c[self.basis] @ self.B_inv
-            reduced = c - y @ self.A
+            xB = self._ftran(self.rhs)
+            y = self._btran(c[self.basis])
+            reduced = c - self._price(y)
             # The objective change per unit step of each column off its bound.
             gain = np.where(self.at_upper, -reduced, reduced)
             nonbasic = movable.copy()
@@ -262,7 +334,7 @@ class _Simplex:
                 entering = int(candidates[0])
             else:
                 entering = int(candidates[np.argmin(gain[candidates])])
-            d = self.B_inv @ self.A[:, entering]
+            d = self._ftran_column(entering)
             # Basic values change by -step * fall as the entering column moves.
             fall = -d if self.at_upper[entering] else d
             ub_basic = self.ub[self.basis]
@@ -316,13 +388,13 @@ class _Simplex:
             if self.updates >= REFACTOR_EVERY:
                 self._refactor()
             if self.updates == 0:
-                reduced = c - (c[self.basis] @ self.B_inv) @ self.A
+                reduced = c - self._price(self._btran(c[self.basis]))
             gain = np.where(self.at_upper, -reduced, reduced)
             nonbasic = movable.copy()
             nonbasic[self.basis] = False
             if np.any(gain[nonbasic] < -tol):
                 return None
-            xB = self.B_inv @ self.rhs
+            xB = self._ftran(self.rhs)
             ub_basic = self.ub[self.basis]
             excess = np.maximum(-xB, xB - ub_basic)
             infeasible = np.flatnonzero(excess > PRIMAL_TOL)
@@ -334,9 +406,10 @@ class _Simplex:
             else:
                 r = int(infeasible[np.argmax(excess[infeasible])])
             to_upper = bool(xB[r] > ub_basic[r])
-            # x_r = (B_inv @ rhs)_r - alpha @ u: the rate at which moving
-            # each column off its bound moves x_r towards its violated bound.
-            alpha = self.B_inv[r] @ self.A
+            # x_r = (B^-1 rhs)_r - alpha @ u: the rate at which moving each
+            # column off its bound moves x_r towards its violated bound.
+            row = self._inverse_row(r)
+            alpha = self._price(row)
             rate = np.where(self.at_upper, alpha, -alpha)
             if to_upper:
                 rate = -rate
@@ -351,8 +424,8 @@ class _Simplex:
                 # Rates within rounding of zero (m ulps of the row's largest
                 # product) count as zero.
                 noise = m * np.finfo(float).eps * \
-                    float(np.abs(self.B_inv[r]).max()) * \
-                    float(np.abs(self.A).max())
+                    float(np.abs(row).max()) * \
+                    max(float(np.abs(self.A).max(initial=0.0)), 1.0)
                 towards = nonbasic & (rate > noise)
                 reach = float(rate[towards] @ self.ub[towards])
                 if excess[r] - reach > PRIMAL_TOL:
@@ -401,11 +474,11 @@ def solve_lp(lp: LinearProgram, start: Optional[Basis] = None) -> LpSolution:
     included, falls back to the cold start within the same call
     (`cold_start`).
     """
-    A, b, c, lo, ub, row_sign, B_inv = _standard_form(lp)
+    A, b, c, lo, ub, row_sign, space = _standard_form(lp)
     n, m = lp.num_vars, len(lp.rows)
     spent = 0  # iterations of a warm start that fell back
     if start is not None:
-        simplex = _Simplex(A, b, ub, B_inv)
+        simplex = _Simplex(A, b, ub, space)
         columns = _start_columns(start, n, m)
         upper = [j for j in start.at_upper if 0 <= j < n and math.isfinite(ub[j])]
         try:
@@ -414,7 +487,7 @@ def solve_lp(lp: LinearProgram, start: Optional[Basis] = None) -> LpSolution:
         except (NumericalError, np.linalg.LinAlgError):
             pass  # numerical trouble: start cold
         spent = simplex.pivots + simplex.flips
-    return _optimize(_Simplex(A, b, ub, B_inv), lp, c, lo, row_sign, spent,
+    return _optimize(_Simplex(A, b, ub, space), lp, c, lo, row_sign, spent,
                      cold=True)
 
 
@@ -424,7 +497,7 @@ def _optimize(simplex, lp, c, lo, row_sign, spent, cold) -> LpSolution:
     the primal simplex to optimality; check the residuals and name the
     optimal basis. `spent` counts the iterations of a warm start that fell
     back."""
-    A, b, ub, n = simplex.A, simplex.b, simplex.ub, lp.num_vars
+    n = lp.num_vars
     status = simplex.dual(c)
     if status is None:
         status = simplex.dual(np.zeros_like(c))
@@ -438,7 +511,8 @@ def _optimize(simplex, lp, c, lo, row_sign, spent, cold) -> LpSolution:
     primal = lo + u[:n]
     value = float(np.dot(lp.objective, primal))
 
-    _check_residuals(lp, primal, y, A, b, c, u, ub)
+    _check_residuals(primal, y, simplex.A, simplex.b, c, lo, simplex.ub,
+                     row_sign, u)
 
     sense_sign = -1.0 if lp.sense == MAX else 1.0
     duals = tuple(float(sense_sign * row_sign[i] * y[i]) for i in range(len(lp.rows)))
@@ -451,32 +525,38 @@ def _optimize(simplex, lp, c, lo, row_sign, spent, cold) -> LpSolution:
                       iterations, optimal_basis, cold)
 
 
-def _check_residuals(lp, primal, y, A, b, c, u, ub):
+def _check_residuals(primal, y, A, b, c, lo, ub, row_sign, u):
     """Primal feasibility at 1e-7; dual feasibility, complementary slackness
-    and strong duality at 1e-6 on the internal form min c'u, A u = b,
+    and strong duality at 1e-6 on the internal form min c'u, [A I] u = b,
     0 <= u <= ub.
 
-    The reduced costs d = c - y'A certify optimality with bound duals: a
-    column's active bound is its upper one when d_j < 0 and ub_j is finite,
-    its lower one otherwise. A column without an upper bound needs
-    d_j >= 0, u must sit at the active bound of every column with d_j != 0,
-    and c'u must equal the dual value y'b + sum of d_j ub_j over the columns
-    active at their upper bound.
+    A program row's lhs - rhs is row_sign * (A (x - lo) - b), and a
+    variable's bounds are lo and lo + ub. The reduced costs d = c - y'[A I]
+    certify optimality with bound duals: a column's active bound is its
+    upper one when d_j < 0 and ub_j is finite, its lower one otherwise. A
+    column without an upper bound needs d_j >= 0, u must sit at the active
+    bound of every column with d_j != 0, and c'u must equal the dual value
+    y'b + sum of d_j ub_j over the columns active at their upper bound.
     """
     scale = 1.0 + float(np.abs(b).max(initial=0.0))
-    for coeffs, rel, rhs in lp.rows:
-        lhs = sum(coef * primal[j] for j, coef in coeffs)
-        resid = lhs - rhs
-        if rel == LE and resid > PRIMAL_TOL * scale:
-            raise NumericalError(f"primal residual {resid} on a <= row")
-        if rel == GE and resid < -PRIMAL_TOL * scale:
-            raise NumericalError(f"primal residual {resid} on a >= row")
-        if rel == EQ and abs(resid) > PRIMAL_TOL * scale:
-            raise NumericalError(f"primal residual {resid} on an = row")
-    for j, (lo_j, hi_j) in enumerate(lp.bounds):
-        if primal[j] < lo_j - PRIMAL_TOL * scale or primal[j] > hi_j + PRIMAL_TOL * scale:
-            raise NumericalError(f"variable {j} violates its bounds")
-    reduced = c - y @ A
+    tol = PRIMAL_TOL * scale
+    n = len(primal)
+    shifted = primal - lo
+    excess = A @ shifted - b  # minus each row's logical
+    equality = ub[n:] == 0.0
+    wrong = np.where(equality, np.abs(excess), excess) > tol
+    if wrong.any():
+        i = int(np.argmax(wrong))
+        relation = "an =" if equality[i] else \
+            "a <=" if row_sign[i] > 0 else "a >="
+        resid = float(row_sign[i] * excess[i])
+        raise NumericalError(f"primal residual {resid} on "
+                             f"{relation} row")
+    outside = (shifted < -tol) | (shifted > ub[:n] + tol)
+    if outside.any():
+        raise NumericalError(f"variable {int(np.argmax(outside))} violates "
+                             "its bounds")
+    reduced = c - np.concatenate((y @ A, y))
     cscale = 1.0 + float(np.abs(c).max(initial=0.0))
     bounded = np.isfinite(ub)
     if np.any(reduced[~bounded] < -DUAL_TOL * cscale):

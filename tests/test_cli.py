@@ -310,6 +310,18 @@ def test_out_of_memory_is_a_solve_failure(fig7_path, capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_out_of_memory_without_detail_prints_no_empty_detail(fig7_path, capsys,
+                                                            monkeypatch):
+    def exhausted(model):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "lp_bound", exhausted)
+    assert run(["bounds", fig7_path]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == "error: out of memory"
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("unbuffered", [True, False],
                          ids=["unbuffered", "buffered"])
 def test_closed_pipe_ends_quietly(fig7_path, unbuffered):

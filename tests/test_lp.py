@@ -3,6 +3,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -345,35 +346,16 @@ def test_residual_check_rejects_a_column_on_the_wrong_bound():
     # min x0 - x1 over the unit box and x0 + x1 <= 2: the optimum is (0, 1)
     lp = LinearProgram(MIN, [1.0, -1.0], bounds=[(0.0, 1.0)] * 2)
     lp.add_row([(0, 1.0), (1, 1.0)], LE, 2.0)
-    A, b, c, lo, ub, *_ = lp_module._standard_form(lp)
+    A, b, c, lo, ub, row_sign, _ = lp_module._standard_form(lp)
+    assert A.shape == (1, 2)  # the structural columns only
     y = np.zeros(1)
     right = np.array([0.0, 1.0, 1.0])  # x and the row's slack
-    lp_module._check_residuals(lp, right[:2], y, A, b, c, right, ub)
+    lp_module._check_residuals(right[:2], y, A, b, c, lo, ub, row_sign, right)
     # x0 at its upper bound although its reduced cost is positive
     wrong = np.array([1.0, 1.0, 0.0])
-    with pytest.raises(NumericalError):
-        lp_module._check_residuals(lp, wrong[:2], y, A, b, c, wrong, ub)
-
-
-class RowLoopSimplex(lp_module._Simplex):
-    """Reference kernel: the basis inverse updated row by row in Python."""
-
-    def _pivot(self, entering, leaving_pos, d=None):
-        d = self.B_inv @ self.A[:, entering]
-        pivot = d[leaving_pos]
-        if abs(pivot) < PIVOT_TOL:
-            self._refactor()
-            d = self.B_inv @ self.A[:, entering]
-            pivot = d[leaving_pos]
-            if abs(pivot) < PIVOT_TOL:
-                raise NumericalError("degenerate pivot element")
-        self.basis[leaving_pos] = entering
-        self.pivots += 1
-        self.updates += 1
-        self.B_inv[leaving_pos] /= pivot
-        for i in range(self.m):
-            if i != leaving_pos and abs(d[i]) > 0:
-                self.B_inv[i] -= d[i] * self.B_inv[leaving_pos]
+    with pytest.raises(NumericalError, match="complementary slackness"):
+        lp_module._check_residuals(wrong[:2], y, A, b, c, lo, ub, row_sign,
+                                   wrong)
 
 
 def solve_with_kernel(kernel, lp, monkeypatch, start=None):
@@ -419,8 +401,56 @@ def rows_the_logical_start_violates(lp):
     return int(np.count_nonzero((b < 0.0) | (b > ub[lp.num_vars:])))
 
 
-def test_rank1_update_is_pivot_identical_to_row_loop(monkeypatch):
-    kernel = lp_module._Simplex  # before solve_with_kernel patches it
+def row_loop_violation(lp, primal):
+    """The row-by-row primal check: the relation and residual (lhs - rhs)
+    of the first program row violated at PRIMAL_TOL, or None."""
+    _, b, *_ = lp_module._standard_form(lp)
+    tol = lp_module.PRIMAL_TOL * (1.0 + float(np.abs(b).max(initial=0.0)))
+    for coeffs, rel, rhs in lp.rows:
+        resid = sum(coef * primal[j] for j, coef in coeffs) - rhs
+        if {LE: resid > tol, GE: resid < -tol, EQ: abs(resid) > tol}[rel]:
+            return rel, resid
+    return None
+
+
+def test_residual_check_flags_the_rows_a_row_loop_flags():
+    rng = random.Random(7)
+    flagged = passed = 0
+    for lp in bounded_lps():
+        solution = solve_lp(lp)
+        if solution.status != "optimal":
+            continue
+        A, b, c, lo, ub, row_sign, _ = lp_module._standard_form(lp)
+        y = np.zeros(len(lp.rows))
+        for _ in range(5):
+            primal = np.array(solution.primal) + \
+                [rng.choice([0.0, rng.uniform(-1e-3, 1e-3)]) for _ in lp.bounds]
+            u = np.concatenate((primal - lo, np.zeros(len(lp.rows))))
+            expected = row_loop_violation(lp, primal)
+            try:
+                lp_module._check_residuals(primal, y, A, b, c, lo, ub,
+                                           row_sign, u)
+                message = ""
+            except NumericalError as exc:
+                message = str(exc)
+            if expected is None:
+                assert not message.startswith("primal residual")
+                passed += 1
+                continue
+            rel, resid = expected
+            match = re.fullmatch(r"primal residual (\S+) on an? (\S+) row",
+                                 message)
+            assert match and match.group(2) == rel, (message, expected)
+            assert float(match.group(1)) == pytest.approx(resid, rel=1e-9)
+            flagged += 1
+    assert flagged > 20 and passed > 20
+
+
+def kernel_programs(monkeypatch):
+    """The kernel's test pool: the random and bounded LPs cold, the
+    relaxations of the pinned solves cold and from the starts they ran with,
+    and a disaggregated relaxation whose cold solve takes more than
+    REFACTOR_EVERY pivots."""
     relaxations = []
     solve_lp_of_solver = solver_module.solve_lp
 
@@ -433,31 +463,83 @@ def test_rank1_update_is_pivot_identical_to_row_loop(monkeypatch):
     solve(pinned_request(MIN_STATIONS))  # full coverage: cover rows start violated
     monkeypatch.undo()
     assert len(relaxations) > 10
-    # every relaxation cold, and the solver's warm re-solves as they ran
-    programs = [(lp, None) for lp, _ in random_lps()] + \
+    inst = gen_random(1, num_nodes=16, density=0.25, num_demands=16,
+                      variant=ORIGINAL)
+    long = build_model(inst, DISAGG, route_data=prepare_route_data(inst, ORIGINAL),
+                       budget=3)
+    return [(lp, None) for lp, _ in random_lps()] + \
         [(lp, None) for lp in bounded_lps()] + \
         [(lp, None) for lp, _ in relaxations] + \
-        [(lp, start) for lp, start in relaxations if start is not None]
-    zero_cost = flips = warm = 0
+        [(lp, start) for lp, start in relaxations if start is not None] + \
+        [(long, None)]
+
+
+def test_product_form_inverse_times_the_basis_is_the_identity(monkeypatch):
+    programs = kernel_programs(monkeypatch)
+    errors, runs = [], []
+
+    class Checked(lp_module._Simplex):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.refactors = 0
+            runs.append(self)
+
+        def _check(self):
+            # B0^-1 - U'W, the inverse the kernel works with, times the basis
+            k = self.updates
+            inverse = (np.eye(self.m) if self.identity else self.B0_inv) - \
+                self.U[:k].T @ self.W[:k]
+            product = inverse @ np.hstack((self.A, np.eye(self.m)))[:, self.basis]
+            errors.append(float(np.abs(product - np.eye(self.m)).max(initial=0.0)))
+
+        def _refactor(self):
+            super()._refactor()
+            self.refactors += 1
+            self._check()
+
+        def _pivot(self, entering, leaving_pos, d=None):
+            super()._pivot(entering, leaving_pos, d)
+            self._check()
+
     for lp, start in programs:
+        monkeypatch.setattr(lp_module, "_Simplex", Checked)
+        solve_lp(lp, start)
+        monkeypatch.undo()
+    assert max(errors) <= 1e-9
+    assert len(errors) > 500
+    # some solves invert the basis midway and go on pivoting from B0^-1
+    assert any(run.refactors and run.pivots > lp_module.REFACTOR_EVERY
+               for run in runs)
+
+
+def test_kernel_keeps_status_and_value_and_counts_every_iteration(monkeypatch):
+    # The reference inverts the basis before every iteration, so that U and
+    # W never hold more than the one update of the last pivot.
+    kernel = lp_module._Simplex  # before solve_with_kernel patches it
+    zero_cost = flips = warm = long = 0
+    for lp, start in kernel_programs(monkeypatch):
         pivots, simplex, solution = solve_with_kernel(kernel, lp, monkeypatch,
                                                       start)
-        ref_pivots, ref_simplex, ref_solution = solve_with_kernel(
-            RowLoopSimplex, lp, monkeypatch, start)
-        assert pivots == ref_pivots
-        assert simplex.flips == ref_simplex.flips
-        # dataclass equality compares primals and duals entry by entry
-        assert solution == ref_solution
+        monkeypatch.setattr(lp_module, "REFACTOR_EVERY", 1)
+        ref_pivots, ref_simplex, reference = solve_with_kernel(
+            kernel, lp, monkeypatch, start)
+        assert solution.status == reference.status
+        if solution.status == "optimal":
+            assert solution.value == pytest.approx(reference.value, rel=1e-9,
+                                                   abs=1e-9)
         # an iteration is a pivot or a bound flip
         assert solution.iterations == len(pivots) + simplex.flips
-        # A: the variables and one logical per row, and no other column
-        assert simplex.A.shape == (len(lp.rows), lp.num_vars + len(lp.rows))
+        assert reference.iterations == len(ref_pivots) + ref_simplex.flips
+        # A: the structural columns only; the logicals stay implicit
+        assert simplex.A.shape == (len(lp.rows), lp.num_vars)
         zero_cost += sum(simplex.zero_cost_pivots) > 0
         flips += simplex.flips
         warm += not solution.cold_start and len(pivots) > 0
+        long += len(pivots) > lp_module.REFACTOR_EVERY
     assert zero_cost > 0  # some starts pivot on the zero-cost dual pass
     assert flips > 0  # and some entering columns flip to their upper bound
     assert warm > 0  # and some warm starts pivot
+    assert long > 0  # and some solves refactor midway
 
 
 def test_original_solve_is_pinned():
@@ -469,12 +551,12 @@ def test_original_solve_is_pinned():
     from frlp.oracle import brute_force_solve
     request = pinned_request()
     solution = solve(request)
-    assert solution.stats.bb_nodes == 14
+    assert solution.stats.bb_nodes == 13
     assert solution.stats.cuts == 28
-    assert solution.stats.served_calls == 190
-    assert solution.stats.served_memo_hits == 74
-    assert solution.stats.lp_solves == 20
-    assert solution.stats.lp_iterations == 95
+    assert solution.stats.served_calls == 189
+    assert solution.stats.served_memo_hits == 73
+    assert solution.stats.lp_solves == 19
+    assert solution.stats.lp_iterations == 100
     assert solution.stats.lp_cold_starts == 1
     assert solution.objective == 31.0
     # {3, 4, 10} and {3, 8, 10} tie at 31: the stations are one of them,
@@ -518,34 +600,43 @@ def test_cover_relaxations_keep_bounds_and_start_on_slacks(monkeypatch):
 
 
 MEMORY_CHILD = textwrap.dedent("""
-    import json, resource
+    import json, resource, sys
     from frlp import LinearProgram, solve_lp
+    from frlp import lp as lp_module
     from frlp.lp import LE, MAX
 
+    squares, patched = float(sys.argv[1]), sys.argv[2] == "patched"
+    if patched:
+        def dual(self, c):
+            raise RuntimeError("pivoted")
+        lp_module._Simplex.dual = dual
     m, n = 6000, 4
     lp = LinearProgram(MAX, [1.0] * n, bounds=[(0.0, 1.0)] * n)
     for i in range(m):
         lp.add_row([(i % n, 1.0)], LE, 1.0)
-    a_bytes = 8 * m * (n + m)  # A: the variables and one slack per row
+    a_bytes = 8 * m * n  # A: the structural columns only
+    square_bytes = 8 * m * m  # the basis inverse, and the basis it inverts
     with open("/proc/self/status") as status:
         vm_kb = next(int(line.split()[1]) for line in status
                      if line.startswith("VmSize:"))
-    # Room for A and half as much again: not for the m x m basis inverse.
-    limit = 1024 * vm_kb + a_bytes + a_bytes // 2
+    # Room for A and `squares` m x m arrays.
+    limit = 1024 * vm_kb + a_bytes + int(squares * square_bytes)
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
     before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     try:
         solve_lp(lp)
         error = None
-    except MemoryError as exc:
-        error = str(exc)
+    except (MemoryError, RuntimeError) as exc:
+        error = f"{type(exc).__name__}: {exc}"
     after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     print(json.dumps({"error": error, "grown_kb": after - before,
-                      "a_kb": a_bytes // 1024}))
+                      "square_kb": square_bytes // 1024}))
 """)
 
 
-def test_basis_inverse_that_cannot_fit_fails_before_a_is_written():
+def run_memory_child(squares, patched=False):
+    """MEMORY_CHILD's report on a 6,000-row program, under an address-space
+    limit with room for `squares` m x m arrays beyond what it holds."""
     resource = pytest.importorskip("resource")
     if not hasattr(resource, "RLIMIT_AS") or not Path("/proc/self/status").exists():
         pytest.skip("needs RLIMIT_AS and /proc/self/status")
@@ -555,13 +646,30 @@ def test_basis_inverse_that_cannot_fit_fails_before_a_is_written():
                PYTHONPATH=os.pathsep.join(
                    [str(Path(frlp.__file__).resolve().parents[1])] +
                    [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    child = subprocess.run([sys.executable, "-c", MEMORY_CHILD], env=env,
+    child = subprocess.run([sys.executable, "-c", MEMORY_CHILD, str(squares),
+                            "patched" if patched else "plain"], env=env,
                            capture_output=True, text=True, timeout=120)
     assert child.returncode == 0, child.stderr
-    report = json.loads(child.stdout.splitlines()[-1])
-    assert report["error"] is not None  # the MemoryError, not a solution
-    # A (288 MB) was reserved but never written: the peak RSS barely moved
-    assert report["grown_kb"] < report["a_kb"] // 10
+    return json.loads(child.stdout.splitlines()[-1])
+
+
+def test_basis_inverse_that_cannot_fit_fails_before_a_is_written():
+    # Room for the inverse but not for the basis a refactor inverts: the
+    # two are reserved together, before A, so the solve fails at once.
+    report = run_memory_child(1.5)
+    assert report["error"].startswith("MemoryError")
+    assert "(6000, 6000)" in report["error"]
+    # nothing was written: the peak RSS barely moved
+    assert report["grown_kb"] < report["square_kb"] // 10
+
+
+def test_basis_that_cannot_fit_fails_before_any_pivot():
+    # With the dual simplex, the first pass of every solve, made to raise:
+    # the reservation fails before it runs ...
+    report = run_memory_child(1.5, patched=True)
+    assert report["error"].startswith("MemoryError")
+    # ... and with room for both m x m arrays, the solve reaches it.
+    assert run_memory_child(2.5, patched=True)["error"] == "RuntimeError: pivoted"
 
 
 def test_build_model_example1_disagg_rows():

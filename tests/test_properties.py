@@ -9,11 +9,12 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frlp import (CYCLIC, MAX_COVER, MIN_STATIONS, ORIGINAL, CycleQuery,
-                  Demand, Edge, PlacementConstraints, SolveRequest,
+from frlp import (AGG, CYCLIC, DISAGG, MAX_COVER, MIN_STATIONS, ORIGINAL,
+                  CycleQuery, Demand, Edge, PlacementConstraints, SolveRequest,
                   UnservableError, brute_force_solve, build_instance,
-                  enumerate_routes, find_traversable_path, is_served,
-                  reevaluate, route_budget, solve)
+                  build_model, enumerate_routes, find_traversable_path,
+                  is_served, lp_bound, prepare_route_data, reevaluate,
+                  route_budget, solve)
 from frlp.feasibility import search_cycle
 from frlp.oracle import exhaustive_served
 
@@ -225,3 +226,19 @@ def test_solve_matches_the_oracle(case, objective, node_limit):
         assert solution.bound - 1e-9 <= best <= solution.objective
     if solution.optimal:
         assert solution.objective == pytest.approx(best)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(placement_instances())
+def test_lp_bounds_keep_the_order_of_the_formulations(case):
+    # The disaggregated relaxation is no tighter than the aggregated one,
+    # and the aggregated one bounds the max-cover optimum under the
+    # placement's budget, forced-open and forced-closed nodes.
+    variant, inst = case
+    route_data = prepare_route_data(inst, variant)
+    disagg = lp_bound(build_model(inst, DISAGG, route_data=route_data))
+    agg = lp_bound(build_model(inst, AGG,
+                               families=[d.aggregated for d in route_data]))
+    best = brute_force_solve(inst, variant, MAX_COVER).objective
+    assert disagg >= agg - 1e-7
+    assert agg >= best - 1e-7
