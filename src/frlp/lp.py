@@ -1,18 +1,18 @@
 """Bundled LP engine, covering-model builders and relaxation-bound evaluators.
 
-The solver is a dense bounded-variable simplex: small deterministic models
-only, no external dependencies. Variable bounds stay bounds, never rows: a
-nonbasic column sits at its lower or its upper bound. `_standard_form`
-builds the equality system, one row per program row, whose logical column
-(the slack, fixed at 0 on an = row) is the unit column of its row and is
-never stored. The basis inverse is kept in product form between two
-inversions of the basis: one rank-1 term per pivot, never added into an
-m x m array. Every solve starts from a basis of logicals or, given the
-optimal `Basis` of an earlier solve, from that basis with the logicals of
-the rows added since: the dual simplex runs on the objective when the start
-is dual feasible, and on zero costs, for which every basis is, otherwise;
-then the primal simplex finishes. Every returned solution passes the
-residual check.
+The solver is a dense bounded-variable dual simplex: small deterministic
+models only, no external dependencies. Every program variable lies in a
+finite box, and bounds stay bounds, never rows: a nonbasic column sits at
+its lower or its upper bound. `_standard_form` builds the equality system,
+one row per program row, whose logical column (the slack, fixed at 0 on an
+= row) is the unit column of its row and is never stored. The basis inverse
+is kept in product form between two inversions of the basis: one rank-1
+term per pivot, never added into an m x m array. Every solve starts from a
+basis of logicals or, given the optimal `Basis` of an earlier solve, from
+that basis with the logicals of the rows added since. Putting each nonbasic
+column at the bound its reduced cost prefers makes the start dual feasible,
+and one pass of the dual simplex on the objective solves the program. Every
+returned solution passes the residual check.
 Model builders give the LP relaxations of the per-route (disaggregated) and
 per-demand (aggregated) max-cover formulations (`build_model`); the
 aggregated one, for either objective, comes from `covering_lp`, which the
@@ -23,7 +23,6 @@ closed form, tightest concave interpolant over explicit servedness vectors).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
@@ -40,7 +39,6 @@ LE, GE, EQ = "<=", ">=", "="
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
 
 # Formulation tags of build_model: the per-route and the per-demand
 # max-cover model.
@@ -65,7 +63,7 @@ class DimensionCapError(ValueError):
 
 @dataclass
 class LinearProgram:
-    """min/max c'x subject to sparse rows and box bounds (lower bounds finite)."""
+    """min/max c'x subject to sparse rows and box bounds, both finite."""
 
     sense: str
     objective: List[float]
@@ -112,14 +110,19 @@ def _standard_form(lp: LinearProgram):
     basis of every solve, whose inverse is the identity, whether or not its
     basic values b lie within their bounds. The m x m space of a refactor,
     the basis inverse and the basis it inverts, is reserved before A is
-    written, so a basis that cannot fit fails before any pivot.
+    written, so a basis that cannot fit fails before any pivot. A program
+    without one finite (lower, upper) pair per variable, or with a cost, row
+    coefficient or right-hand side that is not finite, raises ValueError.
     Returns (A, b, c, lo, ub, row_sign, (B_inv, B)).
     """
     n = lp.num_vars
+    if len(lp.bounds) != n:
+        raise ValueError(f"{n} variables need {n} (lower, upper) bound pairs, "
+                         f"not {len(lp.bounds)}")
     lo = np.array([b[0] for b in lp.bounds], dtype=float)
     hi = np.array([b[1] for b in lp.bounds], dtype=float)
-    if not np.all(np.isfinite(lo)):
-        raise ValueError("all variable lower bounds must be finite")
+    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        raise ValueError("all variable bounds must be finite")
     if np.any(hi < lo - PIVOT_TOL):
         raise ValueError("variable bounds must satisfy lower <= upper")
     if lp.sense not in (MIN, MAX):
@@ -149,22 +152,27 @@ def _standard_form(lp: LinearProgram):
 
     c = np.zeros(n + m)
     c[:n] = lp.objective
+    for name, values in (("objective coefficients", c),
+                         ("row coefficients", A), ("right-hand sides", b)):
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"all {name} must be finite")
     if lp.sense == MAX:
         c[:n] *= -1.0
     return A, b, c, lo, ub, row_sign, space
 
 
 class _Simplex:
-    """Bounded-variable revised simplex, primal (`run`) and dual (`dual`),
-    with a Bland fallback, on min c'u, [A I] u = b, 0 <= u <= ub: the
-    columns of A, then the implicit logicals.
+    """Bounded-variable revised dual simplex (`dual`), with a Bland
+    fallback, on min c'u, [A I] u = b, 0 <= u <= ub: the columns of A, then
+    the implicit logicals. Only the logical of an inequality row has no
+    upper bound.
 
     It starts from the logical basis with every other column at 0. A
     nonbasic column sits at 0 or, when `at_upper`, at its finite ub; `rhs` is
     b less the columns at their upper bound, so the basic values are
     B^-1 rhs. Fixed columns (ub == 0) never enter. `pivots` counts basis
-    changes and `flips` the bound flips of entering columns whose own bound
-    is nearer than every basic variable's.
+    changes and `flips` the moves of nonbasic columns to their other bound
+    (`_flip`): at the start of `dual`, and in its ratio test.
 
     The inverse is kept in product form, B^-1 = B0^-1 - U'W, with one row of
     U and of W per basis update since B0, the basis last inverted. Until the
@@ -283,15 +291,20 @@ class _Simplex:
             else:
                 self.rhs[j - self.structural] += step
 
-    def _pivot(self, entering, leaving_pos, d=None):
-        """Swap `entering` into the basis at `leaving_pos`; `d` is B^-1
-        times the entering column when the caller has it already.
+    def _flip(self, columns):
+        """Move each nonbasic column of `columns` to its other bound."""
+        for j in columns:
+            self._set_upper(j, not self.at_upper[j])
+        self.flips += len(columns)
 
-        The new inverse is B^-1 - (d - e_r)(B^-1)_r / d_r, for the leaving
-        row r: U gains the row d - e_r and W the row (B^-1)_r / d_r.
+    def _pivot(self, entering, leaving_pos):
+        """Swap `entering` into the basis at `leaving_pos`.
+
+        With d = B^-1 times the entering column, the new inverse is
+        B^-1 - (d - e_r)(B^-1)_r / d_r, for the leaving row r: U gains the
+        row d - e_r and W the row (B^-1)_r / d_r.
         """
-        if d is None:
-            d = self._ftran_column(entering)
+        d = self._ftran_column(entering)
         pivot = d[leaving_pos]
         if abs(pivot) < PIVOT_TOL:
             self._refactor()
@@ -307,75 +320,29 @@ class _Simplex:
         self.pivots += 1
         self.updates += 1
 
-    def run(self, c):
-        """Minimize c'u from the current basis and bound sides; returns
-        (status, u, y)."""
-        m, n = self.m, self.n
-        movable = self.ub > 0.0
-        degenerate = 0
-        bland_trigger = 10 * (m + n)
-        max_iter = 50 * (m + n) + 10000
-        for _ in range(max_iter):
-            if self.updates >= REFACTOR_EVERY:
-                self._refactor()
-            xB = self._ftran(self.rhs)
-            y = self._btran(c[self.basis])
-            reduced = c - self._price(y)
-            # The objective change per unit step of each column off its bound.
-            gain = np.where(self.at_upper, -reduced, reduced)
-            nonbasic = movable.copy()
-            nonbasic[self.basis] = False
-            candidates = np.flatnonzero(nonbasic & (gain < -PIVOT_TOL))
-            if candidates.size == 0:
-                u = np.where(self.at_upper, self.ub, 0.0)
-                u[self.basis] = xB
-                return OPTIMAL, u, y
-            if degenerate > bland_trigger:
-                entering = int(candidates[0])
-            else:
-                entering = int(candidates[np.argmin(gain[candidates])])
-            d = self._ftran_column(entering)
-            # Basic values change by -step * fall as the entering column moves.
-            fall = -d if self.at_upper[entering] else d
-            ub_basic = self.ub[self.basis]
-            ratios = np.full(m, np.inf)
-            down = fall > PIVOT_TOL
-            ratios[down] = np.maximum(xB[down], 0.0) / fall[down]
-            up = (fall < -PIVOT_TOL) & np.isfinite(ub_basic)
-            ratios[up] = np.maximum(ub_basic[up] - xB[up], 0.0) / -fall[up]
-            best = ratios.min(initial=np.inf)
-            if self.ub[entering] <= best:  # a bound flip, or no bound at all
-                if math.isinf(self.ub[entering]):
-                    return UNBOUNDED, None, None
-                self._set_upper(entering, not self.at_upper[entering])
-                self.flips += 1
-                continue
-            ties = np.flatnonzero(ratios <= best + PIVOT_TOL)
-            leaving_pos = int(min(ties, key=lambda i: self.basis[i]))
-            leaving = self.basis[leaving_pos]
-            if best < PIVOT_TOL:
-                degenerate += 1
-            self._set_upper(entering, False)
-            self._pivot(entering, leaving_pos, d)
-            self._set_upper(leaving, bool(up[leaving_pos]))
-        raise NumericalError("simplex iteration limit exceeded")
-
     def dual(self, c):
         """Bounded-variable dual simplex on min c'u from the current basis.
-        Returns OPTIMAL once every basic value lies within its bounds, None
-        when the basis is not dual feasible at DUAL_TOL (never for zero
-        costs, for which every basis is), and INFEASIBLE when a row admits
-        no entering column (the dual is unbounded) and the bounds of the
-        nonbasic columns keep its basic value outside its own. A row with no
-        entering column whose bounds do not prove that raises
+        A nonbasic column whose reduced cost has the wrong sign for its
+        bound, beyond DUAL_TOL, first moves to its other bound. Only a
+        nonbasic logical of an inequality row has none: then the basis
+        cannot be made dual feasible and `dual` raises NumericalError
+        (never from a cold start, whose logicals are basic). Returns OPTIMAL
+        once every basic value lies within its bounds, and INFEASIBLE when a
+        row admits no entering column (the dual is unbounded) and the bounds
+        of the nonbasic columns keep its basic value outside its own. A row
+        with no entering column whose bounds do not prove that raises
         NumericalError.
 
         The leaving row is the basic value furthest outside its bounds, and
         it leaves at the bound it violates. The ratio test keeps every
         nonbasic reduced cost on the side its bound needs (>= 0 at the lower
         bound, <= 0 at the upper one) and prefers the largest pivot among
-        ties; fixed columns never enter. The reduced costs are computed at
-        each inversion of the basis and updated by the pivot row between.
+        ties; fixed columns never enter. Outside the Bland rule, a tie that
+        leaves x_r outside its bound even across its whole range flips to
+        its other bound instead of entering, so a route-choice row
+        sum z <= 1 with every z at 1 takes one pivot, not one per z. The
+        reduced costs are computed at each inversion of the basis and
+        updated by the pivot row between.
         """
         m, n = self.m, self.n
         movable = self.ub > 0.0
@@ -392,8 +359,13 @@ class _Simplex:
             gain = np.where(self.at_upper, -reduced, reduced)
             nonbasic = movable.copy()
             nonbasic[self.basis] = False
-            if np.any(gain[nonbasic] < -tol):
-                return None
+            wrong = np.flatnonzero(nonbasic & (gain < -tol))
+            if wrong.size:
+                if not np.all(np.isfinite(self.ub[wrong])):
+                    raise NumericalError("the basis cannot be made dual "
+                                         "feasible")
+                self._flip(wrong)
+                gain[wrong] *= -1.0
             xB = self._ftran(self.rhs)
             ub_basic = self.ub[self.basis]
             excess = np.maximum(-xB, xB - ub_basic)
@@ -435,7 +407,14 @@ class _Simplex:
             ratios = np.maximum(gain[eligible], 0.0) / rate[eligible]
             best = float(ratios.min())
             ties = eligible[ratios <= best + PIVOT_TOL]
-            entering = int(ties[0] if bland else ties[np.argmax(rate[ties])])
+            if bland:
+                entering = int(ties[0])
+            else:
+                ties = ties[np.argsort(-rate[ties], kind="stable")]
+                reach = np.cumsum(rate[ties[:-1]] * self.ub[ties[:-1]])
+                passed = ties[:-1][reach < excess[r] - PRIMAL_TOL]
+                self._flip(passed)
+                entering = int(ties[passed.size])
             if best < PIVOT_TOL:
                 degenerate += 1
             leaving = self.basis[r]
@@ -480,7 +459,7 @@ def solve_lp(lp: LinearProgram, start: Optional[Basis] = None) -> LpSolution:
     if start is not None:
         simplex = _Simplex(A, b, ub, space)
         columns = _start_columns(start, n, m)
-        upper = [j for j in start.at_upper if 0 <= j < n and math.isfinite(ub[j])]
+        upper = [j for j in start.at_upper if 0 <= j < n]
         try:
             if columns is not None and simplex.restart(columns, upper):
                 return _optimize(simplex, lp, c, lo, row_sign, 0, cold=False)
@@ -492,22 +471,20 @@ def solve_lp(lp: LinearProgram, start: Optional[Basis] = None) -> LpSolution:
 
 
 def _optimize(simplex, lp, c, lo, row_sign, spent, cold) -> LpSolution:
-    """Solve from the simplex's basis: the dual simplex on c when the basis
-    is dual feasible, else on zero costs to reach primal feasibility, then
-    the primal simplex to optimality; check the residuals and name the
-    optimal basis. `spent` counts the iterations of a warm start that fell
-    back."""
+    """Solve from the simplex's basis by one pass of the dual simplex on c,
+    read the primal and dual solution off the final basis, check the
+    residuals and name the optimal basis. `spent` counts the iterations of
+    a warm start that fell back."""
     n = lp.num_vars
     status = simplex.dual(c)
-    if status is None:
-        status = simplex.dual(np.zeros_like(c))
-    if status == OPTIMAL:
-        status, u, y = simplex.run(c)
     iterations = spent + simplex.pivots + simplex.flips
     if status != OPTIMAL:
         return LpSolution(status, None, None, None, iterations,
                           cold_start=cold)
 
+    y = simplex._btran(c[simplex.basis])
+    u = np.where(simplex.at_upper, simplex.ub, 0.0)
+    u[simplex.basis] = simplex._ftran(simplex.rhs)
     primal = lo + u[:n]
     value = float(np.dot(lp.objective, primal))
 
@@ -685,8 +662,9 @@ def build_model(instance: Instance, tag: str,
             for family in dr.families:
                 col = len(lp.objective)
                 lp.objective.append(dr.demand.volume)
-                # z_r <= 1 follows from the route-choice row and z >= 0.
-                lp.bounds.append((0.0, math.inf))
+                # z_r <= 1 follows from the route-choice row and z >= 0;
+                # the bound repeats it, so that every column is boxed.
+                lp.bounds.append((0.0, 1.0))
                 z_cols.append(col)
                 for s in family.sets:
                     lp.add_row([(j, 1.0) for j in s] + [(col, -1.0)],
@@ -775,8 +753,9 @@ def _interpolation_value(n: int, bits: np.ndarray, payoff: np.ndarray,
     active = sorted(set(columns))
 
     for _ in range(1 << (n + 2)):
+        # The weights sum to 1, so the box [0, 1] leaves the LP as it is.
         lp = LinearProgram(MAX, [float(payoff[s]) for s in active],
-                           bounds=[(0.0, math.inf)] * len(active))
+                           bounds=[(0.0, 1.0)] * len(active))
         for i in range(n):
             lp.add_row([(k, bits[s, i]) for k, s in enumerate(active)
                         if bits[s, i]], EQ, float(x[i]))

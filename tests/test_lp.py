@@ -58,14 +58,41 @@ def test_infeasible_and_unbounded():
     lp = LinearProgram(MIN, [1.0], bounds=[(0.0, 1.0)])
     lp.add_row([(0, 1.0)], GE, 2.0)
     assert solve_lp(lp).status == "infeasible"
+    # every column is boxed, so no program is unbounded: a column without
+    # an upper bound is rejected
     lp = LinearProgram(MAX, [1.0], bounds=[(0.0, math.inf)])
-    assert solve_lp(lp).status == "unbounded"
-    # no rows, bounded below: each variable sits at its lower bound
-    lp = LinearProgram(MIN, [1.0, 0.0], bounds=[(2.0, math.inf), (-1.0, math.inf)])
+    with pytest.raises(ValueError, match="variable bounds must be finite"):
+        solve_lp(lp)
+    # no rows: each variable sits at the bound its cost prefers, the lower
+    # one at a zero cost
+    lp = LinearProgram(MIN, [1.0, 0.0], bounds=[(2.0, 5.0), (-1.0, 3.0)])
     sol = solve_lp(lp)
     assert sol.status == "optimal" and sol.value == 2.0
     assert sol.primal == (2.0, -1.0) and sol.duals == ()
     assert all(type(v) is float for v in sol.primal)
+
+
+def one_row_lp(objective=1.0, coef=1.0, rhs=1.0, bounds=((0.0, 1.0),)):
+    """max objective * x subject to coef * x <= rhs, x within `bounds`."""
+    lp = LinearProgram(MAX, [objective], bounds=list(bounds))
+    lp.add_row([(0, coef)], LE, rhs)
+    return lp
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"bounds": [(0.0, math.nan)]}, "variable bounds must be finite"),
+    ({"bounds": [(0.0, math.inf)]}, "variable bounds must be finite"),
+    ({"objective": math.nan}, "objective coefficients must be finite"),
+    ({"coef": math.nan}, "row coefficients must be finite"),
+    ({"rhs": math.inf}, "right-hand sides must be finite"),
+    ({"bounds": []}, "1 variables need 1 .* bound pairs, not 0"),
+    ({"bounds": [(0.0, 1.0)] * 2}, "1 variables need 1 .* bound pairs, not 2"),
+], ids=["nan-upper", "inf-upper", "nan-cost", "nan-coefficient",
+        "inf-rhs", "no-bounds", "two-bounds"])
+def test_program_that_is_not_finite_and_boxed_is_rejected(change, message):
+    assert solve_lp(one_row_lp()).value == 1.0
+    with pytest.raises(ValueError, match=message):
+        solve_lp(one_row_lp(**change))
 
 
 def test_equality_rows_and_duals():
@@ -243,18 +270,19 @@ def test_warm_resolve_matches_cold_in_fewer_iterations():
 
 
 def test_warm_infeasible_only_when_the_bounds_prove_it():
-    # The added row x0 + coef * x1 >= 2, with x0 fixed at 1, is met only at
-    # x1 = 1 / coef: a rate below PIVOT_TOL with no upper bound. The dual
-    # simplex finds no entering column, yet x1's range reaches the row's
-    # bound, so neither start reports the feasible program infeasible: the
-    # warm one falls back cold, and the cold one raises.
+    # The added row x0 + coef * x1 >= 2, with x0 fixed at 1, is met only
+    # from x1 = 1 / coef on: a rate below PIVOT_TOL, on a column whose upper
+    # bound 2 / coef lies beyond that. The dual simplex finds no entering
+    # column, yet x1's range reaches the row's bound, so neither start
+    # reports the feasible program infeasible: the warm one falls back cold,
+    # and the cold one raises.
     for coef in (1e-10, 1e-12):
         lp = LinearProgram(MIN, [0.0, 1.0],
-                           bounds=[(0.0, 1.0), (0.0, math.inf)])
+                           bounds=[(0.0, 1.0), (0.0, 2.0 / coef)])
         lp.add_row([(0, 1.0)], LE, 1.0)
         parent = solve_lp(lp)
         child = LinearProgram(MIN, [0.0, 1.0], list(lp.rows),
-                              [(1.0, 1.0), (0.0, math.inf)])
+                              [(1.0, 1.0), (0.0, 2.0 / coef)])
         child.add_row([(0, 1.0), (1, coef)], GE, 2.0)
         with pytest.raises(NumericalError):
             solve_lp(child, parent.basis)
@@ -269,8 +297,8 @@ def test_numerical_trouble_on_the_warm_path_falls_back_cold(monkeypatch):
         for parent in [solve_lp(lp)]
         for child in [child_lp(lp, parent)]
         if solve_lp(child, parent.basis).status == "optimal")
-    # the primal clean-up after the dual simplex, then the residual check
-    for owner, name in ((lp_module._Simplex, "run"),
+    # the dual simplex, then the residual check
+    for owner, name in ((lp_module._Simplex, "dual"),
                         (lp_module, "_check_residuals")):
         original = getattr(owner, name)
         calls = []
@@ -293,7 +321,7 @@ def test_numerical_trouble_on_the_warm_path_falls_back_cold(monkeypatch):
 
 def test_start_is_used_unless_it_is_not_a_basis(monkeypatch):
     from dataclasses import replace
-    checked = not_dual_feasible = 0
+    checked = flipped_warm = fell_back = 0
     for lp in bounded_lps(count=20):
         parent = solve_lp(lp)
         basis = parent.basis
@@ -313,20 +341,25 @@ def test_start_is_used_unless_it_is_not_a_basis(monkeypatch):
             assert (again.value, again.primal, again.basis) == \
                 (cold.value, cold.primal, cold.basis)
         # The optimal basis of the opposite objective is mostly not dual
-        # feasible: the zero-cost dual pass starts from it all the same, and
-        # the answer is the cold one.
+        # feasible. Where only variables price out with the wrong sign,
+        # moving them to their other bound makes it so, and the warm solve
+        # ends at the cold answer. Where a nonbasic logical does, no move
+        # can, and the solve starts cold.
         flipped = LinearProgram(MIN if lp.sense == MAX else MAX,
                                 list(lp.objective), list(lp.rows),
                                 list(lp.bounds))
         _, simplex, again = solve_with_kernel(lp_module._Simplex, child,
                                               monkeypatch,
                                               solve_lp(flipped).basis)
-        assert not again.cold_start
         assert again.status == cold.status
         if cold.status == "optimal":
             assert again.value == pytest.approx(cold.value, rel=1e-9, abs=1e-9)
-        not_dual_feasible += bool(simplex.zero_cost_pivots)
-    assert checked >= 10 and not_dual_feasible > checked // 2
+        if again.cold_start:
+            assert (again.value, again.primal, again.basis) == \
+                (cold.value, cold.primal, cold.basis)
+        fell_back += again.cold_start
+        flipped_warm += not again.cold_start and simplex.start_flips > 0
+    assert checked >= 10 and flipped_warm > 3 and fell_back > 3
 
 
 def test_numerically_singular_start_falls_back_cold():
@@ -360,26 +393,40 @@ def test_residual_check_rejects_a_column_on_the_wrong_bound():
 
 def solve_with_kernel(kernel, lp, monkeypatch, start=None):
     """solve_lp on `kernel`; returns its (entering, leaving) pivots, the
-    first simplex object and the solution. The simplex lists the pivots of
-    each of its zero-cost dual passes in `zero_cost_pivots`."""
+    first simplex object and the solution. The simplex keeps the bound
+    flips that made its start dual feasible, those before its first ratio
+    test, in `start_flips`, and the columns these moved to their upper bound
+    in `start_upper`."""
     pivots, simplexes = [], []
 
     class Recording(kernel):
         def __init__(self, *args):
             super().__init__(*args)
-            self.zero_cost_pivots = []
+            self.start_flips = None
+            self.start_upper = []
             simplexes.append(self)
 
+        def _started(self):
+            if self.start_flips is None:
+                self.start_flips = self.flips
+
+        def _set_upper(self, j, upper):
+            if self.start_flips is None and upper:
+                self.start_upper.append(int(j))
+            super()._set_upper(j, upper)
+
         def dual(self, c):
-            before = self.pivots
             status = super().dual(c)
-            if not c.any():
-                self.zero_cost_pivots.append(self.pivots - before)
+            self._started()  # a solve without a ratio test
             return status
 
-        def _pivot(self, entering, leaving_pos, d=None):
+        def _inverse_row(self, r):
+            self._started()  # the pivot row of the first ratio test
+            return super()._inverse_row(r)
+
+        def _pivot(self, entering, leaving_pos):
             pivots.append((entering, self.basis[leaving_pos]))
-            super()._pivot(entering, leaving_pos, d)
+            super()._pivot(entering, leaving_pos)
 
     monkeypatch.setattr(lp_module, "_Simplex", Recording)
     solution = solve_lp(lp, start)
@@ -497,8 +544,8 @@ def test_product_form_inverse_times_the_basis_is_the_identity(monkeypatch):
             self.refactors += 1
             self._check()
 
-        def _pivot(self, entering, leaving_pos, d=None):
-            super()._pivot(entering, leaving_pos, d)
+        def _pivot(self, entering, leaving_pos):
+            super()._pivot(entering, leaving_pos)
             self._check()
 
     for lp, start in programs:
@@ -516,7 +563,7 @@ def test_kernel_keeps_status_and_value_and_counts_every_iteration(monkeypatch):
     # The reference inverts the basis before every iteration, so that U and
     # W never hold more than the one update of the last pivot.
     kernel = lp_module._Simplex  # before solve_with_kernel patches it
-    zero_cost = flips = warm = long = 0
+    start_flips = passed = warm = long = 0
     for lp, start in kernel_programs(monkeypatch):
         pivots, simplex, solution = solve_with_kernel(kernel, lp, monkeypatch,
                                                       start)
@@ -532,12 +579,12 @@ def test_kernel_keeps_status_and_value_and_counts_every_iteration(monkeypatch):
         assert reference.iterations == len(ref_pivots) + ref_simplex.flips
         # A: the structural columns only; the logicals stay implicit
         assert simplex.A.shape == (len(lp.rows), lp.num_vars)
-        zero_cost += sum(simplex.zero_cost_pivots) > 0
-        flips += simplex.flips
+        start_flips += simplex.start_flips > 0 and len(pivots) > 0
+        passed += simplex.flips > simplex.start_flips
         warm += not solution.cold_start and len(pivots) > 0
         long += len(pivots) > lp_module.REFACTOR_EVERY
-    assert zero_cost > 0  # some starts pivot on the zero-cost dual pass
-    assert flips > 0  # and some entering columns flip to their upper bound
+    assert start_flips > 0  # some starts flip columns, then pivot
+    assert passed > 0  # some ratio tests flip tied columns
     assert warm > 0  # and some warm starts pivot
     assert long > 0  # and some solves refactor midway
 
@@ -589,14 +636,38 @@ def test_cover_relaxations_keep_bounds_and_start_on_slacks(monkeypatch):
         # one logical per row, and no other column
         assert simplex.n == lp.num_vars + len(lp.rows)
     # x = y = 0 satisfies every cover row, so the logical start is primal
-    # feasible and the zero-cost dual pass takes no pivot ...
+    # feasible. A covered volume is a negative cost in min form, so the
+    # cold start moves every y (every z of the disaggregated model) to its
+    # upper bound before its first pivot ...
     for lp in (max_cover, disagg):
         assert rows_the_logical_start_violates(lp) == 0
-        assert solved_simplex(lp, monkeypatch).zero_cost_pivots == [0]
+        paying = [j for j, (v, (lo, hi)) in
+                       enumerate(zip(lp.objective, lp.bounds)) if v > 0 and lo < hi]
+        assert len(paying) > 10
+        simplex = solved_simplex(lp, monkeypatch)
+        assert simplex.start_upper == paying
+        assert simplex.start_flips == len(paying)
     # ... unlike full coverage, where y = 1 makes each cover row x(S) >= 1;
     # its costs are >= 0, so the dual simplex starts on them at once
     assert rows_the_logical_start_violates(full_min) == len(pairs)
-    assert solved_simplex(full_min, monkeypatch).zero_cost_pivots == []
+    assert solved_simplex(full_min, monkeypatch).start_flips == 0
+
+
+def test_tied_columns_flip_instead_of_entering(monkeypatch):
+    # max sum z over k boxed columns with sum z <= 1, the shape of a
+    # disaggregated route-choice row. The start flips every z to 1, which
+    # puts the row k - 1 out of bounds. All k columns tie in the ratio
+    # test; k - 2 of them flip back to 0 instead of entering, so the solve
+    # takes one pivot, not k - 1.
+    k = 50
+    lp = LinearProgram(MAX, [1.0] * k, bounds=[(0.0, 1.0)] * k)
+    lp.add_row([(j, 1.0) for j in range(k)], LE, 1.0)
+    pivots, simplex, solution = solve_with_kernel(lp_module._Simplex, lp,
+                                                  monkeypatch)
+    assert solution.value == 1.0
+    assert simplex.start_flips == k
+    assert len(pivots) == 1
+    assert solution.iterations == 1 + k + (k - 2)
 
 
 MEMORY_CHILD = textwrap.dedent("""
@@ -681,8 +752,9 @@ def test_build_model_example1_disagg_rows():
     routes = sum(len(d.routes) for d in route_data)
     assert routes == 2
     assert lp.objective == [0.0] * 5 + [fig2.demands[0].volume] * routes
-    # route columns have no upper bound: the route-choice row implies z <= 1
-    assert lp.bounds == [(0.0, 1.0)] * 5 + [(0.0, math.inf)] * routes
+    # route columns are boxed in [0, 1], which the route-choice row and
+    # z >= 0 imply
+    assert lp.bounds == [(0.0, 1.0)] * 5 + [(0.0, 1.0)] * routes
 
 
 def test_build_model_example2_agg_rows():
