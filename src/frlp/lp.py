@@ -5,7 +5,10 @@ models only, no external dependencies. Every program variable lies in a
 finite box, and bounds stay bounds, never rows: a nonbasic column sits at
 its lower or its upper bound. `_standard_form` builds the equality system,
 one row per program row, whose logical column (the slack, fixed at 0 on an
-= row) is the unit column of its row and is never stored. The basis inverse
+= row) is the unit column of its row and is never stored. It reserves the
+m x m space of a refactor first, then reads every row's coefficients into
+flat arrays and scatters them into the dense A in one call; a column index
+must be an int in [0, n), and every number finite. The basis inverse
 is kept in product form between two inversions of the basis: one rank-1
 term per pivot, never added into an m x m array. Every solve starts from a
 basis of logicals or, given the optimal `Basis` of an earlier solve, from
@@ -16,14 +19,19 @@ returned solution passes the residual check.
 Model builders give the LP relaxations of the per-route (disaggregated) and
 per-demand (aggregated) max-cover formulations (`build_model`); the
 aggregated one, for either objective, comes from `covering_lp`, which the
-branch-and-cut solver also builds its relaxations with. The evaluators
+branch-and-cut solver also builds its relaxations with. Their covering rows
+x(S) - z >= 0 share one (j, 1.0) tuple per station column and one (z, -1.0)
+per route or demand, and go into the row list without `add_row`'s copy, so
+a row costs one list, not a tuple per coefficient. The evaluators
 compute the three concave servedness bounds (per-route LP value, aggregated
 closed form, tightest concave interpolant over explicit servedness vectors).
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -71,6 +79,10 @@ class LinearProgram:
     bounds: List[Tuple[float, float]] = field(default_factory=list)
 
     def add_row(self, coeffs, relation, rhs):
+        """Append the row sum coef * x_j `relation` rhs, with `coeffs` an
+        iterable of (j, coef) pairs, copied into a list of its own. The
+        builders of this module append their covering rows without the copy,
+        from shared pairs; nothing changes a row once it is appended."""
         self.rows.append((list(coeffs), relation, float(rhs)))
 
     @property
@@ -109,11 +121,18 @@ def _standard_form(lp: LinearProgram):
     too; the logical of an = row is fixed at 0. The logicals are the start
     basis of every solve, whose inverse is the identity, whether or not its
     basic values b lie within their bounds. The m x m space of a refactor,
-    the basis inverse and the basis it inverts, is reserved before A is
-    written, so a basis that cannot fit fails before any pivot. A program
-    without one finite (lower, upper) pair per variable, or with a cost, row
-    coefficient or right-hand side that is not finite, raises ValueError.
-    Returns (A, b, c, lo, ub, row_sign, (B_inv, B)).
+    the basis inverse and the basis it inverts, is reserved before any
+    coefficient array is built, so a basis that cannot fit fails before any
+    pivot.
+
+    The coefficients of all rows are read into flat arrays in row order and
+    scattered into A by one unbuffered `np.add.at`, so a column named twice
+    in a row sums in the order the row lists it; b is each right-hand side
+    less coef * lo[j] over its row, subtracted in that same order. A program
+    without one finite (lower, upper) pair per variable, with a column index
+    that is not an int in [0, n), or with a cost, row coefficient or
+    right-hand side that is not finite raises ValueError, before any
+    arithmetic on them. Returns (A, b, c, lo, ub, row_sign, (B_inv, B)).
     """
     n = lp.num_vars
     if len(lp.bounds) != n:
@@ -127,35 +146,54 @@ def _standard_form(lp: LinearProgram):
         raise ValueError("variable bounds must satisfy lower <= upper")
     if lp.sense not in (MIN, MAX):
         raise ValueError(f"unknown sense {lp.sense!r}")
-    for _, rel, _ in lp.rows:
+    relations = [rel for _, rel, _ in lp.rows]
+    for rel in relations:
         if rel not in (LE, GE, EQ):
             raise ValueError(f"unknown relation {rel!r}")
 
     m = len(lp.rows)
     space = (np.empty((m, m)), np.empty((m, m)))
-    A = np.zeros((m, n))
-    b = np.zeros(m)
-    row_sign = np.ones(m)
-    ub = np.full(n + m, np.inf)
-    ub[:n] = np.maximum(hi - lo, 0.0)
-    for i, (coeffs, rel, rhs) in enumerate(lp.rows):
-        shifted = rhs
-        for j, coef in coeffs:
-            A[i, j] += coef
-            shifted -= coef * lo[j]
-        if rel == GE:
-            row_sign[i] = -1.0
-            A[i] *= -1.0
-        elif rel == EQ:
-            ub[n + i] = 0.0
-        b[i] = row_sign[i] * shifted
-
+    coeff_lists = [coeffs for coeffs, _, _ in lp.rows]
+    pairs = list(chain.from_iterable(coeff_lists))
+    try:
+        cols = np.frombuffer(array("q", [j for j, _ in pairs]), dtype=np.int64)
+    except (TypeError, OverflowError):
+        cols = None
+    if cols is None or (cols.size and (cols.min() < 0 or cols.max() >= n)):
+        i, j = next((i, j) for i, coeffs in enumerate(coeff_lists)
+                    for j, _ in coeffs
+                    if not (isinstance(j, (int, np.integer)) and 0 <= j < n))
+        raise ValueError(f"row {i} has column index {j!r}, "
+                         f"not an int in [0, {n})")
+    coefs = np.frombuffer(array("d", [coef for _, coef in pairs]))
+    shifted = np.array([rhs for _, _, rhs in lp.rows], dtype=float)
     c = np.zeros(n + m)
     c[:n] = lp.objective
     for name, values in (("objective coefficients", c),
-                         ("row coefficients", A), ("right-hand sides", b)):
+                         ("row coefficients", coefs),
+                         ("right-hand sides", shifted)):
         if not np.all(np.isfinite(values)):
             raise ValueError(f"all {name} must be finite")
+
+    ge = np.array([rel == GE for rel in relations], dtype=bool)
+    row_sign = np.where(ge, -1.0, 1.0)
+    ub = np.full(n + m, np.inf)
+    ub[:n] = np.maximum(hi - lo, 0.0)
+    ub[n + np.flatnonzero([rel == EQ for rel in relations])] = 0.0
+    row_of = np.repeat(np.arange(m), np.fromiter(map(len, coeff_lists),
+                                                 dtype=np.intp, count=m))
+    entries = row_of * n + cols
+    A = np.zeros((m, n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.add.at(A.reshape(-1), entries, coefs)
+        np.subtract.at(shifted, row_of, coefs * lo[cols])
+    np.negative(A, out=A, where=ge[:, None])
+    b = row_sign * shifted
+    # finite terms can still sum beyond the largest float
+    if not np.all(np.isfinite(A.reshape(-1)[entries])):
+        raise ValueError("all row coefficients must be finite")
+    if not np.all(np.isfinite(b)):
+        raise ValueError("all right-hand sides must be finite")
     if lp.sense == MAX:
         c[:n] *= -1.0
     return A, b, c, lo, ub, row_sign, space
@@ -178,7 +216,9 @@ class _Simplex:
     U and of W per basis update since B0, the basis last inverted. Until the
     first inversion B0 is the logical basis and B0^-1 = I is never formed.
     The basis is inverted again, and U and W emptied, after every
-    REFACTOR_EVERY updates.
+    REFACTOR_EVERY updates. `basis` is an index array, the basic column of
+    each row, and the ratio test hands the leaving row of B^-1, which it has
+    computed, on to `_pivot`.
     """
 
     def __init__(self, A, b, ub, space):
@@ -187,7 +227,7 @@ class _Simplex:
         self.ub = ub
         self.m, self.structural = A.shape
         self.n = self.structural + self.m
-        self.basis = list(range(self.structural, self.n))
+        self.basis = np.arange(self.structural, self.n)  # a column per row
         self.B0_inv, self.B = space  # B0's inverse, and room to form a basis
         self.identity = True  # B0 is the logical basis
         self.U = np.empty((REFACTOR_EVERY, self.m))
@@ -247,7 +287,7 @@ class _Simplex:
         return row
 
     def _refactor(self):
-        cols = np.array(self.basis, dtype=int)
+        cols = self.basis
         structural = cols < self.structural
         logical = np.flatnonzero(~structural)
         B = self.B
@@ -271,7 +311,7 @@ class _Simplex:
         1 / PIVOT_TOL)."""
         if len(basis) != self.m or len(set(basis)) != self.m:
             return False
-        self.basis = list(basis)
+        self.basis = np.array(basis, dtype=np.intp)
         self.at_upper[:] = False
         self.at_upper[upper] = True
         self.at_upper[self.basis] = False
@@ -297,8 +337,9 @@ class _Simplex:
             self._set_upper(j, not self.at_upper[j])
         self.flips += len(columns)
 
-    def _pivot(self, entering, leaving_pos):
-        """Swap `entering` into the basis at `leaving_pos`.
+    def _pivot(self, entering, leaving_pos, row):
+        """Swap `entering` into the basis at `leaving_pos`; `row` is row
+        `leaving_pos` of B^-1, which the ratio test has already computed.
 
         With d = B^-1 times the entering column, the new inverse is
         B^-1 - (d - e_r)(B^-1)_r / d_r, for the leaving row r: U gains the
@@ -312,8 +353,9 @@ class _Simplex:
             pivot = d[leaving_pos]
             if abs(pivot) < PIVOT_TOL:
                 raise NumericalError("degenerate pivot element")
+            row = self._inverse_row(leaving_pos)
         k = self.updates
-        self.W[k] = self._inverse_row(leaving_pos) / pivot
+        self.W[k] = row / pivot
         self.U[k] = d
         self.U[k, leaving_pos] -= 1.0
         self.basis[leaving_pos] = entering
@@ -359,7 +401,7 @@ class _Simplex:
             gain = np.where(self.at_upper, -reduced, reduced)
             nonbasic = movable.copy()
             nonbasic[self.basis] = False
-            wrong = np.flatnonzero(nonbasic & (gain < -tol))
+            wrong = (nonbasic & (gain < -tol)).nonzero()[0]
             if wrong.size:
                 if not np.all(np.isfinite(self.ub[wrong])):
                     raise NumericalError("the basis cannot be made dual "
@@ -369,14 +411,14 @@ class _Simplex:
             xB = self._ftran(self.rhs)
             ub_basic = self.ub[self.basis]
             excess = np.maximum(-xB, xB - ub_basic)
-            infeasible = np.flatnonzero(excess > PRIMAL_TOL)
+            infeasible = (excess > PRIMAL_TOL).nonzero()[0]
             if infeasible.size == 0:
                 return OPTIMAL
             bland = degenerate > bland_trigger
             if bland:
-                r = int(min(infeasible, key=lambda i: self.basis[i]))
+                r = int(infeasible[self.basis[infeasible].argmin()])
             else:
-                r = int(infeasible[np.argmax(excess[infeasible])])
+                r = int(infeasible[excess[infeasible].argmax()])
             to_upper = bool(xB[r] > ub_basic[r])
             # x_r = (B^-1 rhs)_r - alpha @ u: the rate at which moving each
             # column off its bound moves x_r towards its violated bound.
@@ -385,7 +427,7 @@ class _Simplex:
             rate = np.where(self.at_upper, alpha, -alpha)
             if to_upper:
                 rate = -rate
-            eligible = np.flatnonzero(nonbasic & (rate > PIVOT_TOL))
+            eligible = (nonbasic & (rate > PIVOT_TOL)).nonzero()[0]
             if eligible.size == 0:
                 if self.updates > 0:
                     self._refactor()  # confirm the empty row on a fresh inverse
@@ -410,8 +452,8 @@ class _Simplex:
             if bland:
                 entering = int(ties[0])
             else:
-                ties = ties[np.argsort(-rate[ties], kind="stable")]
-                reach = np.cumsum(rate[ties[:-1]] * self.ub[ties[:-1]])
+                ties = ties[(-rate[ties]).argsort(kind="stable")]
+                reach = (rate[ties[:-1]] * self.ub[ties[:-1]]).cumsum()
                 passed = ties[:-1][reach < excess[r] - PRIMAL_TOL]
                 self._flip(passed)
                 entering = int(ties[passed.size])
@@ -422,7 +464,7 @@ class _Simplex:
             # one's becomes -reduced[entering] / alpha[entering].
             reduced = reduced - (reduced[entering] / alpha[entering]) * alpha
             self._set_upper(entering, False)
-            self._pivot(entering, r)
+            self._pivot(entering, r, row)
             self._set_upper(leaving, to_upper)
         raise NumericalError("dual simplex iteration limit exceeded")
 
@@ -493,7 +535,7 @@ def _optimize(simplex, lp, c, lo, row_sign, spent, cold) -> LpSolution:
 
     sense_sign = -1.0 if lp.sense == MAX else 1.0
     duals = tuple(float(sense_sign * row_sign[i] * y[i]) for i in range(len(lp.rows)))
-    cols = np.array(simplex.basis, dtype=int)
+    cols = simplex.basis
     optimal_basis = Basis(tuple(sorted(cols[cols < n].tolist())),
                           tuple(sorted((cols[cols >= n] - n).tolist())),
                           tuple(np.flatnonzero(simplex.at_upper[:n]).tolist()),
@@ -578,6 +620,15 @@ def prepare_route_data(instance: Instance, variant: str) -> List[DemandRoutes]:
     return data
 
 
+def _cover_row(ones, s, minus) -> List[Tuple[int, float]]:
+    """The coefficients of x(S) - z >= 0: ones[j] = (j, 1.0) of each j in
+    S, in S's order, then `minus` = (column of z, -1.0), all shared with the
+    other rows of the program."""
+    coeffs = [ones[j] for j in s]
+    coeffs.append(minus)
+    return coeffs
+
+
 def _add_budget_row(lp: LinearProgram, instance: Instance,
                     budget: Optional[int]):
     """Row sum x <= budget over the station columns (the placement budget
@@ -633,9 +684,11 @@ def covering_lp(instance: Instance, objective: str,
                        GE, coverage * sum(volumes))
     else:
         raise ValueError(f"unknown objective {objective!r}")
+    ones = [(j, 1.0) for j in range(n)]
+    minus = [(n + qi, -1.0) for qi in range(nq)]
     for qi, s in rows:
         if s:
-            lp.add_row([(j, 1.0) for j in s] + [(n + qi, -1.0)], GE, 0.0)
+            lp.rows.append((_cover_row(ones, s, minus[qi]), GE, 0.0))
         else:
             lp.add_row([(n + qi, 1.0)], LE, 0.0)  # demand q cannot be served
     _apply_placement(lp, instance)
@@ -657,6 +710,8 @@ def build_model(instance: Instance, tag: str,
         if route_data is None:
             raise ValueError("disagg model requires route_data")
         lp = LinearProgram(MAX, [0.0] * n, bounds=[(0.0, 1.0)] * n)
+        ones = [(j, 1.0) for j in range(n)]
+        rows = lp.rows
         for dr in route_data:
             z_cols = []
             for family in dr.families:
@@ -666,9 +721,9 @@ def build_model(instance: Instance, tag: str,
                 # the bound repeats it, so that every column is boxed.
                 lp.bounds.append((0.0, 1.0))
                 z_cols.append(col)
-                for s in family.sets:
-                    lp.add_row([(j, 1.0) for j in s] + [(col, -1.0)],
-                               GE, 0.0)
+                minus = (col, -1.0)
+                rows.extend((_cover_row(ones, s, minus), GE, 0.0)
+                            for s in family.sets)
             lp.add_row([(c, 1.0) for c in z_cols], LE, 1.0)
         _add_budget_row(lp, instance, budget)
         _apply_placement(lp, instance)

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from frlp import (AGG, CYCLIC, DISAGG, ORIGINAL, Demand, Edge, LinearProgram,
                   PlacementConstraints, ValidationError, build_instance, build_model,
@@ -72,10 +73,12 @@ def test_infeasible_and_unbounded():
     assert all(type(v) is float for v in sol.primal)
 
 
-def one_row_lp(objective=1.0, coef=1.0, rhs=1.0, bounds=((0.0, 1.0),)):
-    """max objective * x subject to coef * x <= rhs, x within `bounds`."""
+def one_row_lp(objective=1.0, coef=1.0, rhs=1.0, bounds=((0.0, 1.0),),
+               columns=(0,)):
+    """max objective * x subject to coef * x <= rhs, x within `bounds`; the
+    row names x once by each index of `columns`."""
     lp = LinearProgram(MAX, [objective], bounds=list(bounds))
-    lp.add_row([(0, coef)], LE, rhs)
+    lp.add_row([(j, coef) for j in columns], LE, rhs)
     return lp
 
 
@@ -84,15 +87,99 @@ def one_row_lp(objective=1.0, coef=1.0, rhs=1.0, bounds=((0.0, 1.0),)):
     ({"bounds": [(0.0, math.inf)]}, "variable bounds must be finite"),
     ({"objective": math.nan}, "objective coefficients must be finite"),
     ({"coef": math.nan}, "row coefficients must be finite"),
+    ({"coef": -math.inf}, "row coefficients must be finite"),
     ({"rhs": math.inf}, "right-hand sides must be finite"),
     ({"bounds": []}, "1 variables need 1 .* bound pairs, not 0"),
     ({"bounds": [(0.0, 1.0)] * 2}, "1 variables need 1 .* bound pairs, not 2"),
+    ({"columns": (-1,)}, r"row 0 has column index -1, not an int in \[0, 1\)"),
+    ({"columns": (1,)}, r"row 0 has column index 1, not an int in \[0, 1\)"),
+    ({"columns": (0.0,)}, r"row 0 has column index 0.0, not an int in \[0, 1\)"),
+    ({"columns": (0, 0), "coef": 1e308}, "row coefficients must be finite"),
+    ({"coef": 1e300, "bounds": [(1e10, 2e10)]}, "right-hand sides must be finite"),
 ], ids=["nan-upper", "inf-upper", "nan-cost", "nan-coefficient",
-        "inf-rhs", "no-bounds", "two-bounds"])
+        "minus-inf-coefficient", "inf-rhs", "no-bounds", "two-bounds",
+        "column-minus-one", "column-n", "float-column", "coefficient-sum-overflows",
+        "rhs-shift-overflows"])
 def test_program_that_is_not_finite_and_boxed_is_rejected(change, message):
+    # A negative column index is no alias of a column from the end, -inf * x
+    # is rejected before it is multiplied by x's lower bound, and finite
+    # numbers whose sum or product overflows are rejected without a warning.
     assert solve_lp(one_row_lp()).value == 1.0
     with pytest.raises(ValueError, match=message):
         solve_lp(one_row_lp(**change))
+
+
+def reference_standard_form(lp):
+    """(A, b, c, lo, ub, row_sign) of `_standard_form`, written one
+    coefficient at a time: each row sums its coefficients into A, and
+    subtracts coef * lo[j] from its right-hand side, in the order it lists
+    them, and a >= row is negated after."""
+    n, m = lp.num_vars, len(lp.rows)
+    lo = np.array([b[0] for b in lp.bounds], dtype=float)
+    hi = np.array([b[1] for b in lp.bounds], dtype=float)
+    A = np.zeros((m, n))
+    b = np.zeros(m)
+    row_sign = np.ones(m)
+    ub = np.full(n + m, np.inf)
+    ub[:n] = np.maximum(hi - lo, 0.0)
+    for i, (coeffs, rel, rhs) in enumerate(lp.rows):
+        shifted = rhs
+        for j, coef in coeffs:
+            A[i, j] += coef
+            shifted -= coef * lo[j]
+        if rel == GE:
+            row_sign[i] = -1.0
+            A[i] *= -1.0
+        elif rel == EQ:
+            ub[n + i] = 0.0
+        b[i] = row_sign[i] * shifted
+    c = np.zeros(n + m)
+    c[:n] = lp.objective
+    if lp.sense == MAX:
+        c[:n] *= -1.0
+    return A, b, c, lo, ub, row_sign
+
+
+# Magnitudes far apart, so that a sum in another order rounds otherwise,
+# and both zeros, so that a sign of zero shows.
+NUMBERS = st.sampled_from((0.0, -0.0, 1.0, -1.0, 0.1, 0.7, -2.5, 3.0, 1e16,
+                           -1e16, 1e-9, 12345.678))
+
+
+@st.composite
+def assorted_programs(draw):
+    """Programs with every kind of row: <=, >= and =, empty ones, columns
+    named more than once, and lower bounds that are nonzero or fixed."""
+    n = draw(st.integers(1, 5))
+    bounds = []
+    for _ in range(n):
+        lower = draw(NUMBERS.filter(lambda v: abs(v) < 1e6))
+        width = draw(st.sampled_from((0.0, 1.0, 2.5)))
+        bounds.append((lower, lower + width))
+    lp = LinearProgram(draw(st.sampled_from((MIN, MAX))),
+                       [draw(NUMBERS) for _ in range(n)], bounds=bounds)
+    for _ in range(draw(st.integers(0, 6))):
+        coeffs = draw(st.lists(st.tuples(st.integers(0, n - 1), NUMBERS),
+                               max_size=6))
+        lp.add_row(coeffs, draw(st.sampled_from((LE, GE, EQ))), draw(NUMBERS))
+    return lp
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(assorted_programs())
+@example(LinearProgram(MIN, [1.0], bounds=[(0.0, 1.0)]))  # m = 0
+@example(LinearProgram(MAX, [1.0, 2.0], bounds=[(0.3, 0.3), (-2.5, 1.0)],
+                       rows=[([], LE, 1.0), ([], GE, -0.0), ([], EQ, 2.0)]))
+@example(LinearProgram(MAX, [1.0, 1.0], bounds=[(0.1, 1.0), (0.7, 0.7)], rows=[
+    ([(0, 1e16), (1, 1.0), (0, -1e16), (1, 0.1)], GE, 0.7),
+    ([(1, 0.1), (1, 0.7), (0, -0.0)], EQ, -0.0),
+    ([(0, 1.0), (0, 1.0)], LE, 3.0)]))
+def test_standard_form_is_the_coefficient_loop_byte_for_byte(lp):
+    got = lp_module._standard_form(lp)[:6]
+    for name, mine, theirs in zip(("A", "b", "c", "lo", "ub", "row_sign"),
+                                  got, reference_standard_form(lp)):
+        assert (mine.shape, mine.dtype) == (theirs.shape, theirs.dtype), name
+        assert mine.tobytes() == theirs.tobytes(), (name, mine, theirs)
 
 
 def test_equality_rows_and_duals():
@@ -424,9 +511,9 @@ def solve_with_kernel(kernel, lp, monkeypatch, start=None):
             self._started()  # the pivot row of the first ratio test
             return super()._inverse_row(r)
 
-        def _pivot(self, entering, leaving_pos):
+        def _pivot(self, entering, leaving_pos, row):
             pivots.append((entering, self.basis[leaving_pos]))
-            super()._pivot(entering, leaving_pos)
+            super()._pivot(entering, leaving_pos, row)
 
     monkeypatch.setattr(lp_module, "_Simplex", Recording)
     solution = solve_lp(lp, start)
@@ -544,8 +631,8 @@ def test_product_form_inverse_times_the_basis_is_the_identity(monkeypatch):
             self.refactors += 1
             self._check()
 
-        def _pivot(self, entering, leaving_pos):
-            super()._pivot(entering, leaving_pos)
+        def _pivot(self, entering, leaving_pos, row):
+            super()._pivot(entering, leaving_pos, row)
             self._check()
 
     for lp, start in programs:

@@ -13,8 +13,8 @@ from frlp import (AGG, CYCLIC, DISAGG, MAX_COVER, MIN_STATIONS, ORIGINAL,
                   CycleQuery, Demand, Edge, PlacementConstraints, SolveRequest,
                   UnservableError, brute_force_solve, build_instance,
                   build_model, enumerate_routes, find_traversable_path,
-                  is_served, lp_bound, prepare_route_data, reevaluate,
-                  route_budget, solve)
+                  gen_random, is_served, lp_bound, prepare_route_data,
+                  reevaluate, route_budget, solve)
 from frlp.feasibility import search_cycle
 from frlp.oracle import exhaustive_served
 
@@ -242,3 +242,23 @@ def test_lp_bounds_keep_the_order_of_the_formulations(case):
     best = brute_force_solve(inst, variant, MAX_COVER).objective
     assert disagg >= agg - 1e-7
     assert agg >= best - 1e-7
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(8, 14), st.sampled_from((0.15, 0.3)),
+       st.data())
+def test_a_demand_served_under_original_is_served_under_cyclic(seed, n, density,
+                                                               data):
+    # On an undirected network, the way out along a path that the original
+    # variant admits and the same path back form a cycle that the cyclic
+    # variant admits, with the same stations, so a verdict can only rise.
+    inst = gen_random(seed, n, density=density, num_demands=6, variant=ORIGINAL)
+    masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=12))
+    served = 0
+    for bits in masks + [(1 << n) - 1]:
+        stations = frozenset(j for j in range(n) if bits >> j & 1)
+        for q in inst.demands:
+            if is_served(inst, q, stations, ORIGINAL):
+                served += 1
+                assert is_served(inst, q, stations, CYCLIC), (q, sorted(stations))
+    assert served  # every node a station serves some demand
