@@ -9,8 +9,8 @@ brute-force oracles for verification.
 from .covering import (AggregationOverflowError, ConstructionError,
                        CutSetFamily, WitnessUndefinedError, aggregate_cut_sets,
                        cut_sets_for_cycle, minimality_witness, minimalize)
-from .feasibility import (CycleQuery, Label, corridor, extend_label,
-                          find_traversable_path, is_served, search_cycle)
+from .feasibility import (CycleQuery, Label, corridor, find_traversable_path,
+                          find_witness, is_served, search_cycle)
 from .generators import (gen_example, gen_prop5a, gen_prop5b, gen_random,
                          prop5b_analytic_family)
 from .lp import (AGG, DISAGG, DemandRoutes, LinearProgram, LpSolution,

@@ -19,7 +19,7 @@ from typing import Optional
 
 from . import generators
 from .covering import AggregationOverflowError
-from .feasibility import CycleQuery, search_cycle, is_served
+from .feasibility import CycleQuery, find_witness, search_cycle
 from .lp import (AGG, DISAGG, NumericalError, TIGHT_NODE_CAP, build_model,
                  lp_bound, prepare_route_data)
 from .network import (CYCLIC, MAX_COVER, MIN_STATIONS, ORIGINAL, Instance,
@@ -162,8 +162,7 @@ def cmd_check(args) -> int:
     if not 0 <= args.demand < len(instance.demands):
         raise ValueError(f"demand index {args.demand} out of range")
     demand = instance.demands[args.demand]
-    labeling = variant == CYCLIC and demand.routes is None
-    if args.trace and not labeling:
+    if args.trace and (variant != CYCLIC or demand.routes is not None):
         args.parser.error("argument --trace: no labeling search runs for a "
                           "demand under the original variant or with "
                           "explicit routes")
@@ -172,28 +171,25 @@ def cmd_check(args) -> int:
                              for s in args.stations.split(",") if s.strip())
     except ValueError:
         raise ValueError("unknown station name")
-    if not labeling:
-        print(f"served: {is_served(instance, demand, stations, variant)}")
+    if args.trace:
+        # The replay runs the full search without dominance, which finds
+        # the same verdict.
+        result = search_cycle(CycleQuery(
+            instance, demand, stations,
+            route_budget(instance, demand, CYCLIC), dominance=False))
+        witness = result.witness
+        print(f"served: {witness is not None}")
+        for i, label in enumerate(result.selected, 1):
+            print(f"  step {i}: node {instance.network.name(label.node)} "
+                  f"label {label.tuple5()}")
+        if witness is not None:
+            print(f"  sink: {result.selected[-1].tuple5()}")
     else:
-        # The full labeling search gives the verdict and its witness;
-        # `is_served` gives the same verdict, but skips the search for a
-        # station set its exact pre-check rejects. With --trace the search
-        # runs without dominance, which finds the same verdict.
-        query = CycleQuery(instance, demand, stations,
-                           route_budget(instance, demand, CYCLIC),
-                           dominance=not args.trace)
-        result = search_cycle(query)
-        print(f"served: {result.witness is not None}")
-        if args.trace:
-            for i, label in enumerate(result.selected, 1):
-                print(f"  step {i}: node {instance.network.name(label.node)} "
-                      f"label {label.tuple5()}")
-            if result.sink_label is not None:
-                print(f"  sink: {result.sink_label.tuple5()}")
-        if result.witness is not None:
-            visits = ",".join(instance.network.name(v)
-                              for v in result.witness.visits)
-            print(f"witness: ({visits})  length={result.witness.length:g}")
+        witness = find_witness(instance, demand, stations, variant)
+        print(f"served: {witness is not None}")
+    if witness is not None:
+        visits = ",".join(instance.network.name(v) for v in witness.visits)
+        print(f"witness: ({visits})  length={witness.length:g}")
     return 0
 
 
@@ -346,7 +342,8 @@ def build_parser() -> _Parser:
     common(p)
     p.set_defaults(func=cmd_cutsets)
 
-    p = sub.add_parser("check", help="servedness of a fixed station set")
+    p = sub.add_parser("check", help="servedness of a fixed station set, "
+                                     "with a witness route")
     common(p)
     p.add_argument("--stations", required=True,
                    help="comma-separated node names")

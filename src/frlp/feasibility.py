@@ -16,17 +16,18 @@ length so far plus the shortest completion back to the origin exceeds tau,
 or when its charge distance exceeds the travel range. Those tests, and
 dominance against the node's kept labels, run on plain floats before a
 `Label` is built, so the search builds only the labels it keeps;
-`_extension` is the one extension rule, which `extend_label` wraps. The
-replay of `frlp check --trace` (dominance off) lists no label that cannot
-close within tau.
+`_extension` is the one extension rule. The replay of `frlp check --trace`
+(dominance off) lists no label that cannot close within tau.
 
 Each demand gets one check per variant, picked and built in one place on
-first use: explicit routes (made once, served iff one is traversable), the
-original refueling Dijkstra over the distance rows of the corridor's nodes,
-or the cyclic labeling search at the demand's tau. The check holds the
-corridor and is kept in the network's distance cache, keyed by (demand,
-variant), next to the rows it reads; each verdict reads the travel range
-R from its instance, since instances with other ranges may share a network.
+first use: explicit routes, the original refueling Dijkstra over the
+distance rows of the corridor's nodes, or the cyclic labeling search at the
+demand's tau. It answers the corridor, the verdict and a witness route; the
+verdict is "a witness exists", save the original one, a Dijkstra with no
+parent map. The check is kept in the network's distance cache, keyed by
+(demand, variant), next to the rows it reads; each answer reads the travel
+range R from its instance, since instances with other ranges may share a
+network.
 Pairing the original variant with a directed network raises
 `ValidationError` (`network.require_variant`), here and in
 `routes.enumerate_routes`.
@@ -41,12 +42,13 @@ triangle inequality is at least min_a d(a,t) + min_b d(t,b); if that exceeds
 R, no cycle is repeatable. The same holds for the segment through the
 origin, the wrap segment gamma_end + l_charge. The test compares against
 R + 2*DIST_TOL, so that float association never rejects a segment the
-search accepts at R + DIST_TOL. Only the verdict runs this pre-check:
-`search_cycle` itself, which `frlp check` and its `--trace` replay call,
-always runs the full search.
+search accepts at R + DIST_TOL. The cyclic witness runs this pre-check;
+`search_cycle` itself, which `frlp check --trace` replays, always runs the
+full search.
 
 `find_traversable_path` runs the same refueling Dijkstra at a given tau with
-a parent map and builds a witness path from it.
+a parent map and builds from it the witness path, which at the demand's tau
+is the original variant's witness.
 """
 
 from __future__ import annotations
@@ -105,8 +107,7 @@ class CycleSearch:
     """Outcome of a labeling run: witness cycle plus replayable trace."""
 
     witness: Optional[Route]
-    sink_label: Optional[Label]
-    selected: list  # labels in extraction order
+    selected: list  # labels in extraction order; a witness closes the last
 
 
 def _extension(delta_charge: int, l_start: float, l_charge: float,
@@ -118,23 +119,6 @@ def _extension(delta_charge: int, l_start: float, l_charge: float,
     if has_station:
         return 1, new_start, 0.0, gamma_end if delta_charge else new_start
     return delta_charge, new_start, l_charge + length, gamma_end
-
-
-def extend_label(label: Label, arc, stations, travel_range: float,
-                 tau: float) -> Optional[Label]:
-    """Resource extension over a non-sink arc; None when the extension is
-    rejected by the length budget or the range."""
-    j1, j2, length = arc
-    assert label.node == j1
-    if (label.l_start + length > tau + DIST_TOL
-            or label.l_charge + length > travel_range + DIST_TOL):
-        return None
-    delta_charge, l_start, l_charge, gamma_end = _extension(
-        label.delta_charge, label.l_start, label.l_charge, label.gamma_end,
-        length, j2 in stations)
-    # the destination flag is the caller's
-    return Label(delta_charge, label.delta_dest, l_start, l_charge,
-                 gamma_end, node=j2, parent=label)
 
 
 def _reconstruct(label: Label) -> Tuple[int, ...]:
@@ -186,7 +170,7 @@ def search_cycle(query: CycleQuery) -> CycleSearch:
             if label.l_charge + label.gamma_end <= reach:
                 visits = _reconstruct(label)
                 witness = make_route(network, visits, CYCLE)
-                return CycleSearch(witness, label, selected)
+                return CycleSearch(witness, selected)
         delta_charge, gamma_end = label.delta_charge, label.gamma_end
         l_start, l_charge = label.l_start, label.l_charge
         past_dest = label.delta_dest
@@ -238,7 +222,7 @@ def search_cycle(query: CycleQuery) -> CycleSearch:
             entry = [score, next(counter), ext, True]
             store.append(entry)
             heapq.heappush(heap, entry)
-    return CycleSearch(None, None, selected)
+    return CycleSearch(None, selected)
 
 
 class _PathCheck:
@@ -333,25 +317,32 @@ def _detour_nodes(network: Network, a: int, b: int, budget: float) -> frozenset:
 
 
 def _check(instance: Instance, demand: Demand, variant: str):
-    """The demand's check under the variant: a pair (corridor, served), where
-    `served(instance, stations)` gives a verdict. The one place that tells
-    explicit routes, ORIGINAL and CYCLIC apart. Built on first use and kept
-    in the network's distance cache, keyed by (demand, variant)."""
+    """The demand's check under the variant: (corridor, served, witness),
+    where `served(instance, stations)` gives a verdict and `witness` a
+    traversable admissible route or None. The one place that tells explicit
+    routes, ORIGINAL and CYCLIC apart. Built on first use and kept in the
+    network's distance cache, keyed by (demand, variant)."""
     network = instance.network
     check = network._dist_cache.get((demand, variant))
     if check is not None:
         return check
     require_variant(network, variant)
+    served = None  # unless set below, a verdict is "a witness exists"
     if demand.routes is not None:
         routes = [make_route(network, r) for r in demand.routes]
         zone = frozenset(j for r in demand.routes for j in r)
 
-        def served(inst, stations):
-            return any(is_traversable(r, stations, inst.travel_range)
-                       for r in routes)
+        def witness(inst, stations):
+            return next((r for r in routes
+                         if is_traversable(r, stations, inst.travel_range)),
+                        None)
     elif variant == ORIGINAL:
-        path = _PathCheck(network, demand.origin, demand.destination,
-                          route_budget(instance, demand, ORIGINAL))
+        tau = route_budget(instance, demand, ORIGINAL)
+        path = _PathCheck(network, demand.origin, demand.destination, tau)
+
+        def witness(inst, stations):
+            return find_traversable_path(inst, demand, stations, tau)
+        # the verdict is the parent-free Dijkstra, which builds no route
         zone, served = path.corridor, path.served
     else:
         origin, dest = demand.origin, demand.destination
@@ -366,20 +357,22 @@ def _check(instance: Instance, demand: Demand, variant: str):
         ends = [(j, network.distances_to(j), network.distances_from(j))
                 for j in (dest, origin)]
 
-        def served(inst, stations):
+        def witness(inst, stations):
             # no search for a station set that no admissible cycle serves
             hubs = zone & stations
             if not hubs:
-                return False
+                return None
             reach = inst.travel_range + 2 * DIST_TOL
             for j, into, out_of in ends:
                 if j not in stations and (min(into[a] for a in hubs)
                                           + min(out_of[b] for b in hubs)
                                           > reach):
-                    return False
-            query = CycleQuery(inst, demand, stations, tau)
-            return search_cycle(query).witness is not None
-    check = network._dist_cache[(demand, variant)] = (zone, served)
+                    return None
+            return search_cycle(CycleQuery(inst, demand, stations, tau)).witness
+    if served is None:
+        def served(inst, stations):
+            return witness(inst, stations) is not None
+    check = network._dist_cache[(demand, variant)] = (zone, served, witness)
     return check
 
 
@@ -393,3 +386,11 @@ def is_served(instance: Instance, demand: Demand, stations,
               variant: str) -> bool:
     """True iff the demand is served by the station set under the variant."""
     return _check(instance, demand, variant)[1](instance, frozenset(stations))
+
+
+def find_witness(instance: Instance, demand: Demand, stations,
+                 variant: str) -> Optional[Route]:
+    """A traversable admissible route of the demand under the variant, None
+    iff `is_served` is False: the first such explicit route, the original
+    variant's path or the labeling search's cycle."""
+    return _check(instance, demand, variant)[2](instance, frozenset(stations))

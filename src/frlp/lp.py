@@ -5,10 +5,11 @@ models only, no external dependencies. Every program variable lies in a
 finite box, and bounds stay bounds, never rows: a nonbasic column sits at
 its lower or its upper bound. `_standard_form` builds the equality system,
 one row per program row, whose logical column (the slack, fixed at 0 on an
-= row) is the unit column of its row and is never stored. It reserves the
-m x m space of a refactor first, then reads every row's coefficients into
-flat arrays and scatters them into the dense A in one call; a column index
-must be an int in [0, n), and every number finite. The basis inverse
+= row) is the unit column of its row and is never stored. It allocates the
+two m x m arrays of a refactor first (a program whose inverse cannot be
+allocated fails before any coefficient array is built), then reads every
+row's coefficients into flat arrays and scatters them into the dense A in
+one call; a column index must be an int in [0, n), and every number finite. The basis inverse
 is kept in product form between two inversions of the basis: one rank-1
 term per pivot, never added into an m x m array. Every solve starts from a
 basis of logicals or, given the optimal `Basis` of an earlier solve, from
@@ -120,10 +121,11 @@ def _standard_form(lp: LinearProgram):
     stored. A >= row is negated (`row_sign`), so its logical is its slack
     too; the logical of an = row is fixed at 0. The logicals are the start
     basis of every solve, whose inverse is the identity, whether or not its
-    basic values b lie within their bounds. The m x m space of a refactor,
-    the basis inverse and the basis it inverts, is reserved before any
-    coefficient array is built, so a basis that cannot fit fails before any
-    pivot.
+    basic values b lie within their bounds. The basis inverse and the basis
+    it inverts (m x m each) are allocated before any coefficient array is
+    built, so a program whose inverse cannot be allocated fails fast; one
+    that passes can still raise MemoryError at its first refactor, whose
+    `np.linalg.inv` needs about three more m x m arrays.
 
     The coefficients of all rows are read into flat arrays in row order and
     scattered into A by one unbuffered `np.add.at`, so a column named twice

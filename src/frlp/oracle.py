@@ -33,19 +33,11 @@ class OracleResult:
 
 
 def exhaustive_served(instance: Instance, demand: Demand, stations,
-                      variant: str, _route_cache=None) -> bool:
+                      variant: str) -> bool:
     """Servedness by full enumeration: some admissible route is traversable."""
     stations = frozenset(stations)
-    if _route_cache is not None:
-        key = (id(demand), variant)
-        routes = _route_cache.get(key)
-        if routes is None:
-            routes = enumerate_routes(instance, demand, variant)
-            _route_cache[key] = routes
-    else:
-        routes = enumerate_routes(instance, demand, variant)
     return any(is_traversable(r, stations, instance.travel_range)
-               for r in routes)
+               for r in enumerate_routes(instance, demand, variant))
 
 
 def _allowed_subsets(instance: Instance, max_size: Optional[int]):
@@ -74,14 +66,14 @@ def brute_force_solve(instance: Instance, variant: str, objective: str,
     violations = budget_violations(budget, instance.placement)
     if violations:
         raise ValidationError(violations)
-    route_cache: dict = {}
     demands = instance.demands
     total_volume = sum(q.volume for q in demands)
+    routes = [enumerate_routes(instance, q, variant) for q in demands]
 
     def served_map(stations: FrozenSet[int]) -> Tuple[bool, ...]:
-        return tuple(exhaustive_served(instance, q, stations, variant,
-                                       route_cache)
-                     for q in demands)
+        return tuple(any(is_traversable(r, stations, instance.travel_range)
+                         for r in demand_routes)
+                     for demand_routes in routes)
 
     if objective == MAX_COVER:
         best = -1.0

@@ -111,8 +111,10 @@ def test_criterion_04_trace_replay():
                     (1, 1, 2 * d / 3, 0.0, 2 * d / 3),
                     (1, 1, d, d / 3, 2 * d / 3)]
         assert [lab.tuple5() for lab in result.selected] == expected
-        assert result.sink_label.tuple5() == (1, 1, d, d / 3, 2 * d / 3)
-        # the sink label is the sixth and final state of the replay
+        # the last selected label closes the cycle at the sink, the sixth
+        # and final state of the replay
+        assert result.selected[-1].tuple5() == (1, 1, d, d / 3, 2 * d / 3)
+        assert result.witness is not None
         assert len(result.selected) + 1 == 6
 
 

@@ -244,7 +244,22 @@ def test_check_trace_without_a_labeling_search_is_a_usage_error(
 def test_check_unserved(fig7_path, capsys):
     assert run(["check", fig7_path, "--stations", "4",
                 "--variant", "original"]) == 0
-    assert "served: False" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "served: False" in out
+    assert "witness:" not in out
+
+
+def test_check_prints_the_original_witness(fig7_path, tmp_path, capsys):
+    assert run(["check", fig7_path, "--stations", "3",
+                "--variant", "original"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "served: True", "witness: (1,3,2)  length=6"]
+    # fig2's demand lists its routes: the witness is one of them
+    fig2_path = tmp_path / "fig2.json"
+    fig2_path.write_text(serialize_instance(gen_example("fig2", 10.0)))
+    assert run(["check", str(fig2_path), "--stations", "2,4",
+                "--variant", "original"]) == 0
+    assert "witness: (1,2,4,5)  length=15\n" in capsys.readouterr().out
 
 
 def test_solve_and_stats_csv(fig7_path, tmp_path, capsys):

@@ -5,9 +5,9 @@ import pytest
 
 from frlp import (CYCLIC, MAX_COVER, ORIGINAL, CycleQuery, Demand, Edge,
                   Label, SolveRequest, ValidationError, brute_force_solve,
-                  build_instance, enumerate_routes, extend_label,
-                  find_traversable_path, gen_example, gen_random, is_served,
-                  reevaluate, route_budget, solve)
+                  build_instance, enumerate_routes, find_traversable_path,
+                  find_witness, gen_example, gen_random, is_served, reevaluate,
+                  route_budget, solve)
 from frlp import feasibility
 from frlp.feasibility import corridor, search_cycle
 from frlp.oracle import exhaustive_served
@@ -18,27 +18,6 @@ INF = math.inf
 
 def fig7():
     return gen_example("fig7", D)
-
-
-def test_extend_label_examples():
-    d = 12.0
-    lab = Label(0, 0, 0.0, 0.0, INF, node=0)
-    out = extend_label(lab, (0, 2, d / 3), {2}, d, d)
-    assert out.tuple5() == (1, 0, d / 3, 0.0, d / 3)
-
-    lab = Label(0, 1, d / 3, d / 3, INF, node=1)
-    out = extend_label(lab, (1, 2, d / 3), {2}, d, d)
-    assert out.tuple5() == (1, 1, 2 * d / 3, 0.0, 2 * d / 3)
-
-    lab = Label(1, 1, 2 * d / 3, 0.0, 2 * d / 3, node=2)
-    out = extend_label(lab, (2, 0, d / 3), {2}, d, d)
-    assert out.tuple5() == (1, 1, d, d / 3, 2 * d / 3)
-
-
-def test_extend_label_rejections():
-    lab = Label(0, 0, 0.0, 0.0, INF, node=0)
-    assert extend_label(lab, (0, 1, 5.0), set(), 4.0, 100.0) is None  # range
-    assert extend_label(lab, (0, 1, 5.0), set(), 100.0, 4.0) is None  # budget
 
 
 def test_fig8_trace():
@@ -52,7 +31,7 @@ def test_fig8_trace():
                 (1, 1, 2.0, 0.0, 2.0),
                 (1, 1, 3.0, 1.0, 2.0)]
     assert [lab.tuple5() for lab in result.selected] == expected
-    assert result.sink_label.tuple5() == (1, 1, 3.0, 1.0, 2.0)
+    assert result.selected[-1].tuple5() == (1, 1, 3.0, 1.0, 2.0)
     assert result.witness.visits == (0, 1, 2, 0)
 
 
@@ -353,12 +332,13 @@ def test_cyclic_segment_of_exactly_the_range_is_served(lengths,
     lambda inst, q: is_served(inst, q, {1}, ORIGINAL),
     lambda inst, q: corridor(inst, q, ORIGINAL),
     lambda inst, q: find_traversable_path(inst, q, {1}, 10.0),
+    lambda inst, q: find_witness(inst, q, {1}, ORIGINAL),
     lambda inst, q: enumerate_routes(inst, q, ORIGINAL),
     lambda inst, q: reevaluate(inst, {1}, ORIGINAL),
     lambda inst, q: brute_force_solve(inst, ORIGINAL, MAX_COVER),
     lambda inst, q: solve(SolveRequest(inst, ORIGINAL, MAX_COVER)),
-], ids=["is_served", "corridor", "find_traversable_path", "enumerate_routes",
-        "reevaluate", "brute_force_solve", "solve"])
+], ids=["is_served", "corridor", "find_traversable_path", "find_witness",
+        "enumerate_routes", "reevaluate", "brute_force_solve", "solve"])
 def test_original_variant_on_a_directed_network_is_rejected(call):
     inst = one_way_ring()
     with pytest.raises(ValidationError, match="undirected"):

@@ -12,11 +12,13 @@ from hypothesis import given, settings, strategies as st
 from frlp import (AGG, CYCLIC, DISAGG, MAX_COVER, MIN_STATIONS, ORIGINAL,
                   CycleQuery, Demand, Edge, PlacementConstraints, SolveRequest,
                   UnservableError, brute_force_solve, build_instance,
-                  build_model, enumerate_routes, find_traversable_path,
-                  gen_random, is_served, lp_bound, prepare_route_data,
-                  reevaluate, route_budget, solve)
+                  build_model, enumerate_routes, eval_v_agg, eval_v_disagg,
+                  eval_v_tight, find_traversable_path, find_witness,
+                  gen_example, gen_random, is_served, is_traversable, lp_bound,
+                  prepare_route_data, reevaluate, route_budget, solve)
 from frlp.feasibility import search_cycle
-from frlp.oracle import exhaustive_served
+from frlp.lp import served_vector
+from frlp.network import DIST_TOL, variant_violations
 
 D = 12.0
 LENGTHS = tuple(f * D for f in (0.25, 1.0 / 3.0, 0.5, 2.0 / 3.0, 1.0))
@@ -53,13 +55,13 @@ def test_cyclic_servedness_matches_the_oracle(inst):
     # Every station set: the labeling search with and without dominance
     # against enumerating the admissible cycles.
     n = inst.num_nodes
-    routes = {}
     for q in inst.demands:
         tau = route_budget(inst, q, CYCLIC)
+        routes = enumerate_routes(inst, q, CYCLIC)
         for bits in range(1 << n):
             stations = frozenset(j for j in range(n) if bits >> j & 1)
-            expected = exhaustive_served(inst, q, stations, CYCLIC,
-                                         _route_cache=routes)
+            expected = any(is_traversable(r, stations, inst.travel_range)
+                           for r in routes)
             assert is_served(inst, q, stations, CYCLIC) == expected, \
                 (q, sorted(stations))
             replay = search_cycle(
@@ -75,14 +77,15 @@ def test_cyclic_servedness_under_another_range_of_the_network(inst):
     # instance shares the network, and so the demands' cached checks, under
     # a longer travel range, which the cached checks must not carry over.
     n = inst.num_nodes
-    routes = {}
+    routes = {q: enumerate_routes(inst, q, CYCLIC) for q in inst.demands}
     for instance in (inst, replace(inst, travel_range=1.5 * D)):
         assert instance.network is inst.network
         for q in instance.demands:
             for bits in range(1 << n):
                 stations = frozenset(j for j in range(n) if bits >> j & 1)
-                expected = exhaustive_served(instance, q, stations, CYCLIC,
-                                             _route_cache=routes)
+                expected = any(is_traversable(r, stations,
+                                              instance.travel_range)
+                               for r in routes[q])
                 assert is_served(instance, q, stations, CYCLIC) == expected, \
                     (instance.travel_range, q, sorted(stations))
 
@@ -139,15 +142,16 @@ def test_original_servedness_matches_the_oracle(inst):
     # shares the network, and so the demands' cached checks, under another
     # travel range, which the cached checks must not carry over.
     n = inst.num_nodes
-    routes = {}
+    routes = {q: enumerate_routes(inst, q, ORIGINAL) for q in inst.demands}
     for instance in (inst, replace(inst, travel_range=1.5 * D)):
         assert instance.network is inst.network
         for q in instance.demands:
             tau = route_budget(instance, q, ORIGINAL)
             for bits in range(1 << n):
                 stations = frozenset(j for j in range(n) if bits >> j & 1)
-                expected = exhaustive_served(instance, q, stations, ORIGINAL,
-                                             _route_cache=routes)
+                expected = any(is_traversable(r, stations,
+                                              instance.travel_range)
+                               for r in routes[q])
                 assert is_served(instance, q, stations, ORIGINAL) == expected, \
                     (instance.travel_range, q, sorted(stations))
                 witness = find_traversable_path(instance, q, stations, tau)
@@ -242,6 +246,61 @@ def test_lp_bounds_keep_the_order_of_the_formulations(case):
     best = brute_force_solve(inst, variant, MAX_COVER).objective
     assert disagg >= agg - 1e-7
     assert agg >= best - 1e-7
+
+
+EXAMPLES = tuple(gen_example(name) for name in ("fig2", "fig7", "fig8"))
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(st.one_of(st.sampled_from(EXAMPLES),
+                 placement_instances().map(lambda case: case[1])))
+def test_a_witness_exists_exactly_when_the_demand_is_served(inst):
+    # Every station set, under every variant the network admits: the witness
+    # is an admissible route that the stations make traversable, one of the
+    # listed routes when the demand lists them.
+    n = inst.num_nodes
+    for variant in (ORIGINAL, CYCLIC):
+        if variant_violations(inst.network, variant):
+            continue
+        for q in inst.demands:
+            for bits in range(1 << n):
+                stations = frozenset(j for j in range(n) if bits >> j & 1)
+                witness = find_witness(inst, q, stations, variant)
+                served = is_served(inst, q, stations, variant)
+                assert (witness is not None) == served, \
+                    (variant, q, sorted(stations))
+                if witness is None:
+                    continue
+                assert is_traversable(witness, stations, inst.travel_range)
+                visits = witness.visits
+                if q.routes is not None:
+                    assert visits in q.routes
+                    continue
+                if variant == ORIGINAL:
+                    assert (visits[0], visits[-1]) == (q.origin, q.destination)
+                else:
+                    assert visits[0] == visits[-1] == q.origin
+                    assert q.destination in visits
+                assert witness.length <= route_budget(inst, q, variant) \
+                    + DIST_TOL
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(placement_instances(), st.data())
+def test_value_functions_keep_the_order_of_the_formulations(case, data):
+    # At a fractional placement, the tightest concave extension of the
+    # servedness is at most the aggregated value, which is at most the
+    # per-route one.
+    variant, inst = case
+    route_data = prepare_route_data(inst, variant)
+    families = [d.aggregated for d in route_data]
+    served = [served_vector(f, inst.num_nodes) for f in families]
+    x = data.draw(st.lists(st.floats(0.0, 1.0), min_size=inst.num_nodes,
+                           max_size=inst.num_nodes))
+    tight = eval_v_tight(inst, x, served=served)
+    agg = eval_v_agg(inst, families, x)
+    assert tight <= agg + 1e-7, x
+    assert agg <= eval_v_disagg(inst, route_data, x) + 1e-7, x
 
 
 @settings(max_examples=80, derandomize=True, database=None, deadline=None)
