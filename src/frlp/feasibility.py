@@ -1,9 +1,11 @@
 """Servedness checks for a fixed station set.
 
-The cyclic variant uses a best-first labeling search for a repeatable cycle
-through the destination; the original variant reduces to a shortest-path
-search on a refueling network built over origin, destination and stations
-(depart half-charged, arrive at least half-charged).
+The cyclic verdict is a min-plus check over the open corridor stations; a
+best-first labeling search finds the witness cycle through the destination
+and replays its steps for `frlp check --trace`. The original variant reduces
+to a shortest-path search on a refueling network built over origin,
+destination and stations (depart half-charged, arrive at least
+half-charged).
 
 Both checks look only at the demand's corridor: the nodes whose shortest
 detour fits the route budget tau. For the original variant that is
@@ -21,30 +23,50 @@ dominance against the node's kept labels, run on plain floats before a
 
 Each demand gets one check per variant, picked and built in one place on
 first use: explicit routes, the original refueling Dijkstra over the
-distance rows of the corridor's nodes, or the cyclic labeling search at the
-demand's tau. It answers the corridor, the verdict and a witness route; the
-verdict is "a witness exists", save the original one, a Dijkstra with no
-parent map. The check is kept in the network's distance cache, keyed by
-(demand, variant), next to the rows it reads; each answer reads the travel
-range R from its instance, since instances with other ranges may share a
-network.
+distance rows of the corridor's nodes, or the cyclic min-plus check over
+the distances between the corridor's nodes. It answers the corridor, the
+verdict and a witness route. For explicit routes the verdict is "a witness
+exists"; the original verdict is a Dijkstra with no parent map, and the
+cyclic one builds no route either, so solves, which ask only for verdicts,
+never search. The cyclic witness asks the verdict first and runs
+`search_cycle` at the demand's tau only for a served station set. The check
+is kept in the network's check cache, keyed by (demand, variant); each
+answer reads the travel range R from its instance, since instances with
+other ranges may share a network.
 Pairing the original variant with a directed network raises
 `ValidationError` (`network.require_variant`), here and in
 `routes.enumerate_routes`.
 
-The cyclic verdict first rejects, without a search, station sets that no
-admissible cycle can serve. Let the hubs be the open corridor stations;
-every admissible cycle stops at one, so with none it is unserved. Each
-charge segment of a cycle runs from one hub to the next (possibly the same)
-within R. If the destination is not a station, the segment through it runs
+The cyclic verdict. Let the hubs H be the open corridor stations; every
+admissible cycle stops at one, so with none it is unserved. Each charge
+segment of a cycle runs from one hub to the next (possibly the same) within
+R. A pre-check first rejects station sets that no admissible cycle can
+serve: if the destination is not a station, the segment through it runs
 from some hub a to some hub b (through the origin, perhaps), and by the
 triangle inequality is at least min_a d(a,t) + min_b d(t,b); if that exceeds
 R, no cycle is repeatable. The same holds for the segment through the
 origin, the wrap segment gamma_end + l_charge. The test compares against
 R + 2*DIST_TOL, so that float association never rejects a segment the
-search accepts at R + DIST_TOL. The cyclic witness runs this pre-check;
-`search_cycle` itself, which `frlp check --trace` replays, always runs the
-full search.
+search accepts at R + DIST_TOL.
+
+Then the exact check. Routes are walks, so a traversable cycle stays
+traversable, and gets no longer, when each charge segment is replaced by
+shortest paths between its hubs, through the destination t and the origin o
+where it passes them; conversely, shortest paths joined in that way form an
+admissible traversable cycle. With R' = R + DIST_TOL, let P be the
+min-plus (Floyd-Warshall) closure over H of the hops d(a,b) <= R', and
+T[c,e] = d(c,t) + d(t,e), O[a,b] = d(a,o) + d(o,b), each infinite above R'.
+The demand is served iff the shortest such cycle is within tau + DIST_TOL:
+- o and t stations: P[o,t] + P[t,o];
+- only o a station: min over c, e of P[o,c] + T[c,e] + P[e,o];
+- only t a station: min over a, b of P[t,a] + O[a,b] + P[b,t];
+- neither: the smaller of min over s1, c, e, sk of
+  P[s1,c] + T[c,e] + P[e,sk] + O[sk,s1] (a segment through each end) and
+  min over a, b of P[b,a] plus one segment a -> t -> o -> b or
+  a -> o -> t -> b, where that segment is within R' (one through both).
+The matrices are cut from the check's corridor distance matrix, which is
+read once from the cached distance rows. `search_cycle` itself, which
+`frlp check --trace` replays, always runs the full search.
 
 `find_traversable_path` runs the same refueling Dijkstra at a given tau with
 a parent map and builds from it the witness path, which at the demand's tau
@@ -58,6 +80,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
+
+import numpy as np
 
 from .network import (CYCLIC, DIST_TOL, ORIGINAL, Demand, Instance, Network,
                       require_variant)
@@ -316,18 +340,89 @@ def _detour_nodes(network: Network, a: int, b: int, budget: float) -> frozenset:
                      if out[j] + back[j] <= budget + DIST_TOL)
 
 
+class _CycleCheck:
+    """The cyclic check of one demand at route budget tau: its corridor, and
+    the shortest distances between the corridor's nodes, a square matrix in
+    the order of `nodes`, read once from the cached distance rows. The
+    travel range is read from the instance of each verdict."""
+
+    __slots__ = ("tau", "corridor", "nodes", "dist", "o", "t")
+
+    def __init__(self, network: Network, origin: int, dest: int, tau: float):
+        self.tau = tau
+        out = network.distances_to(dest)[origin]
+        back = network.distances_to(origin)[dest]
+        self.corridor = (_detour_nodes(network, origin, dest, tau - back)
+                         | _detour_nodes(network, dest, origin, tau - out))
+        self.nodes = sorted(self.corridor)
+        rows = np.array([network.distances_from(a) for a in self.nodes])
+        self.dist = rows[:, self.nodes]
+        self.o, self.t = self.nodes.index(origin), self.nodes.index(dest)
+
+    def served(self, instance: Instance, stations) -> bool:
+        """The pre-check, then the min-plus check over the hubs (module
+        docstring)."""
+        hubs = [i for i, j in enumerate(self.nodes) if j in stations]
+        if not hubs:
+            return False
+        o, t, h = self.o, self.t, len(hubs)
+        # distances between the hubs, then the destination and the origin
+        d = self.dist.take(hubs + [t, o], 0).take(hubs + [t, o], 1)
+        to_t, from_t = d[:h, h], d[h, :h]
+        to_o, from_o = d[:h, h + 1], d[h + 1, :h]
+        o_open, t_open = o in hubs, t in hubs
+        for j_open, into, out_of in ((t_open, to_t, from_t),
+                                     (o_open, to_o, from_o)):
+            if not j_open and (into.min() + out_of.min()
+                               > instance.travel_range + 2 * DIST_TOL):
+                return False
+        reach = instance.travel_range + DIST_TOL
+        p = _capped(d[:h, :h], reach)
+        for k in range(h):
+            np.minimum(p, p[:, k, None] + p[k], out=p)
+        through_t = _capped(to_t[:, None] + from_t, reach)
+        through_o = _capped(to_o[:, None] + from_o, reach)
+        if o_open and t_open:
+            a, b = hubs.index(o), hubs.index(t)
+            value = p[a, b] + p[b, a]
+        elif o_open or t_open:
+            # the charge segment through the closed end, from hub c to e
+            a = hubs.index(o if o_open else t)
+            seg = through_t if o_open else through_o
+            value = (p[a][:, None] + seg + p[:, a]).min()
+        else:
+            # a segment through each end: s1 ~> c -> t -> e ~> sk -> o -> s1
+            loop = _min_plus(_min_plus(p, through_t), p)
+            value = (loop + through_o.T).min()
+            # one segment through both ends, from hub a back to hub b
+            both = np.minimum(
+                _capped(to_t[:, None] + d[h, h + 1] + from_o, reach),
+                _capped(to_o[:, None] + d[h + 1, h] + from_t, reach))
+            value = min(value, (p.T + both).min())
+        return bool(value <= self.tau + DIST_TOL)
+
+
+def _capped(seg, reach: float):
+    """The segment lengths, infinite where they exceed one charge."""
+    return np.where(seg <= reach, seg, INF)
+
+
+def _min_plus(a, b):
+    """The min-plus product of two square matrices."""
+    return (a[:, :, None] + b[None, :, :]).min(axis=1)
+
+
 def _check(instance: Instance, demand: Demand, variant: str):
     """The demand's check under the variant: (corridor, served, witness),
     where `served(instance, stations)` gives a verdict and `witness` a
     traversable admissible route or None. The one place that tells explicit
     routes, ORIGINAL and CYCLIC apart. Built on first use and kept in the
-    network's distance cache, keyed by (demand, variant)."""
+    network's check cache, keyed by (demand, variant)."""
     network = instance.network
-    check = network._dist_cache.get((demand, variant))
+    check = network._checks.get((demand, variant))
     if check is not None:
         return check
     require_variant(network, variant)
-    served = None  # unless set below, a verdict is "a witness exists"
     if demand.routes is not None:
         routes = [make_route(network, r) for r in demand.routes]
         zone = frozenset(j for r in demand.routes for j in r)
@@ -336,6 +431,9 @@ def _check(instance: Instance, demand: Demand, variant: str):
             return next((r for r in routes
                          if is_traversable(r, stations, inst.travel_range)),
                         None)
+
+        def served(inst, stations):
+            return witness(inst, stations) is not None
     elif variant == ORIGINAL:
         tau = route_budget(instance, demand, ORIGINAL)
         path = _PathCheck(network, demand.origin, demand.destination, tau)
@@ -345,34 +443,16 @@ def _check(instance: Instance, demand: Demand, variant: str):
         # the verdict is the parent-free Dijkstra, which builds no route
         zone, served = path.corridor, path.served
     else:
-        origin, dest = demand.origin, demand.destination
         tau = route_budget(instance, demand, CYCLIC)
-        out = network.distances_to(dest)[origin]
-        back = network.distances_to(origin)[dest]
-        zone = (_detour_nodes(network, origin, dest, tau - back)
-                | _detour_nodes(network, dest, origin, tau - out))
-
-        # The rows of the pre-check (module docstring): distances into and
-        # out of the destination and the origin.
-        ends = [(j, network.distances_to(j), network.distances_from(j))
-                for j in (dest, origin)]
+        cycle = _CycleCheck(network, demand.origin, demand.destination, tau)
+        zone, served = cycle.corridor, cycle.served
 
         def witness(inst, stations):
-            # no search for a station set that no admissible cycle serves
-            hubs = zone & stations
-            if not hubs:
+            # the labeling search runs only for a served station set
+            if not served(inst, stations):
                 return None
-            reach = inst.travel_range + 2 * DIST_TOL
-            for j, into, out_of in ends:
-                if j not in stations and (min(into[a] for a in hubs)
-                                          + min(out_of[b] for b in hubs)
-                                          > reach):
-                    return None
             return search_cycle(CycleQuery(inst, demand, stations, tau)).witness
-    if served is None:
-        def served(inst, stations):
-            return witness(inst, stations) is not None
-    check = network._dist_cache[(demand, variant)] = (zone, served, witness)
+    check = network._checks[(demand, variant)] = (zone, served, witness)
     return check
 
 

@@ -96,11 +96,27 @@ class Network:
         return None
 
     @cached_property
-    def _dist_cache(self):
+    def has_directed_edge(self) -> bool:
+        """True iff some edge is one-way."""
+        return any(e.directed for e in self.edges)
+
+    # Caches, each filled on first use: distance rows by source, their
+    # shortest-path trees, distance columns by target, and the servedness
+    # checks of `feasibility` by (demand, variant).
+    @cached_property
+    def _rows(self):
         return {}
 
     @cached_property
     def _parent_cache(self):
+        return {}
+
+    @cached_property
+    def _columns(self):
+        return {}
+
+    @cached_property
+    def _checks(self):
         return {}
 
     def _check_node(self, node: int):
@@ -112,7 +128,7 @@ class Network:
         (Dijkstra), cached per source. The same run records a shortest-path
         tree for `shortest_path`."""
         self._check_node(source)
-        cached = self._dist_cache.get(source)
+        cached = self._rows.get(source)
         if cached is not None:
             return cached
         adj = self.adjacency
@@ -131,7 +147,7 @@ class Network:
                     parent[v] = u
                     heapq.heappush(heap, (nd, v))
         result = tuple(dist)
-        self._dist_cache[source] = result
+        self._rows[source] = result
         self._parent_cache[source] = tuple(parent)
         return result
 
@@ -139,12 +155,11 @@ class Network:
         """All shortest distances to `target` along arc directions, cached per
         target; entry j is `distances_from(j)[target]`."""
         self._check_node(target)
-        key = ("to", target)
-        cached = self._dist_cache.get(key)
+        cached = self._columns.get(target)
         if cached is None:
             cached = tuple(self.distances_from(j)[target]
                            for j in range(self.num_nodes))
-            self._dist_cache[key] = cached
+            self._columns[target] = cached
         return cached
 
     def shortest_path(self, source: int, target: int):
@@ -254,7 +269,7 @@ def budget_violations(budget: Optional[int], placement: PlacementConstraints):
 def variant_violations(network: Network, variant: Optional[str]):
     """The routing variant rule (no rule when `variant` is None): the
     original variant requires an undirected network."""
-    if variant == ORIGINAL and any(e.directed for e in network.edges):
+    if variant == ORIGINAL and network.has_directed_edge:
         return ["original variant requires an undirected network"]
     return []
 

@@ -1,8 +1,8 @@
 """Brute-force reference solvers.
 
 Servedness here is decided purely by exhaustive route enumeration plus the
-gap predicate — never by the labeling search, the refueling-network check or
-covering families — so these results are an independent ground truth for the
+gap predicate — never by the cyclic min-plus check, the labeling search, the
+refueling-network check or covering families — so these results are an independent ground truth for the
 optimizing solver and the feasibility module.
 """
 

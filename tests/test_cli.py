@@ -7,9 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from frlp import (AggregationOverflowError, Demand, Edge,
+from frlp import (CYCLIC, AggregationOverflowError, Demand, Edge,
                   EnumerationOverflowError, OracleSizeError, build_instance,
-                  cli, gen_example, generators, lp, serialize_instance)
+                  cli, gen_example, gen_random, generators, lp,
+                  serialize_instance)
 from frlp.cli import run
 
 CSV_COLUMNS = ["instance", "routing", "alpha", "time_s",
@@ -206,7 +207,8 @@ def test_check_with_trace(fig7_path, capsys):
     assert "sink:" in out
 
 
-def test_check_searches_a_cyclic_demand_once(fig7_path, capsys, monkeypatch):
+def test_check_searches_a_cyclic_demand_once(fig7_path, tmp_path, capsys,
+                                             monkeypatch):
     from frlp import feasibility
     calls = []
     search_cycle = feasibility.search_cycle
@@ -222,6 +224,15 @@ def test_check_searches_a_cyclic_demand_once(fig7_path, capsys, monkeypatch):
     assert capsys.readouterr().out.splitlines() == [
         "served: True", "witness: (1,2,4,1)  length=12"]
     assert len(calls) == 1
+    # An unserved demand whose open station passes the pre-check (it lies
+    # in the corridor, within reach of both ends) runs no search either.
+    path = tmp_path / "random.json"
+    path.write_text(serialize_instance(
+        gen_random(7, 5, density=0.3, num_demands=1, variant=CYCLIC)))
+    calls.clear()
+    assert run(["check", str(path), "--stations", "1"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["served: False"]
+    assert calls == []
 
 
 def test_check_trace_without_a_labeling_search_is_a_usage_error(

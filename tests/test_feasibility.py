@@ -6,8 +6,8 @@ import pytest
 from frlp import (CYCLIC, MAX_COVER, ORIGINAL, CycleQuery, Demand, Edge,
                   Label, SolveRequest, ValidationError, brute_force_solve,
                   build_instance, enumerate_routes, find_traversable_path,
-                  find_witness, gen_example, gen_random, is_served, reevaluate,
-                  route_budget, solve)
+                  find_witness, gen_example, gen_random, is_served,
+                  is_traversable, reevaluate, route_budget, solve)
 from frlp import feasibility
 from frlp.feasibility import corridor, search_cycle
 from frlp.oracle import exhaustive_served
@@ -345,3 +345,56 @@ def test_original_variant_on_a_directed_network_is_rejected(call):
         call(inst, inst.demands[0])
     # the cyclic variant takes the same network
     assert corridor(inst, inst.demands[0], CYCLIC)
+
+
+def unit_triangle():
+    """Origin 0, destination 1 and a node 2, pairwise joined by edges of
+    length 1, at range 3 and alpha 1.5 (tau 3). With a station at 2 alone,
+    every admissible cycle is one charge segment from 2 through both the
+    destination and the origin back to 2."""
+    edges = [Edge(0, 1, 1.0), Edge(1, 2, 1.0), Edge(2, 0, 1.0)]
+    return build_instance(["o", "t", "s"], edges,
+                          [Demand(0, 1, 1.0, alpha=1.5)], 3.0,
+                          variant_default=CYCLIC)
+
+
+def directed_ring():
+    """A one-way ring 0 -> 1 -> ... -> 5 -> 0 of arcs of length 4 with a
+    two-way chord 0 - 3 of length 6, at range 12."""
+    edges = [Edge(u, (u + 1) % 6, 4.0, directed=True) for u in range(6)]
+    edges.append(Edge(0, 3, 6.0))
+    demands = [Demand(0, 2, 1.0, alpha=1.5), Demand(4, 1, 1.0, alpha=1.2),
+               Demand(3, 5, 1.0, alpha=1.0)]
+    return build_instance([str(j) for j in range(6)], edges, demands, D,
+                          variant_default=CYCLIC)
+
+
+def test_cyclic_verdict_agrees_with_the_search_and_the_oracle():
+    # Every station set: the min-plus verdict, the labeling search and the
+    # enumerated admissible cycles agree, with served sets in each of the
+    # four cases of an open or closed origin and destination.
+    triangle = unit_triangle()
+    q = triangle.demands[0]
+    assert is_served(triangle, q, {2}, CYCLIC) is True  # a bool, not numpy's
+    assert find_witness(triangle, q, {2}, CYCLIC).visits == (0, 1, 2, 0)
+    instances = [triangle, directed_ring()] + [
+        gen_random(seed, 7, density=0.3, num_demands=3, variant=CYCLIC)
+        for seed in (3, 17, 29)]
+    served_cases = set()
+    for inst in instances:
+        n = inst.num_nodes
+        for q in inst.demands:
+            tau = route_budget(inst, q, CYCLIC)
+            routes = enumerate_routes(inst, q, CYCLIC)
+            for bits in range(1 << n):
+                stations = frozenset(j for j in range(n) if bits >> j & 1)
+                verdict = is_served(inst, q, stations, CYCLIC)
+                search = search_cycle(CycleQuery(inst, q, stations, tau))
+                oracle = any(is_traversable(r, stations, inst.travel_range)
+                             for r in routes)
+                assert verdict == (search.witness is not None) == oracle, \
+                    (inst.network.node_names, q, sorted(stations))
+                if verdict:
+                    served_cases.add((q.origin in stations,
+                                      q.destination in stations))
+    assert len(served_cases) == 4

@@ -340,4 +340,4 @@ def test_build_instance_looks_up_each_trip_once(monkeypatch):
     calls.clear()
     assert validate_instance(inst) == []
     assert calls == [0, 2, 1, 0]
-    assert inst.network._dist_cache.keys() >= {0, 1, 2}  # no edge pruned: kept
+    assert inst.network._rows.keys() >= {0, 1, 2}  # no edge pruned: kept
