@@ -10,7 +10,7 @@ from .covering import (AggregationOverflowError, ConstructionError,
                        CutSetFamily, WitnessUndefinedError, aggregate_cut_sets,
                        cut_sets_for_cycle, minimality_witness, minimalize)
 from .feasibility import (CycleQuery, Label, corridor, find_traversable_path,
-                          find_witness, is_served, search_cycle)
+                          find_witness, is_served, search_cycle, shrink_cut)
 from .generators import (gen_example, gen_prop5a, gen_prop5b, gen_random,
                          prop5b_analytic_family)
 from .lp import (AGG, DISAGG, DemandRoutes, LinearProgram, LpSolution,

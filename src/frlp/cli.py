@@ -261,7 +261,8 @@ def cmd_solve(args) -> int:
     print(f"lp solves: {stats.lp_solves} (cold {stats.lp_cold_starts})  "
           f"iterations: {stats.lp_iterations}")
     print(f"served checks: {stats.served_calls} "
-          f"(memo hits {stats.served_memo_hits})")
+          f"(memo hits {stats.served_memo_hits}, "
+          f"in shrink {stats.shrink_checks})")
     if args.stats_out:
         _write_stats_csv(args.stats_out, [
             (os.path.basename(args.instance), variant,

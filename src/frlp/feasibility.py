@@ -25,10 +25,11 @@ Each demand gets one check per variant, picked and built in one place on
 first use: explicit routes, the original refueling Dijkstra over the
 distance rows of the corridor's nodes, or the cyclic min-plus check over
 the distances between the corridor's nodes. It answers the corridor, the
-verdict and a witness route. For explicit routes the verdict is "a witness
-exists"; the original verdict is a Dijkstra with no parent map, and the
-cyclic one builds no route either, so solves, which ask only for verdicts,
-never search. The cyclic witness asks the verdict first and runs
+verdict, a witness route and separation's drop-one shrink (`shrink_cut`).
+For explicit routes the verdict is "a witness exists" and the shrink is a
+loop over verdicts; the original verdict is a Dijkstra with no parent map,
+and the cyclic one builds no route either, so solves, which ask only for
+verdicts, never search. The cyclic witness asks the verdict first and runs
 `search_cycle` at the demand's tau only for a served station set. The check
 is kept in the network's check cache, keyed by (demand, variant); each
 answer reads the travel range R from its instance, since instances with
@@ -64,9 +65,48 @@ The demand is served iff the shortest such cycle is within tau + DIST_TOL:
   P[s1,c] + T[c,e] + P[e,sk] + O[sk,s1] (a segment through each end) and
   min over a, b of P[b,a] plus one segment a -> t -> o -> b or
   a -> o -> t -> b, where that segment is within R' (one through both).
-The matrices are cut from the check's corridor distance matrix, which is
-read once from the cached distance rows. `search_cycle` itself, which
-`frlp check --trace` replays, always runs the full search.
+The matrices are blocks of one stack, built once per check and travel
+range over the whole corridor: the capped hops, T, O and the segments
+through both ends. `search_cycle` itself, which `frlp check --trace`
+replays, always runs the full search.
+
+The shrink. Separation's drop-one pass takes the closed corridor nodes in
+order and asks, for each j, whether the demand is served by the base plus
+j, where the base is the open stations plus the nodes dropped so far; j is
+dropped iff it is not. The base starts unserved (the pass runs only then)
+and grows only by a dropped j, whose verdict was unserved, so it stays
+unserved. Hence a route that serves the base plus j passes through j, and
+the check needs only the routes through j. A kept j changes nothing, so its
+state is thrown away; a dropped j is inserted into the base's state, which
+is what the next candidate reads (vertex insertion into all-pairs shortest
+paths: Ausiello, Italiano, Marchetti-Spaccamela & Nanni, "Incremental
+algorithms for minimal length paths", J. Algorithms 1991).
+- Cyclic: the closure P over the base hubs is built once. Inserting j costs
+  O(h^2) with no Floyd-Warshall: with hop the capped hops,
+  in[a] = min_c P[a,c] + hop[c,j] and out[b] = min_c hop[j,c] + P[c,b] are
+  the shortest ways into and out of j through the base (a shortest path
+  visits j once), and P' = min(P, in + out) with row out and column in for
+  j. The verdict reads P' as the full check reads P, in O(h^2), except the
+  loop term with neither end a station: the base's loops are longer than
+  tau, so only the loops through j count. Rotated to start at j, such a
+  loop runs j ~> c -> t -> e ~> sk -> o -> s1 ~> j, or passes o first;
+  each is three vector-matrix min-plus products. The pre-check reads the
+  base's least distances into and out of each end, lowered by j's.
+- Original: the costs from the origin and to the destination over the
+  base's refueling network are built once, by a forward and a backward
+  Dijkstra. The cheapest route through j is the cheapest hop into j from a
+  hub reached plus the cheapest hop out of j to a hub that reaches the
+  destination, and j is kept iff that fits within tau + DIST_TOL. A dropped
+  j gets those two costs, and a Dijkstra from j lowers the others
+  (decrease-only). A closed origin or destination changes the hop limits,
+  so that candidate takes the full verdict, and a drop there builds both
+  cost maps again.
+The shrink adds a route's lengths in another order than the full verdict
+does, so its value may differ from it in the last bits (and, for the
+original variant, by less than the DIST_TOL within which a Dijkstra keeps
+the cost it has). That reaches only the final comparison with
+tau + DIST_TOL: the hop caps and the pre-check compare single distances,
+as the full verdict does.
 
 `find_traversable_path` runs the same refueling Dijkstra at a given tau with
 a parent map and builds from it the witness path, which at the demand's tau
@@ -251,62 +291,134 @@ def search_cycle(query: CycleQuery) -> CycleSearch:
 
 class _PathCheck:
     """The original-variant check of one demand at route budget tau: its
-    corridor, and the distance rows of the corridor and of origin and
-    destination. The travel range is read from the instance of each verdict,
-    not kept, because instances with other ranges may share the network."""
+    corridor, and the distance rows and columns (the network's cached
+    ones) of the corridor and of origin and destination. The travel range
+    is read from the instance of each verdict, not kept, because instances
+    with other ranges may share the network."""
 
-    __slots__ = ("origin", "dest", "tau", "corridor", "rows")
+    __slots__ = ("origin", "dest", "tau", "corridor", "rows", "columns")
 
     def __init__(self, network: Network, origin: int, dest: int, tau: float):
         self.origin, self.dest, self.tau = origin, dest, tau
         self.corridor = _detour_nodes(network, origin, dest, tau)
         self.rows = {a: network.distances_from(a)
                      for a in self.corridor | {origin, dest}}
+        self.columns = {a: network.distances_to(a) for a in self.rows}
 
-    def served(self, instance: Instance, stations,
-               parent: Optional[dict] = None) -> bool:
-        """Dijkstra over the refueling network from the origin: its hubs are
-        origin, destination and the open corridor nodes, and a hop a -> b is
-        the shortest distance when it fits one charge, or half a charge when
-        it leaves an origin without a station or reaches a destination
-        without one. A hop from such an origin straight to such a
-        destination has no station and never serves. True iff the
-        destination is reached within tau; `parent`, when given, receives
-        the predecessor of every hub reached."""
-        origin, dest, rows = self.origin, self.dest, self.rows
-        hubs = self.corridor.intersection(stations) | {origin, dest}
+    def _network(self, instance: Instance, stations):
+        """The refueling network over the station set: its hubs (origin,
+        destination and the open corridor nodes), and the hop limits out of
+        the origin and out of any other hub, each a pair (to a hub that is
+        not the destination, to the destination). A hop is the shortest
+        distance when it fits one charge, or half a charge when it leaves an
+        origin without a station or reaches a destination without one. A hop
+        from such an origin straight to such a destination has no station
+        and never serves."""
+        origin, dest = self.origin, self.dest
         full = instance.travel_range + DIST_TOL
         half = instance.travel_range / 2.0 + DIST_TOL
-        # (hop limit, hop limit to the destination) out of the origin and
-        # out of any other hub
         dest_open = dest in stations
         from_other = (full, full if dest_open else half)
         from_origin = from_other if origin in stations else \
             (half, half if dest_open else -INF)
+        hubs = self.corridor.intersection(stations) | {origin, dest}
+        return hubs, from_origin, from_other
+
+    def _search(self, refuel, costs: dict, heap: list, forward: bool = True,
+                parent: Optional[dict] = None) -> bool:
+        """Dijkstra over the refueling network `refuel` from the hubs queued
+        in `heap`, lowering `costs`: the costs from the origin (`forward`)
+        or to the destination. Neither end is passed through. True as soon
+        as a forward search reaches the destination within tau; `parent`,
+        when given, receives the predecessor of every hub reached."""
+        origin, dest = self.origin, self.dest
+        hubs, from_origin, from_other = refuel
+        lines, end = (self.rows, dest) if forward else (self.columns, origin)
         budget = self.tau + DIST_TOL
-        best = {origin: 0.0}
-        heap = [(0.0, origin)]
         while heap:
             cost, a = heapq.heappop(heap)
-            if cost > best[a] + DIST_TOL:
+            if cost > costs[a] + DIST_TOL:
                 continue
             if cost > budget:
                 return False  # every hub still to come costs at least this
-            if a == dest:
-                return True
-            row = rows[a]
-            limit, to_dest = from_origin if a == origin else from_other
+            if a == end:
+                if forward:
+                    return True
+                continue
+            # the limits of the hops a -> b (forward) or b -> a, indexed by
+            # b == end
+            if forward:
+                limits = from_origin if a == origin else from_other
+            else:
+                limits = (from_other[a == dest], from_origin[a == dest])
+            line = lines[a]
             for b in hubs:
-                hop = row[b]
-                if hop > (to_dest if b == dest else limit):
+                hop = line[b]
+                if hop > limits[b == end]:
                     continue
                 ncost = cost + hop
-                if ncost < best.get(b, INF) - DIST_TOL:
-                    best[b] = ncost
+                if ncost < costs.get(b, INF) - DIST_TOL:
+                    costs[b] = ncost
                     if parent is not None:
                         parent[b] = a
                     heapq.heappush(heap, (ncost, b))
         return False
+
+    def served(self, instance: Instance, stations,
+               parent: Optional[dict] = None) -> bool:
+        """True iff the refueling network's Dijkstra from the origin reaches
+        the destination within tau; `parent`, when given, receives the
+        predecessor of every hub reached."""
+        return self._search(self._network(instance, stations),
+                            {self.origin: 0.0}, [(0.0, self.origin)],
+                            parent=parent)
+
+    def shrink(self, instance: Instance, stations, closed) -> frozenset:
+        """The drop-one pass by insertion (module docstring): the costs from
+        the origin and to the destination over the base's refueling network
+        answer each closed node j with one scan, and a dropped j lowers them
+        by decrease-only propagation. A closed origin or destination changes
+        the hop limits, so it takes the full verdict, and both cost maps are
+        built again."""
+        origin, dest, rows = self.origin, self.dest, self.rows
+        budget = self.tau + DIST_TOL
+        base = set(self.corridor.intersection(stations))
+        kept, refuel = [], None
+        for j in closed:
+            if j == origin or j == dest:
+                if self.served(instance, base | {j}):
+                    kept.append(j)
+                else:
+                    base.add(j)
+                    refuel = None
+                continue
+            if refuel is None:
+                # the costs from the origin and to the destination
+                refuel = self._network(instance, base)
+                from_o = {origin: 0.0}
+                self._search(refuel, from_o, [(0.0, origin)])
+                to_t = {dest: 0.0}
+                self._search(refuel, to_t, [(0.0, dest)], forward=False)
+            hubs, from_origin, from_other = refuel
+            limit, to_dest = from_other
+            into = min((cost + rows[a][j] for a, cost in from_o.items()
+                        if a != dest and rows[a][j] <=
+                        (from_origin if a == origin else from_other)[0]),
+                       default=INF)
+            row = rows[j]
+            out = min((row[b] + cost for b, cost in to_t.items()
+                       if b != origin and
+                       row[b] <= (to_dest if b == dest else limit)),
+                      default=INF)
+            if into + out <= budget:
+                kept.append(j)
+                continue
+            base.add(j)
+            refuel = (hubs | {j}, from_origin, from_other)
+            from_o[j], to_t[j] = into, out
+            self._search(refuel, from_o, [(into, j)])
+            self._search(refuel, to_t, [(out, j)], forward=False)
+        return frozenset(kept)
 
 
 def find_traversable_path(instance: Instance, demand: Demand, stations,
@@ -344,9 +456,11 @@ class _CycleCheck:
     """The cyclic check of one demand at route budget tau: its corridor, and
     the shortest distances between the corridor's nodes, a square matrix in
     the order of `nodes`, read once from the cached distance rows. The
-    travel range is read from the instance of each verdict."""
+    travel range is read from the instance of each verdict; the hop and
+    segment matrices over the corridor are built once per travel range."""
 
-    __slots__ = ("tau", "corridor", "nodes", "dist", "o", "t")
+    __slots__ = ("tau", "corridor", "nodes", "index", "o", "t", "ends",
+                 "dist", "stacks")
 
     def __init__(self, network: Network, origin: int, dest: int, tau: float):
         self.tau = tau
@@ -355,9 +469,65 @@ class _CycleCheck:
         self.corridor = (_detour_nodes(network, origin, dest, tau - back)
                          | _detour_nodes(network, dest, origin, tau - out))
         self.nodes = sorted(self.corridor)
+        self.index = {j: i for i, j in enumerate(self.nodes)}
         rows = np.array([network.distances_from(a) for a in self.nodes])
-        self.dist = rows[:, self.nodes]
-        self.o, self.t = self.nodes.index(origin), self.nodes.index(dest)
+        d = self.dist = rows[:, self.nodes]
+        o, t = self.o, self.t = self.index[origin], self.index[dest]
+        # distances into and out of the destination, then the origin
+        self.ends = np.stack([d[:, t], d[t], d[:, o], d[o]])
+        self.stacks = {}
+
+    def _stack(self, travel_range: float):
+        """The hops, and the segments through t, through o and through both
+        (module docstring), over the corridor, each infinite above one
+        charge: one (4, c, c) array per travel range."""
+        stack = self.stacks.get(travel_range)
+        if stack is None:
+            d, o, t = self.dist, self.o, self.t
+            reach = travel_range + DIST_TOL
+            to_t, from_t, to_o, from_o = self.ends
+            both = np.minimum(
+                _capped(to_t[:, None] + d[t, o] + from_o, reach),
+                _capped(to_o[:, None] + d[o, t] + from_t, reach))
+            stack = self.stacks[travel_range] = np.stack([
+                _capped(d, reach), _capped(to_t[:, None] + from_t, reach),
+                _capped(to_o[:, None] + from_o, reach), both])
+        return stack
+
+    def _rejected(self, travel_range: float, hubs, mins) -> bool:
+        """The pre-check: `mins` holds the least distance from a hub into
+        the destination and out of it, then into and out of the origin."""
+        limit = travel_range + 2 * DIST_TOL
+        return (self.t not in hubs and mins[0] + mins[1] > limit
+                or self.o not in hubs and mins[2] + mins[3] > limit)
+
+    def _value(self, hubs, p, blocks, root: Optional[int] = None) -> float:
+        """The length of the shortest cycle over the hubs, given their
+        closure `p` and their blocks of the stack. With `root`, the loop
+        term of a cycle with neither end a station is taken only over the
+        cycles through the hub at that position (module docstring)."""
+        o_open, t_open = self.o in hubs, self.t in hubs
+        if o_open and t_open:
+            a, b = hubs.index(self.o), hubs.index(self.t)
+            return p[a, b] + p[b, a]
+        if o_open or t_open:
+            # the charge segment through the closed end, from hub c to e
+            a = hubs.index(self.o if o_open else self.t)
+            return (p[a][:, None] + blocks[1 if o_open else 2]
+                    + p[:, a]).min()
+        # one segment through both ends, from hub a back to hub b
+        value = (p.T + blocks[3]).min()
+        if root is None:
+            # a segment through each end: s1 ~> c -> t -> e ~> sk -> o -> s1
+            loop = _min_plus(_min_plus(p, blocks[1]), p) + blocks[2].T
+        else:
+            # from the root through t, then o (and through o, then t):
+            # root ~> c -> t -> e ~> sk -> o -> s1 ~> root
+            seg = blocks[1:3]
+            loop = (p[root][:, None] + seg).min(1)
+            loop = (loop[:, :, None] + p).min(1)
+            loop = (loop[:, :, None] + seg[::-1]).min(1) + p[:, root]
+        return min(value, loop.min())
 
     def served(self, instance: Instance, stations) -> bool:
         """The pre-check, then the min-plus check over the hubs (module
@@ -365,41 +535,51 @@ class _CycleCheck:
         hubs = [i for i, j in enumerate(self.nodes) if j in stations]
         if not hubs:
             return False
-        o, t, h = self.o, self.t, len(hubs)
-        # distances between the hubs, then the destination and the origin
-        d = self.dist.take(hubs + [t, o], 0).take(hubs + [t, o], 1)
-        to_t, from_t = d[:h, h], d[h, :h]
-        to_o, from_o = d[:h, h + 1], d[h + 1, :h]
-        o_open, t_open = o in hubs, t in hubs
-        for j_open, into, out_of in ((t_open, to_t, from_t),
-                                     (o_open, to_o, from_o)):
-            if not j_open and (into.min() + out_of.min()
-                               > instance.travel_range + 2 * DIST_TOL):
-                return False
-        reach = instance.travel_range + DIST_TOL
-        p = _capped(d[:h, :h], reach)
-        for k in range(h):
-            np.minimum(p, p[:, k, None] + p[k], out=p)
-        through_t = _capped(to_t[:, None] + from_t, reach)
-        through_o = _capped(to_o[:, None] + from_o, reach)
-        if o_open and t_open:
-            a, b = hubs.index(o), hubs.index(t)
-            value = p[a, b] + p[b, a]
-        elif o_open or t_open:
-            # the charge segment through the closed end, from hub c to e
-            a = hubs.index(o if o_open else t)
-            seg = through_t if o_open else through_o
-            value = (p[a][:, None] + seg + p[:, a]).min()
-        else:
-            # a segment through each end: s1 ~> c -> t -> e ~> sk -> o -> s1
-            loop = _min_plus(_min_plus(p, through_t), p)
-            value = (loop + through_o.T).min()
-            # one segment through both ends, from hub a back to hub b
-            both = np.minimum(
-                _capped(to_t[:, None] + d[h, h + 1] + from_o, reach),
-                _capped(to_o[:, None] + d[h + 1, h] + from_t, reach))
-            value = min(value, (p.T + both).min())
-        return bool(value <= self.tau + DIST_TOL)
+        if self._rejected(instance.travel_range, hubs,
+                          self.ends.take(hubs, 1).min(1)):
+            return False
+        blocks = self._stack(instance.travel_range).take(hubs, 1).take(hubs, 2)
+        p = _closure(blocks[0])
+        return bool(self._value(hubs, p, blocks) <= self.tau + DIST_TOL)
+
+    def shrink(self, instance: Instance, stations, closed) -> frozenset:
+        """The drop-one pass by insertion (module docstring): the base hubs
+        are closed once, and each closed node j is inserted into that
+        closure in O(h^2); the closure with j is kept only when j is
+        dropped."""
+        travel_range = instance.travel_range
+        stack, ends = self._stack(travel_range), self.ends
+        base = [i for i, j in enumerate(self.nodes) if j in stations]
+        p = _closure(stack[0].take(base, 0).take(base, 1))
+        mins = ends.take(base, 1).min(1, initial=INF)
+        budget = self.tau + DIST_TOL
+        kept = []
+        for node in closed:
+            j, h = self.index[node], len(base)
+            hubs = base + [j]
+            blocks = stack.take(hubs, 1).take(hubs, 2)
+            # the closure with j, in place of j's hops: a ~> j and j ~> b
+            # through the base, then a ~> j ~> b
+            q = blocks[0]
+            into = (p + q[:h, h]).min(1, initial=INF)
+            out = (q[h, :h, None] + p).min(0, initial=INF)
+            np.minimum(p, into[:, None] + out, out=q[:h, :h])
+            q[:h, h], q[h, :h] = into, out
+            hub_mins = np.minimum(mins, ends[:, j])
+            if (not self._rejected(travel_range, hubs, hub_mins)
+                    and self._value(hubs, q, blocks, root=h) <= budget):
+                kept.append(node)
+            else:
+                base, p, mins = hubs, q, hub_mins
+        return frozenset(kept)
+
+
+def _closure(p):
+    """The min-plus (Floyd-Warshall) closure of the square matrix p, in
+    place."""
+    for k in range(len(p)):
+        np.minimum(p, p[:, k, None] + p[k], out=p)
+    return p
 
 
 def _capped(seg, reach: float):
@@ -413,11 +593,13 @@ def _min_plus(a, b):
 
 
 def _check(instance: Instance, demand: Demand, variant: str):
-    """The demand's check under the variant: (corridor, served, witness),
-    where `served(instance, stations)` gives a verdict and `witness` a
-    traversable admissible route or None. The one place that tells explicit
-    routes, ORIGINAL and CYCLIC apart. Built on first use and kept in the
-    network's check cache, keyed by (demand, variant)."""
+    """The demand's check under the variant: (corridor, served, witness,
+    shrink), where `served(instance, stations)` gives a verdict, `witness` a
+    traversable admissible route or None, and `shrink(instance, stations,
+    closed)` the kept nodes of the drop-one pass (`shrink_cut`). The one
+    place that tells explicit routes, ORIGINAL and CYCLIC apart. Built on
+    first use and kept in the network's check cache, keyed by (demand,
+    variant)."""
     network = instance.network
     check = network._checks.get((demand, variant))
     if check is not None:
@@ -434,6 +616,16 @@ def _check(instance: Instance, demand: Demand, variant: str):
 
         def served(inst, stations):
             return witness(inst, stations) is not None
+
+        def shrink(inst, stations, closed):
+            # one verdict per closed node
+            base, kept = set(stations), []
+            for j in closed:
+                if served(inst, base | {j}):
+                    kept.append(j)
+                else:
+                    base.add(j)
+            return frozenset(kept)
     elif variant == ORIGINAL:
         tau = route_budget(instance, demand, ORIGINAL)
         path = _PathCheck(network, demand.origin, demand.destination, tau)
@@ -441,18 +633,19 @@ def _check(instance: Instance, demand: Demand, variant: str):
         def witness(inst, stations):
             return find_traversable_path(inst, demand, stations, tau)
         # the verdict is the parent-free Dijkstra, which builds no route
-        zone, served = path.corridor, path.served
+        zone, served, shrink = path.corridor, path.served, path.shrink
     else:
         tau = route_budget(instance, demand, CYCLIC)
         cycle = _CycleCheck(network, demand.origin, demand.destination, tau)
-        zone, served = cycle.corridor, cycle.served
+        zone, served, shrink = cycle.corridor, cycle.served, cycle.shrink
 
         def witness(inst, stations):
             # the labeling search runs only for a served station set
             if not served(inst, stations):
                 return None
             return search_cycle(CycleQuery(inst, demand, stations, tau)).witness
-    check = network._checks[(demand, variant)] = (zone, served, witness)
+    check = network._checks[(demand, variant)] = (zone, served, witness,
+                                                  shrink)
     return check
 
 
@@ -474,3 +667,15 @@ def find_witness(instance: Instance, demand: Demand, stations,
     iff `is_served` is False: the first such explicit route, the original
     variant's path or the labeling search's cycle."""
     return _check(instance, demand, variant)[2](instance, frozenset(stations))
+
+
+def shrink_cut(instance: Instance, demand: Demand, stations, closed,
+               variant: str) -> frozenset:
+    """The ascending drop-one pass of separation. `stations` must leave the
+    demand unserved. Each node of `closed`, in the order given, is dropped
+    iff the demand stays unserved when it is opened besides `stations` and
+    the nodes dropped before it; the nodes kept are returned. Equal to that
+    loop over `is_served`, one verdict per node, but answered inside the
+    demand's check (module docstring)."""
+    return _check(instance, demand, variant)[3](instance, frozenset(stations),
+                                                closed)

@@ -10,15 +10,18 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import logging
 import time
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from .feasibility import corridor, is_served
+from .feasibility import corridor, is_served, shrink_cut
 from .lp import INFEASIBLE, OPTIMAL, NumericalError, covering_lp, solve_lp
 from .network import MAX_COVER, MIN_STATIONS, Instance
 
 INT_TOL = 1e-6
+
+log = logging.getLogger("frlp.solver")
 
 
 class UnservableError(ValueError):
@@ -54,6 +57,7 @@ class SolveStats:
     cuts: int = 0
     served_calls: int = 0  # servedness verdicts asked for
     served_memo_hits: int = 0  # ... of which answered from the per-solve memo
+    shrink_checks: int = 0  # ... of which answered inside a check's shrink
     lp_solves: int = 0  # relaxations solved
     lp_iterations: int = 0  # ... and their simplex iterations, summed
     lp_cold_starts: int = 0  # ... of which started from the logical basis
@@ -73,7 +77,8 @@ class _Verdicts:
     """Servedness verdicts of one solve, memoised per demand and set of open
     nodes inside the demand's corridor (kept as a bitmask, which is far
     smaller than a frozenset key). The corridors are read from the demands'
-    cached checks, which also answer each memo miss."""
+    cached checks, which also answer each memo miss and each shrink; the
+    shrink's verdicts bypass the memo."""
 
     def __init__(self, instance: Instance, variant: str, stats: SolveStats):
         self.instance = instance
@@ -96,6 +101,12 @@ class _Verdicts:
             self.stats.served_memo_hits += 1
         return verdict
 
+    def shrink(self, qi: int, stations, closed) -> FrozenSet[int]:
+        self.stats.served_calls += len(closed)
+        self.stats.shrink_checks += len(closed)
+        return shrink_cut(self.instance, self.instance.demands[qi], stations,
+                          closed, self.variant)
+
 
 def separate(instance: Instance, variant: str, x, y,
              verdicts: Optional[_Verdicts] = None) -> List[Tuple[int, FrozenSet[int]]]:
@@ -107,8 +118,9 @@ def separate(instance: Instance, variant: str, x, y,
     demand stays unserved when that node is also opened) and emit the
     violated covering cut (q, S'). Closed nodes outside the corridor are
     left out of S' without a check: opening one never serves the demand, so
-    the shrink pass would drop it anyway. `verdicts` carries the memo of a
-    solve across calls.
+    the shrink pass would drop it anyway. The first verdict is memoised;
+    the shrink runs inside the demand's check (`shrink_cut`). `verdicts`
+    carries the memo and the counters of a solve across calls.
     """
     if verdicts is None:
         verdicts = _Verdicts(instance, variant, SolveStats())
@@ -118,13 +130,10 @@ def separate(instance: Instance, variant: str, x, y,
             continue
         zone = verdicts.corridors[qi]
         closed = sorted(j for j in zone if x[j] < 0.5)
-        if verdicts.served(qi, zone.difference(closed)):
+        open_zone = zone.difference(closed)
+        if verdicts.served(qi, open_zone):
             continue
-        kept = set(closed)
-        for j in closed:
-            if not verdicts.served(qi, zone - (kept - {j})):
-                kept.discard(j)
-        cuts.append((qi, frozenset(kept)))
+        cuts.append((qi, verdicts.shrink(qi, open_zone, closed)))
     return cuts
 
 
@@ -248,23 +257,27 @@ def solve(request: SolveRequest) -> Solution:
                 cut_pool.append(item)
             stats.cuts += len(new)
 
-        if solution is None:
+        if solution is not None and not fractional:
+            # Integral and separation-clean: a candidate incumbent.
+            candidate = evaluate(frozenset(j for j, v in enumerate(x)
+                                           if v > 0.5))
+            if better(candidate[2]):
+                incumbent = candidate
+        if log.isEnabledFor(logging.DEBUG):
+            log.debug("node %d: bound %s, incumbent %g, pool %d, "
+                      "shrink checks %d", stats.bb_nodes,
+                      "pruned" if solution is None else f"{solution.value:g}",
+                      incumbent[2], len(cut_pool), stats.shrink_checks)
+        if solution is None or not fractional:
             continue
-        if fractional:
-            # Most fractional first; ties to the lowest index.
-            _, j = max(fractional, key=lambda t: (t[0], -t[1]))
-            for val in (0, 1):
-                child = dict(fixings)
-                child[j] = val
-                heapq.heappush(heap, (-solution.value if maximize
-                                      else solution.value,
-                                      next(counter), child, basis))
-            continue
-
-        # Integral and separation-clean: a candidate incumbent.
-        candidate = evaluate(frozenset(j for j, v in enumerate(x) if v > 0.5))
-        if better(candidate[2]):
-            incumbent = candidate
+        # Most fractional first; ties to the lowest index.
+        _, j = max(fractional, key=lambda t: (t[0], -t[1]))
+        for val in (0, 1):
+            child = dict(fixings)
+            child[j] = val
+            heapq.heappush(heap, (-solution.value if maximize
+                                  else solution.value,
+                                  next(counter), child, basis))
 
     stations, served, value = incumbent
     if maximize:

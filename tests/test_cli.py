@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -297,12 +298,13 @@ def test_solve_node_limit(fig7_path, capsys):
     out = capsys.readouterr().out
     assert "optimal: False" in out
     # the one servedness check is the fallback placement's
-    assert "lp solves: 0 (cold 0)  iterations: 0\nserved checks: 1 (memo hits 0)\n" in out
+    assert "lp solves: 0 (cold 0)  iterations: 0\nserved checks: 1 (memo hits 0, in shrink 0)\n" in out
     assert run(["solve", fig7_path, "--variant", "cyclic",
                 "--node-limit", "5"]) == 0
     out = capsys.readouterr().out
     assert "optimal: True" in out
-    assert "lp solves: 2 (cold 1)  iterations: 2\nserved checks: 8 (memo hits 3)\n" in out
+    # shrink verdicts bypass the memo: 4 of the 8 are answered in the shrink
+    assert "lp solves: 2 (cold 1)  iterations: 2\nserved checks: 8 (memo hits 2, in shrink 4)\n" in out
     for bad in ("-1", "1.5"):
         assert run(["solve", fig7_path, "--node-limit", bad]) == 1
         captured = capsys.readouterr()
@@ -348,14 +350,20 @@ def test_out_of_memory_without_detail_prints_no_empty_detail(fig7_path, capsys,
     assert "Traceback" not in err
 
 
+def child_env(**settings):
+    """The environment of a child `python -m frlp.cli` that imports this
+    frlp, with `settings` added."""
+    import frlp
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(frlp.__file__).resolve().parents[1])] +
+        [p for p in [os.environ.get("PYTHONPATH")] if p]), **settings)
+
+
 @pytest.mark.parametrize("unbuffered", [True, False],
                          ids=["unbuffered", "buffered"])
 def test_closed_pipe_ends_quietly(fig7_path, unbuffered):
     # `frlp solve ... | head -1` with a reader that has already gone
-    import frlp
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(Path(frlp.__file__).resolve().parents[1])] +
-        [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    env = child_env()
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
@@ -371,6 +379,20 @@ def test_closed_pipe_ends_quietly(fig7_path, unbuffered):
         os.close(write_end)
     assert child.stderr == b""
     assert child.returncode == 0
+
+
+def test_debug_log_reports_solve_progress(fig7_path):
+    # FRLP_LOG=debug: one frlp.solver line per branch-and-bound node
+    child = subprocess.run(
+        [sys.executable, "-m", "frlp.cli", "solve", fig7_path,
+         "--variant", "cyclic"],
+        capture_output=True, text=True, env=child_env(FRLP_LOG="debug"),
+        timeout=120)
+    assert child.returncode == 0
+    assert "nodes: 1 " in child.stdout
+    assert re.findall(r"^DEBUG frlp\.solver: .*$", child.stderr, re.M) == [
+        "DEBUG frlp.solver: node 1: bound 1, incumbent 1, pool 1, "
+        "shrink checks 4"]
 
 
 def test_usage_error_exit_code(capsys):

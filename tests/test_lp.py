@@ -680,15 +680,17 @@ def test_original_solve_is_pinned():
     # bb_nodes, cuts, LP solves, iterations (pivots plus bound flips) and
     # cold starts measured with the bounded-variable kernel, whose re-solves
     # start warm from the last optimal basis, so that a change of the start
-    # basis or of the pivot rule fails here; and the servedness checks and
-    # memo hits, so that a change of which checks the search asks fails too
+    # basis or of the pivot rule fails here; and the servedness checks, memo
+    # hits and shrink checks, so that a change of which checks the search
+    # asks fails too
     from frlp.oracle import brute_force_solve
     request = pinned_request()
     solution = solve(request)
     assert solution.stats.bb_nodes == 13
     assert solution.stats.cuts == 28
     assert solution.stats.served_calls == 189
-    assert solution.stats.served_memo_hits == 73
+    assert solution.stats.served_memo_hits == 53
+    assert solution.stats.shrink_checks == 86
     assert solution.stats.lp_solves == 19
     assert solution.stats.lp_iterations == 100
     assert solution.stats.lp_cold_starts == 1

@@ -12,13 +12,15 @@ from hypothesis import given, settings, strategies as st
 from frlp import (AGG, CYCLIC, DISAGG, MAX_COVER, MIN_STATIONS, ORIGINAL,
                   CycleQuery, Demand, Edge, PlacementConstraints, SolveRequest,
                   UnservableError, brute_force_solve, build_instance,
-                  build_model, enumerate_routes, eval_v_agg, eval_v_disagg,
-                  eval_v_tight, find_traversable_path, find_witness,
-                  gen_example, gen_random, is_served, is_traversable, lp_bound,
-                  prepare_route_data, reevaluate, route_budget, solve)
+                  build_model, corridor, enumerate_routes, eval_v_agg,
+                  eval_v_disagg, eval_v_tight, find_traversable_path,
+                  find_witness, gen_example, gen_random, is_served,
+                  is_traversable, lp_bound, prepare_route_data, reevaluate,
+                  route_budget, separate, shrink_cut, solve)
 from frlp.feasibility import search_cycle
 from frlp.lp import served_vector
 from frlp.network import DIST_TOL, variant_violations
+from test_solver import full_shrink_separate, loop_shrink
 
 D = 12.0
 LENGTHS = tuple(f * D for f in (0.25, 1.0 / 3.0, 0.5, 2.0 / 3.0, 1.0))
@@ -130,8 +132,47 @@ def undirected(inst):
     """The instance with every edge two-way, as the original variant
     requires."""
     edges = tuple(replace(e, directed=False) for e in inst.network.edges)
-    return build_instance(inst.network.node_names, edges, inst.demands, D,
-                          variant_default=ORIGINAL)
+    return build_instance(inst.network.node_names, edges, inst.demands,
+                          inst.travel_range, variant_default=ORIGINAL)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.one_of(directed_cyclic_instances(), scaled_cyclic_instances()),
+       st.data())
+def test_shrink_by_insertion_is_the_loop_over_verdicts(inst, data):
+    # The shrink answers each closed node by inserting it into the base's
+    # closure (cyclic) or cost maps (original), so its sums run in another
+    # order than a full verdict's; with lengths scaled by 0.1, 0.3 or 0.7, a
+    # route as long as tau rounds to either side of it. On random station
+    # sets, under the cyclic variant and on the undirected copy under the
+    # original one, at the instance's range and a longer one on the same
+    # network: the shrink of a random order of some closed corridor nodes is
+    # the loop over `is_served`, and `separate` is the full-network shrink.
+    n = inst.num_nodes
+    masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1,
+                               max_size=6))
+    for variant, base in ((CYCLIC, inst), (ORIGINAL, undirected(inst))):
+        for instance in (base, replace(base,
+                                       travel_range=1.5 * base.travel_range)):
+            for bits in masks:
+                x = [bits >> j & 1 for j in range(n)]
+                for q in instance.demands:
+                    zone = corridor(instance, q, variant)
+                    stations = frozenset(j for j in zone if x[j])
+                    if is_served(instance, q, stations, variant):
+                        continue
+                    closed = data.draw(st.lists(
+                        st.sampled_from(sorted(zone - stations)),
+                        unique=True)) if zone - stations else []
+                    assert shrink_cut(instance, q, stations, closed,
+                                      variant) == \
+                        loop_shrink(instance, q, stations, closed, variant), \
+                        (variant, instance.travel_range, q, sorted(stations),
+                         closed)
+                y = [1] * len(instance.demands)
+                assert separate(instance, variant, x, y) == \
+                    full_shrink_separate(instance, variant, x, y), \
+                    (variant, instance.travel_range, x)
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)

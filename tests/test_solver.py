@@ -1,11 +1,12 @@
 import random
+from dataclasses import replace
 
 import pytest
 
 from frlp import (CYCLIC, ORIGINAL, PlacementConstraints, SolveRequest,
                   UnservableError, brute_force_solve, build_instance,
-                  gen_example, gen_random, is_served, reevaluate, separate,
-                  solve)
+                  corridor, gen_example, gen_random, is_served, reevaluate,
+                  separate, shrink_cut, solve)
 from frlp import solver as solver_module
 from frlp.solver import MAX_COVER, MIN_STATIONS
 
@@ -177,6 +178,45 @@ def full_shrink_separate(instance, variant, x, y):
     return cuts
 
 
+def loop_shrink(instance, q, stations, closed, variant):
+    """The drop-one pass as one `is_served` verdict per closed node."""
+    base, kept = set(stations), []
+    for j in closed:
+        if is_served(instance, q, base | {j}, variant):
+            kept.append(j)
+        else:
+            base.add(j)
+    return frozenset(kept)
+
+
+def test_shrink_cut_is_the_loop_over_verdicts():
+    # 16-node networks at their range and a shorter one, where the refueling
+    # routes through a dropped node take several hops: after each drop, the
+    # base's closure (cyclic) and cost maps (original) must take in the
+    # routes through it
+    for seed in range(80):
+        rng = random.Random(seed)
+        inst = gen_random(seed, 16, density=0.2, num_demands=4,
+                          variant=ORIGINAL)
+        for variant in (ORIGINAL, CYCLIC):
+            for scale in (0.6, 1.0):
+                instance = replace(inst,
+                                   travel_range=scale * inst.travel_range)
+                for _ in range(4):
+                    x = [rng.random() < 0.3 for _ in range(16)]
+                    for q in instance.demands:
+                        zone = corridor(instance, q, variant)
+                        stations = frozenset(j for j in zone if x[j])
+                        if is_served(instance, q, stations, variant):
+                            continue
+                        closed = sorted(zone - stations)
+                        assert shrink_cut(instance, q, stations, closed,
+                                          variant) == \
+                            loop_shrink(instance, q, stations, closed,
+                                        variant), \
+                            (seed, variant, scale, q, sorted(stations))
+
+
 def test_corridor_separation_matches_full_shrink(small_pool):
     rng = random.Random(7)
     for inst in small_pool:
@@ -204,7 +244,10 @@ def test_servedness_counters(monkeypatch):
             checks.clear()
             stats = solve(request).stats
             assert 0 < stats.served_memo_hits < stats.served_calls
-            assert stats.served_calls - stats.served_memo_hits == len(checks)
+            assert 0 < stats.shrink_checks < stats.served_calls
+            # shrink verdicts are answered inside the checks, not by is_served
+            assert stats.served_calls - stats.served_memo_hits - \
+                stats.shrink_checks == len(checks)
             assert len(set(checks)) == len(checks)  # no check is repeated
 
 
