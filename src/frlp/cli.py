@@ -35,6 +35,9 @@ log = logging.getLogger("frlp")
 USAGE_ERROR = 1
 SOLVE_ERROR = 2
 
+# --objective's choices and the objectives they name
+OBJECTIVES = {"maxcover": MAX_COVER, "minstations": MIN_STATIONS}
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -239,10 +242,9 @@ def cmd_bounds(args) -> int:
 
 
 def _run_solve(instance, variant, args, node_limit=None):
-    objective = MAX_COVER if args.objective == "maxcover" else MIN_STATIONS
-    request = SolveRequest(instance, variant, objective, budget=args.budget,
-                           coverage=args.coverage, time_limit=args.time_limit,
-                           node_limit=node_limit)
+    request = SolveRequest(instance, variant, OBJECTIVES[args.objective],
+                           budget=args.budget, coverage=args.coverage,
+                           time_limit=args.time_limit, node_limit=node_limit)
     return solve(request)
 
 
@@ -274,8 +276,7 @@ def cmd_solve(args) -> int:
 
 def cmd_oracle(args) -> int:
     instance, variant = _instance_and_variant(args)
-    objective = MAX_COVER if args.objective == "maxcover" else MIN_STATIONS
-    result = brute_force_solve(instance, variant, objective,
+    result = brute_force_solve(instance, variant, OBJECTIVES[args.objective],
                                budget=args.budget, coverage=args.coverage)
     print(f"objective: {result.objective:g}")
     for stations in result.optimal_sets[:8]:
@@ -326,7 +327,7 @@ def build_parser() -> _Parser:
         p.add_argument("--alpha-override", type=float)
 
     def solve_flags(p):
-        p.add_argument("--objective", choices=["maxcover", "minstations"],
+        p.add_argument("--objective", choices=list(OBJECTIVES),
                        default="maxcover")
         p.add_argument("--budget", type=int)
         p.add_argument("--coverage", type=float, default=1.0)

@@ -3,9 +3,9 @@
 The cyclic verdict is a min-plus check over the open corridor stations; a
 best-first labeling search finds the witness cycle through the destination
 and replays its steps for `frlp check --trace`. The original variant reduces
-to a shortest-path search on a refueling network built over origin,
-destination and stations (depart half-charged, arrive at least
-half-charged).
+to a shortest-path search from the origin to the destination through the
+open corridor stations under one hop rule (depart half-charged, arrive at
+least half-charged).
 
 Both checks look only at the demand's corridor: the nodes whose shortest
 detour fits the route budget tau. For the original variant that is
@@ -22,14 +22,15 @@ dominance against the node's kept labels, run on plain floats before a
 (dominance off) lists no label that cannot close within tau.
 
 Each demand gets one check per variant, picked and built in one place on
-first use: explicit routes, the original refueling Dijkstra over the
+first use: explicit routes, the original hop-rule Dijkstra over the
 distance rows of the corridor's nodes, or the cyclic min-plus check over
 the distances between the corridor's nodes. It answers the corridor, the
 verdict, a witness route and separation's drop-one shrink (`shrink_cut`).
 For explicit routes the verdict is "a witness exists" and the shrink is a
 loop over verdicts; the original verdict is a Dijkstra with no parent map,
 and the cyclic one builds no route either, so solves, which ask only for
-verdicts, never search. The cyclic witness asks the verdict first and runs
+verdicts, never search. The original witness is that Dijkstra with a
+parent map; the cyclic witness asks the verdict first and runs
 `search_cycle` at the demand's tau only for a served station set. The check
 is kept in the network's check cache, keyed by (demand, variant); each
 answer reads the travel range R from its instance, since instances with
@@ -37,6 +38,18 @@ other ranges may share a network.
 Pairing the original variant with a directed network raises
 `ValidationError` (`network.require_variant`), here and in
 `routes.enumerate_routes`.
+
+The original verdict. A round trip over a path is repeatable iff the driver
+can leave o half-charged and reach t with at least half a charge (the
+refueling network of MirHassani & Ebrazi, "A flexible reformulation of the
+refueling station location problem", Transportation Science 2013). The
+trip's ends are a source at o and a sink at t, never stations; the hubs are
+the open corridor nodes, o and t among them when open. A hop a -> b is
+d(place(a), place(b)) long and fits iff a hub is among a and b and it is at
+most (R/2)*(hubs among a, b) + DIST_TOL: R between hubs, R/2 out of the
+source or into the sink, and no hop from the source straight to the sink.
+The demand is served iff a Dijkstra from the source reaches the sink within
+tau + DIST_TOL.
 
 The cyclic verdict. Let the hubs H be the open corridor stations; every
 admissible cycle stops at one, so with none it is unserved. Each charge
@@ -92,15 +105,14 @@ algorithms for minimal length paths", J. Algorithms 1991).
   loop runs j ~> c -> t -> e ~> sk -> o -> s1 ~> j, or passes o first;
   each is three vector-matrix min-plus products. The pre-check reads the
   base's least distances into and out of each end, lowered by j's.
-- Original: the costs from the origin and to the destination over the
-  base's refueling network are built once, by a forward and a backward
-  Dijkstra. The cheapest route through j is the cheapest hop into j from a
-  hub reached plus the cheapest hop out of j to a hub that reaches the
-  destination, and j is kept iff that fits within tau + DIST_TOL. A dropped
-  j gets those two costs, and a Dijkstra from j lowers the others
-  (decrease-only). A closed origin or destination changes the hop limits,
-  so that candidate takes the full verdict, and a drop there builds both
-  cost maps again.
+- Original: the costs from the source and to the sink over the base hubs
+  are built once, by a forward and a backward Dijkstra; the backward one
+  reads the hop b -> a from b's distance row. The cheapest route through j
+  is the cheapest hop into j from a place reached plus the cheapest hop out
+  of j to a place that reaches the sink, each fitting the hop rule with j a
+  hub, and j is kept iff that fits within tau + DIST_TOL. A dropped j gets
+  those two costs, and a Dijkstra from j lowers the others (decrease-only).
+  A closed origin or destination is inserted like any other node.
 The shrink adds a route's lengths in another order than the full verdict
 does, so its value may differ from it in the last bits (and, for the
 original variant, by less than the DIST_TOL within which a Dijkstra keeps
@@ -108,9 +120,9 @@ the cost it has). That reaches only the final comparison with
 tau + DIST_TOL: the hop caps and the pre-check compare single distances,
 as the full verdict does.
 
-`find_traversable_path` runs the same refueling Dijkstra at a given tau with
-a parent map and builds from it the witness path, which at the demand's tau
-is the original variant's witness.
+The original witness maps the source and the sink back to o and t and joins
+the places of the Dijkstra's route by shortest paths; `find_traversable_path`
+asks a check built at a given tau for it.
 """
 
 from __future__ import annotations
@@ -289,72 +301,61 @@ def search_cycle(query: CycleQuery) -> CycleSearch:
     return CycleSearch(None, selected)
 
 
+# The trip's ends in the original check: a source at the origin and a sink at
+# the destination, never hubs (module docstring).
+_SOURCE, _SINK = -1, -2
+
+
+def _hop_caps(travel_range: float):
+    """The longest hop that fits, by the hubs among its two places: none
+    (no hop), one (R/2) or two (R), each plus DIST_TOL."""
+    half = travel_range / 2.0
+    return (-INF, half + DIST_TOL, 2 * half + DIST_TOL)
+
+
 class _PathCheck:
     """The original-variant check of one demand at route budget tau: its
-    corridor, and the distance rows and columns (the network's cached
-    ones) of the corridor and of origin and destination. The travel range
-    is read from the instance of each verdict, not kept, because instances
-    with other ranges may share the network."""
+    corridor, the nodes of the source and the sink (a hub is its own node),
+    and the distance rows (the network's cached ones) of those nodes, from
+    which each hop is read forward or backward. The travel range is read
+    from the instance of each answer, not kept, because instances with
+    other ranges may share the network."""
 
-    __slots__ = ("origin", "dest", "tau", "corridor", "rows", "columns")
+    __slots__ = ("tau", "corridor", "places", "rows")
 
     def __init__(self, network: Network, origin: int, dest: int, tau: float):
-        self.origin, self.dest, self.tau = origin, dest, tau
+        self.tau = tau
         self.corridor = _detour_nodes(network, origin, dest, tau)
+        self.places = {_SOURCE: origin, _SINK: dest}
         self.rows = {a: network.distances_from(a)
                      for a in self.corridor | {origin, dest}}
-        self.columns = {a: network.distances_to(a) for a in self.rows}
 
-    def _network(self, instance: Instance, stations):
-        """The refueling network over the station set: its hubs (origin,
-        destination and the open corridor nodes), and the hop limits out of
-        the origin and out of any other hub, each a pair (to a hub that is
-        not the destination, to the destination). A hop is the shortest
-        distance when it fits one charge, or half a charge when it leaves an
-        origin without a station or reaches a destination without one. A hop
-        from such an origin straight to such a destination has no station
-        and never serves."""
-        origin, dest = self.origin, self.dest
-        full = instance.travel_range + DIST_TOL
-        half = instance.travel_range / 2.0 + DIST_TOL
-        dest_open = dest in stations
-        from_other = (full, full if dest_open else half)
-        from_origin = from_other if origin in stations else \
-            (half, half if dest_open else -INF)
-        hubs = self.corridor.intersection(stations) | {origin, dest}
-        return hubs, from_origin, from_other
-
-    def _search(self, refuel, costs: dict, heap: list, forward: bool = True,
-                parent: Optional[dict] = None) -> bool:
-        """Dijkstra over the refueling network `refuel` from the hubs queued
-        in `heap`, lowering `costs`: the costs from the origin (`forward`)
-        or to the destination. Neither end is passed through. True as soon
-        as a forward search reaches the destination within tau; `parent`,
-        when given, receives the predecessor of every hub reached."""
-        origin, dest = self.origin, self.dest
-        hubs, from_origin, from_other = refuel
-        lines, end = (self.rows, dest) if forward else (self.columns, origin)
-        budget = self.tau + DIST_TOL
+    def _search(self, instance: Instance, hubs, costs: dict, heap: list,
+                forward: bool = True, parent: Optional[dict] = None) -> bool:
+        """Dijkstra under the hop rule over the hubs, from the places queued
+        in `heap`, lowering `costs`: the costs from the source (`forward`)
+        or to the sink. True as soon as a forward search reaches the sink
+        within tau; `parent`, when given, receives the predecessor of every
+        place reached."""
+        rows, places, budget = self.rows, self.places, self.tau + DIST_TOL
+        caps = _hop_caps(instance.travel_range)
+        end = _SINK if forward else _SOURCE
+        # each place a hop can reach: its node, its row and whether a hub
+        targets = [(b, b, rows[b], True) for b in hubs]
+        targets.append((end, places[end], rows[places[end]], False))
         while heap:
             cost, a = heapq.heappop(heap)
             if cost > costs[a] + DIST_TOL:
                 continue
             if cost > budget:
-                return False  # every hub still to come costs at least this
+                return False  # every place still to come costs at least this
             if a == end:
-                if forward:
-                    return True
-                continue
-            # the limits of the hops a -> b (forward) or b -> a, indexed by
-            # b == end
-            if forward:
-                limits = from_origin if a == origin else from_other
-            else:
-                limits = (from_other[a == dest], from_origin[a == dest])
-            line = lines[a]
-            for b in hubs:
-                hop = line[b]
-                if hop > limits[b == end]:
+                return True
+            here = places.get(a, a)
+            line, hub = rows[here], a >= 0
+            for b, there, row, b_hub in targets:
+                hop = line[there] if forward else row[here]
+                if hop > caps[hub + b_hub]:
                     continue
                 ncost = cost + hop
                 if ncost < costs.get(b, INF) - DIST_TOL:
@@ -366,83 +367,69 @@ class _PathCheck:
 
     def served(self, instance: Instance, stations,
                parent: Optional[dict] = None) -> bool:
-        """True iff the refueling network's Dijkstra from the origin reaches
-        the destination within tau; `parent`, when given, receives the
-        predecessor of every hub reached."""
-        return self._search(self._network(instance, stations),
-                            {self.origin: 0.0}, [(0.0, self.origin)],
-                            parent=parent)
+        """True iff the Dijkstra from the source reaches the sink within
+        tau; `parent`, when given, receives the predecessor of every place
+        reached."""
+        return self._search(instance, self.corridor.intersection(stations),
+                            {_SOURCE: 0.0}, [(0.0, _SOURCE)], parent=parent)
+
+    def witness(self, instance: Instance, stations) -> Optional[Route]:
+        """The verdict's route from the source to the sink, its places
+        joined by shortest paths, or None when it is unserved."""
+        parent = {}
+        if not self.served(instance, stations, parent):
+            return None
+        hops = [_SINK]
+        while hops[-1] != _SOURCE:
+            hops.append(parent[hops[-1]])
+        places = [self.places.get(a, a) for a in reversed(hops)]
+        network, visits = instance.network, [places[0]]
+        for a, b in zip(places, places[1:]):
+            visits.extend(network.shortest_path(a, b)[1:])
+        return make_route(network, visits, PATH)
 
     def shrink(self, instance: Instance, stations, closed) -> frozenset:
         """The drop-one pass by insertion (module docstring): the costs from
-        the origin and to the destination over the base's refueling network
-        answer each closed node j with one scan, and a dropped j lowers them
-        by decrease-only propagation. A closed origin or destination changes
-        the hop limits, so it takes the full verdict, and both cost maps are
-        built again."""
-        origin, dest, rows = self.origin, self.dest, self.rows
-        budget = self.tau + DIST_TOL
+        the source and to the sink over the base hubs answer each closed
+        node j with one scan, and a dropped j lowers them by decrease-only
+        propagation."""
+        rows, o, t = self.rows, self.places[_SOURCE], self.places[_SINK]
+        caps, budget = _hop_caps(instance.travel_range), self.tau + DIST_TOL
         base = set(self.corridor.intersection(stations))
-        kept, refuel = [], None
+        from_s, to_t = {_SOURCE: 0.0}, {_SINK: 0.0}
+        self._search(instance, base, from_s, [(0.0, _SOURCE)])
+        self._search(instance, base, to_t, [(0.0, _SINK)], forward=False)
+        kept = []
         for j in closed:
-            if j == origin or j == dest:
-                if self.served(instance, base | {j}):
-                    kept.append(j)
-                else:
-                    base.add(j)
-                    refuel = None
-                continue
-            if refuel is None:
-                # the costs from the origin and to the destination
-                refuel = self._network(instance, base)
-                from_o = {origin: 0.0}
-                self._search(refuel, from_o, [(0.0, origin)])
-                to_t = {dest: 0.0}
-                self._search(refuel, to_t, [(0.0, dest)], forward=False)
-            hubs, from_origin, from_other = refuel
-            limit, to_dest = from_other
-            into = min((cost + rows[a][j] for a, cost in from_o.items()
-                        if a != dest and rows[a][j] <=
-                        (from_origin if a == origin else from_other)[0]),
-                       default=INF)
+            # the hops into j from the source and the hubs, and out of j to
+            # the hubs and the sink, with j a hub
             row = rows[j]
-            out = min((row[b] + cost for b, cost in to_t.items()
-                       if b != origin and
-                       row[b] <= (to_dest if b == dest else limit)),
-                      default=INF)
+            into = min((cost + hop for a, cost in from_s.items()
+                        if a != _SINK and (hop := rows[a if a >= 0 else o][j])
+                        <= caps[1 + (a >= 0)]), default=INF)
+            out = min((hop + cost for b, cost in to_t.items()
+                       if b != _SOURCE and (hop := row[b if b >= 0 else t])
+                       <= caps[1 + (b >= 0)]), default=INF)
             if into + out <= budget:
                 kept.append(j)
                 continue
             base.add(j)
-            refuel = (hubs | {j}, from_origin, from_other)
-            from_o[j], to_t[j] = into, out
-            self._search(refuel, from_o, [(into, j)])
-            self._search(refuel, to_t, [(out, j)], forward=False)
+            from_s[j], to_t[j] = into, out
+            self._search(instance, base, from_s, [(into, j)])
+            self._search(instance, base, to_t, [(out, j)], forward=False)
         return frozenset(kept)
 
 
 def find_traversable_path(instance: Instance, demand: Demand, stations,
                           tau_path: float) -> Optional[Route]:
-    """Original-variant check via the refueling network: a round trip over a
+    """Original-variant check at route budget `tau_path`: a round trip over a
     path is repeatable iff one can depart the origin half-charged and arrive
     at the destination at least half-charged, recharging at stations.
     Returns a witness path within `tau_path`, or None."""
-    network = instance.network
-    require_variant(network, ORIGINAL)
-    origin, dest = demand.origin, demand.destination
-    check = _PathCheck(network, origin, dest, tau_path)
-    parent = {}
-    if not check.served(instance, frozenset(stations), parent):
-        return None
-    hops = [dest]
-    while hops[-1] != origin:
-        hops.append(parent[hops[-1]])
-    hops.reverse()
-    visits = [origin]
-    for a, b in zip(hops, hops[1:]):
-        segment = network.shortest_path(a, b)
-        visits.extend(segment[1:])
-    return make_route(network, visits, PATH)
+    require_variant(instance.network, ORIGINAL)
+    check = _PathCheck(instance.network, demand.origin, demand.destination,
+                       tau_path)
+    return check.witness(instance, frozenset(stations))
 
 
 def _detour_nodes(network: Network, a: int, b: int, budget: float) -> frozenset:
@@ -629,11 +616,9 @@ def _check(instance: Instance, demand: Demand, variant: str):
     elif variant == ORIGINAL:
         tau = route_budget(instance, demand, ORIGINAL)
         path = _PathCheck(network, demand.origin, demand.destination, tau)
-
-        def witness(inst, stations):
-            return find_traversable_path(inst, demand, stations, tau)
         # the verdict is the parent-free Dijkstra, which builds no route
-        zone, served, shrink = path.corridor, path.served, path.shrink
+        zone, served, witness, shrink = (path.corridor, path.served,
+                                         path.witness, path.shrink)
     else:
         tau = route_budget(instance, demand, CYCLIC)
         cycle = _CycleCheck(network, demand.origin, demand.destination, tau)

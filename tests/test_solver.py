@@ -193,7 +193,9 @@ def test_shrink_cut_is_the_loop_over_verdicts():
     # 16-node networks at their range and a shorter one, where the refueling
     # routes through a dropped node take several hops: after each drop, the
     # base's closure (cyclic) and cost maps (original) must take in the
-    # routes through it
+    # routes through it. Under the original variant, a closed origin or
+    # destination also comes first and last, as one more hub insertion
+    # before and after the others
     for seed in range(80):
         rng = random.Random(seed)
         inst = gen_random(seed, 16, density=0.2, num_demands=4,
@@ -210,11 +212,20 @@ def test_shrink_cut_is_the_loop_over_verdicts():
                         if is_served(instance, q, stations, variant):
                             continue
                         closed = sorted(zone - stations)
-                        assert shrink_cut(instance, q, stations, closed,
-                                          variant) == \
-                            loop_shrink(instance, q, stations, closed,
-                                        variant), \
-                            (seed, variant, scale, q, sorted(stations))
+                        orders = [closed]
+                        if variant == ORIGINAL:
+                            ends = [j for j in (q.origin, q.destination)
+                                    if j in closed]
+                            rest = [j for j in closed if j not in ends]
+                            orders += [ends + rest, rest + ends,
+                                       ends[::-1] + rest, rest + ends[::-1]]
+                        for order in orders:
+                            assert shrink_cut(instance, q, stations, order,
+                                              variant) == \
+                                loop_shrink(instance, q, stations, order,
+                                            variant), \
+                                (seed, variant, scale, q, sorted(stations),
+                                 order)
 
 
 def test_corridor_separation_matches_full_shrink(small_pool):
