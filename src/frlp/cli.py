@@ -19,7 +19,7 @@ from typing import Optional
 
 from . import generators
 from .covering import AggregationOverflowError
-from .feasibility import CycleQuery, find_witness, search_cycle
+from .feasibility import find_witness, search_cycle
 from .lp import (AGG, DISAGG, NumericalError, TIGHT_NODE_CAP, build_model,
                  lp_bound, prepare_route_data)
 from .network import (CYCLIC, MAX_COVER, MIN_STATIONS, ORIGINAL, Instance,
@@ -177,9 +177,9 @@ def cmd_check(args) -> int:
     if args.trace:
         # The replay runs the full search without dominance, which finds
         # the same verdict.
-        result = search_cycle(CycleQuery(
-            instance, demand, stations,
-            route_budget(instance, demand, CYCLIC), dominance=False))
+        result = search_cycle(instance, demand, stations,
+                              route_budget(instance, demand, CYCLIC),
+                              dominance=False)
         witness = result.witness
         print(f"served: {witness is not None}")
         for i, label in enumerate(result.selected, 1):

@@ -21,20 +21,20 @@ dominance against the node's kept labels, run on plain floats before a
 `_extension` is the one extension rule. The replay of `frlp check --trace`
 (dominance off) lists no label that cannot close within tau.
 
-Each demand gets one check per variant, picked and built in one place on
-first use: explicit routes, the original hop-rule Dijkstra over the
-distance rows of the corridor's nodes, or the cyclic min-plus check over
-the distances between the corridor's nodes. It answers the corridor, the
-verdict, a witness route and separation's drop-one shrink (`shrink_cut`).
+Each demand gets one check per variant and travel range R, picked and
+built in one place on first use: explicit routes, the original hop-rule
+Dijkstra over the distance rows of the corridor's nodes, or the cyclic
+min-plus check over the distances between the corridor's nodes. It answers
+the corridor, the verdict, a witness route and separation's drop-one shrink
+(`shrink_cut`).
 For explicit routes the verdict is "a witness exists" and the shrink is a
 loop over verdicts; the original verdict is a Dijkstra with no parent map,
 and the cyclic one builds no route either, so solves, which ask only for
 verdicts, never search. The original witness is that Dijkstra with a
 parent map; the cyclic witness asks the verdict first and runs
 `search_cycle` at the demand's tau only for a served station set. The check
-is kept in the network's check cache, keyed by (demand, variant); each
-answer reads the travel range R from its instance, since instances with
-other ranges may share a network.
+is kept in the network's check cache, keyed by (demand, variant, R), so
+instances with other ranges that share a network get checks of their own.
 Pairing the original variant with a directed network raises
 `ValidationError` (`network.require_variant`), here and in
 `routes.enumerate_routes`.
@@ -78,10 +78,10 @@ The demand is served iff the shortest such cycle is within tau + DIST_TOL:
   P[s1,c] + T[c,e] + P[e,sk] + O[sk,s1] (a segment through each end) and
   min over a, b of P[b,a] plus one segment a -> t -> o -> b or
   a -> o -> t -> b, where that segment is within R' (one through both).
-The matrices are blocks of one stack, built once per check and travel
-range over the whole corridor: the capped hops, T, O and the segments
-through both ends. `search_cycle` itself, which `frlp check --trace`
-replays, always runs the full search.
+The matrices are blocks of one stack, built with the check over the whole
+corridor: the capped hops, T, O and the segments through both ends.
+`search_cycle` itself, which `frlp check --trace` replays, always runs the
+full search.
 
 The shrink. Separation's drop-one pass takes the closed corridor nodes in
 order and asks, for each j, whether the demand is served by the base plus
@@ -169,15 +169,6 @@ class Label:
         return f"Label{self.tuple5()} at node {self.node}"
 
 
-@dataclass(frozen=True)
-class CycleQuery:
-    instance: Instance
-    demand: Demand
-    stations: frozenset
-    tau: float
-    dominance: bool = True
-
-
 @dataclass
 class CycleSearch:
     """Outcome of a labeling run: witness cycle plus replayable trace."""
@@ -207,14 +198,13 @@ def _reconstruct(label: Label) -> Tuple[int, ...]:
     return tuple(visits)
 
 
-def search_cycle(query: CycleQuery) -> CycleSearch:
+def search_cycle(instance: Instance, demand: Demand, stations, tau: float,
+                 dominance: bool = True) -> CycleSearch:
     """Best-first labeling search for a traversable cycle in the deviation
     route set; records the selection sequence for trace replay."""
-    instance, demand = query.instance, query.demand
     network = instance.network
-    stations = query.stations
     origin, dest = demand.origin, demand.destination
-    budget = query.tau + DIST_TOL
+    budget = tau + DIST_TOL
     reach = instance.travel_range + DIST_TOL
 
     dist_to_dest = network.distances_to(dest)
@@ -266,7 +256,7 @@ def search_cycle(query: CycleQuery) -> CycleSearch:
             store = kept[j2]
             # Dominance (or, without it, identity) against the node's kept
             # labels, tested on the floats before a label is built.
-            if query.dominance:
+            if dominance:
                 dominated = False
                 for old in store:
                     o = old[2]
@@ -306,39 +296,65 @@ def search_cycle(query: CycleQuery) -> CycleSearch:
 _SOURCE, _SINK = -1, -2
 
 
-def _hop_caps(travel_range: float):
-    """The longest hop that fits, by the hubs among its two places: none
-    (no hop), one (R/2) or two (R), each plus DIST_TOL."""
-    half = travel_range / 2.0
-    return (-INF, half + DIST_TOL, 2 * half + DIST_TOL)
+class _RouteCheck:
+    """The check of a demand with explicit routes at travel range R: the
+    corridor is the routes' nodes, the verdict "some route is traversable",
+    the witness the first such route and the shrink a loop over verdicts."""
+
+    __slots__ = ("corridor", "routes", "travel_range")
+
+    def __init__(self, network: Network, demand: Demand, travel_range: float):
+        self.corridor = frozenset(j for r in demand.routes for j in r)
+        self.routes = [make_route(network, r) for r in demand.routes]
+        self.travel_range = travel_range
+
+    def witness(self, stations) -> Optional[Route]:
+        return next((r for r in self.routes
+                     if is_traversable(r, stations, self.travel_range)), None)
+
+    def served(self, stations) -> bool:
+        return self.witness(stations) is not None
+
+    def shrink(self, stations, closed) -> frozenset:
+        # one verdict per closed node
+        base, kept = set(stations), []
+        for j in closed:
+            if self.served(base | {j}):
+                kept.append(j)
+            else:
+                base.add(j)
+        return frozenset(kept)
 
 
 class _PathCheck:
-    """The original-variant check of one demand at route budget tau: its
-    corridor, the nodes of the source and the sink (a hub is its own node),
-    and the distance rows (the network's cached ones) of those nodes, from
-    which each hop is read forward or backward. The travel range is read
-    from the instance of each answer, not kept, because instances with
-    other ranges may share the network."""
+    """The original-variant check of one demand at route budget tau and
+    travel range R: its corridor, the longest hop that fits by the hubs among
+    its two places (none: no hop, one: R/2, two: R, each plus DIST_TOL), the
+    nodes of the source and the sink (a hub is its own node), and the
+    distance rows (the network's cached ones) of those nodes, from which each
+    hop is read forward or backward."""
 
-    __slots__ = ("tau", "corridor", "places", "rows")
+    __slots__ = ("network", "tau", "caps", "corridor", "places", "rows")
 
-    def __init__(self, network: Network, origin: int, dest: int, tau: float):
-        self.tau = tau
+    def __init__(self, network: Network, origin: int, dest: int, tau: float,
+                 travel_range: float):
+        half = travel_range / 2.0
+        self.network, self.tau = network, tau
+        self.caps = (-INF, half + DIST_TOL, 2 * half + DIST_TOL)
         self.corridor = _detour_nodes(network, origin, dest, tau)
         self.places = {_SOURCE: origin, _SINK: dest}
         self.rows = {a: network.distances_from(a)
                      for a in self.corridor | {origin, dest}}
 
-    def _search(self, instance: Instance, hubs, costs: dict, heap: list,
-                forward: bool = True, parent: Optional[dict] = None) -> bool:
+    def _search(self, hubs, costs: dict, heap: list, forward: bool = True,
+                parent: Optional[dict] = None) -> bool:
         """Dijkstra under the hop rule over the hubs, from the places queued
         in `heap`, lowering `costs`: the costs from the source (`forward`)
         or to the sink. True as soon as a forward search reaches the sink
         within tau; `parent`, when given, receives the predecessor of every
         place reached."""
-        rows, places, budget = self.rows, self.places, self.tau + DIST_TOL
-        caps = _hop_caps(instance.travel_range)
+        rows, places, caps = self.rows, self.places, self.caps
+        budget = self.tau + DIST_TOL
         end = _SINK if forward else _SOURCE
         # each place a hop can reach: its node, its row and whether a hub
         targets = [(b, b, rows[b], True) for b in hubs]
@@ -365,40 +381,39 @@ class _PathCheck:
                     heapq.heappush(heap, (ncost, b))
         return False
 
-    def served(self, instance: Instance, stations,
-               parent: Optional[dict] = None) -> bool:
+    def served(self, stations, parent: Optional[dict] = None) -> bool:
         """True iff the Dijkstra from the source reaches the sink within
         tau; `parent`, when given, receives the predecessor of every place
         reached."""
-        return self._search(instance, self.corridor.intersection(stations),
+        return self._search(self.corridor.intersection(stations),
                             {_SOURCE: 0.0}, [(0.0, _SOURCE)], parent=parent)
 
-    def witness(self, instance: Instance, stations) -> Optional[Route]:
+    def witness(self, stations) -> Optional[Route]:
         """The verdict's route from the source to the sink, its places
         joined by shortest paths, or None when it is unserved."""
         parent = {}
-        if not self.served(instance, stations, parent):
+        if not self.served(stations, parent):
             return None
         hops = [_SINK]
         while hops[-1] != _SOURCE:
             hops.append(parent[hops[-1]])
         places = [self.places.get(a, a) for a in reversed(hops)]
-        network, visits = instance.network, [places[0]]
+        network, visits = self.network, [places[0]]
         for a, b in zip(places, places[1:]):
             visits.extend(network.shortest_path(a, b)[1:])
         return make_route(network, visits, PATH)
 
-    def shrink(self, instance: Instance, stations, closed) -> frozenset:
+    def shrink(self, stations, closed) -> frozenset:
         """The drop-one pass by insertion (module docstring): the costs from
         the source and to the sink over the base hubs answer each closed
         node j with one scan, and a dropped j lowers them by decrease-only
         propagation."""
         rows, o, t = self.rows, self.places[_SOURCE], self.places[_SINK]
-        caps, budget = _hop_caps(instance.travel_range), self.tau + DIST_TOL
+        caps, budget = self.caps, self.tau + DIST_TOL
         base = set(self.corridor.intersection(stations))
         from_s, to_t = {_SOURCE: 0.0}, {_SINK: 0.0}
-        self._search(instance, base, from_s, [(0.0, _SOURCE)])
-        self._search(instance, base, to_t, [(0.0, _SINK)], forward=False)
+        self._search(base, from_s, [(0.0, _SOURCE)])
+        self._search(base, to_t, [(0.0, _SINK)], forward=False)
         kept = []
         for j in closed:
             # the hops into j from the source and the hubs, and out of j to
@@ -415,8 +430,8 @@ class _PathCheck:
                 continue
             base.add(j)
             from_s[j], to_t[j] = into, out
-            self._search(instance, base, from_s, [(into, j)])
-            self._search(instance, base, to_t, [(out, j)], forward=False)
+            self._search(base, from_s, [(into, j)])
+            self._search(base, to_t, [(out, j)], forward=False)
         return frozenset(kept)
 
 
@@ -428,8 +443,8 @@ def find_traversable_path(instance: Instance, demand: Demand, stations,
     Returns a witness path within `tau_path`, or None."""
     require_variant(instance.network, ORIGINAL)
     check = _PathCheck(instance.network, demand.origin, demand.destination,
-                       tau_path)
-    return check.witness(instance, frozenset(stations))
+                       tau_path, instance.travel_range)
+    return check.witness(frozenset(stations))
 
 
 def _detour_nodes(network: Network, a: int, b: int, budget: float) -> frozenset:
@@ -440,17 +455,21 @@ def _detour_nodes(network: Network, a: int, b: int, budget: float) -> frozenset:
 
 
 class _CycleCheck:
-    """The cyclic check of one demand at route budget tau: its corridor, and
-    the shortest distances between the corridor's nodes, a square matrix in
-    the order of `nodes`, read once from the cached distance rows. The
-    travel range is read from the instance of each verdict; the hop and
-    segment matrices over the corridor are built once per travel range."""
+    """The cyclic check of one demand at route budget tau and travel range
+    R: its corridor, the distances into and out of both ends from the
+    corridor's nodes, and the hops and the segments through t, through o and
+    through both (module docstring) between those nodes, each infinite above
+    one charge: a (4, c, c) stack in the order of `nodes`, read once from the
+    cached distance rows."""
 
-    __slots__ = ("tau", "corridor", "nodes", "index", "o", "t", "ends",
-                 "dist", "stacks")
+    __slots__ = ("instance", "demand", "tau", "limit", "corridor", "nodes",
+                 "index", "o", "t", "ends", "stack")
 
-    def __init__(self, network: Network, origin: int, dest: int, tau: float):
-        self.tau = tau
+    def __init__(self, instance: Instance, demand: Demand, tau: float):
+        network, origin, dest = (instance.network, demand.origin,
+                                 demand.destination)
+        self.instance, self.demand, self.tau = instance, demand, tau
+        self.limit = instance.travel_range + 2 * DIST_TOL
         out = network.distances_to(dest)[origin]
         back = network.distances_to(origin)[dest]
         self.corridor = (_detour_nodes(network, origin, dest, tau - back)
@@ -458,33 +477,23 @@ class _CycleCheck:
         self.nodes = sorted(self.corridor)
         self.index = {j: i for i, j in enumerate(self.nodes)}
         rows = np.array([network.distances_from(a) for a in self.nodes])
-        d = self.dist = rows[:, self.nodes]
+        d = rows[:, self.nodes]
         o, t = self.o, self.t = self.index[origin], self.index[dest]
         # distances into and out of the destination, then the origin
-        self.ends = np.stack([d[:, t], d[t], d[:, o], d[o]])
-        self.stacks = {}
+        self.ends = to_t, from_t, to_o, from_o = np.stack(
+            [d[:, t], d[t], d[:, o], d[o]])
+        reach = instance.travel_range + DIST_TOL
+        both = np.minimum(
+            _capped(to_t[:, None] + d[t, o] + from_o, reach),
+            _capped(to_o[:, None] + d[o, t] + from_t, reach))
+        self.stack = np.stack([
+            _capped(d, reach), _capped(to_t[:, None] + from_t, reach),
+            _capped(to_o[:, None] + from_o, reach), both])
 
-    def _stack(self, travel_range: float):
-        """The hops, and the segments through t, through o and through both
-        (module docstring), over the corridor, each infinite above one
-        charge: one (4, c, c) array per travel range."""
-        stack = self.stacks.get(travel_range)
-        if stack is None:
-            d, o, t = self.dist, self.o, self.t
-            reach = travel_range + DIST_TOL
-            to_t, from_t, to_o, from_o = self.ends
-            both = np.minimum(
-                _capped(to_t[:, None] + d[t, o] + from_o, reach),
-                _capped(to_o[:, None] + d[o, t] + from_t, reach))
-            stack = self.stacks[travel_range] = np.stack([
-                _capped(d, reach), _capped(to_t[:, None] + from_t, reach),
-                _capped(to_o[:, None] + from_o, reach), both])
-        return stack
-
-    def _rejected(self, travel_range: float, hubs, mins) -> bool:
+    def _rejected(self, hubs, mins) -> bool:
         """The pre-check: `mins` holds the least distance from a hub into
         the destination and out of it, then into and out of the origin."""
-        limit = travel_range + 2 * DIST_TOL
+        limit = self.limit
         return (self.t not in hubs and mins[0] + mins[1] > limit
                 or self.o not in hubs and mins[2] + mins[3] > limit)
 
@@ -516,26 +525,30 @@ class _CycleCheck:
             loop = (loop[:, :, None] + seg[::-1]).min(1) + p[:, root]
         return min(value, loop.min())
 
-    def served(self, instance: Instance, stations) -> bool:
+    def served(self, stations) -> bool:
         """The pre-check, then the min-plus check over the hubs (module
         docstring)."""
         hubs = [i for i, j in enumerate(self.nodes) if j in stations]
-        if not hubs:
+        if not hubs or self._rejected(hubs, self.ends.take(hubs, 1).min(1)):
             return False
-        if self._rejected(instance.travel_range, hubs,
-                          self.ends.take(hubs, 1).min(1)):
-            return False
-        blocks = self._stack(instance.travel_range).take(hubs, 1).take(hubs, 2)
+        blocks = self.stack.take(hubs, 1).take(hubs, 2)
         p = _closure(blocks[0])
         return bool(self._value(hubs, p, blocks) <= self.tau + DIST_TOL)
 
-    def shrink(self, instance: Instance, stations, closed) -> frozenset:
+    def witness(self, stations) -> Optional[Route]:
+        """`search_cycle`'s cycle at the demand's tau; the labeling search
+        runs only for a served station set."""
+        if not self.served(stations):
+            return None
+        return search_cycle(self.instance, self.demand, stations,
+                            self.tau).witness
+
+    def shrink(self, stations, closed) -> frozenset:
         """The drop-one pass by insertion (module docstring): the base hubs
         are closed once, and each closed node j is inserted into that
         closure in O(h^2); the closure with j is kept only when j is
         dropped."""
-        travel_range = instance.travel_range
-        stack, ends = self._stack(travel_range), self.ends
+        stack, ends = self.stack, self.ends
         base = [i for i, j in enumerate(self.nodes) if j in stations]
         p = _closure(stack[0].take(base, 0).take(base, 1))
         mins = ends.take(base, 1).min(1, initial=INF)
@@ -553,7 +566,7 @@ class _CycleCheck:
             np.minimum(p, into[:, None] + out, out=q[:h, :h])
             q[:h, h], q[h, :h] = into, out
             hub_mins = np.minimum(mins, ends[:, j])
-            if (not self._rejected(travel_range, hubs, hub_mins)
+            if (not self._rejected(hubs, hub_mins)
                     and self._value(hubs, q, blocks, root=h) <= budget):
                 kept.append(node)
             else:
@@ -580,70 +593,41 @@ def _min_plus(a, b):
 
 
 def _check(instance: Instance, demand: Demand, variant: str):
-    """The demand's check under the variant: (corridor, served, witness,
-    shrink), where `served(instance, stations)` gives a verdict, `witness` a
-    traversable admissible route or None, and `shrink(instance, stations,
-    closed)` the kept nodes of the drop-one pass (`shrink_cut`). The one
-    place that tells explicit routes, ORIGINAL and CYCLIC apart. Built on
-    first use and kept in the network's check cache, keyed by (demand,
-    variant)."""
+    """The demand's check under the variant at the instance's travel range:
+    an object with the `corridor`, `served(stations)` for a verdict,
+    `witness(stations)` for a traversable admissible route or None, and
+    `shrink(stations, closed)` for the kept nodes of the drop-one pass
+    (`shrink_cut`). The one place that tells explicit routes, ORIGINAL and
+    CYCLIC apart. Built on first use and kept in the network's check cache,
+    keyed by (demand, variant, travel range)."""
     network = instance.network
-    check = network._checks.get((demand, variant))
-    if check is not None:
-        return check
-    require_variant(network, variant)
-    if demand.routes is not None:
-        routes = [make_route(network, r) for r in demand.routes]
-        zone = frozenset(j for r in demand.routes for j in r)
-
-        def witness(inst, stations):
-            return next((r for r in routes
-                         if is_traversable(r, stations, inst.travel_range)),
-                        None)
-
-        def served(inst, stations):
-            return witness(inst, stations) is not None
-
-        def shrink(inst, stations, closed):
-            # one verdict per closed node
-            base, kept = set(stations), []
-            for j in closed:
-                if served(inst, base | {j}):
-                    kept.append(j)
-                else:
-                    base.add(j)
-            return frozenset(kept)
-    elif variant == ORIGINAL:
-        tau = route_budget(instance, demand, ORIGINAL)
-        path = _PathCheck(network, demand.origin, demand.destination, tau)
-        # the verdict is the parent-free Dijkstra, which builds no route
-        zone, served, witness, shrink = (path.corridor, path.served,
-                                         path.witness, path.shrink)
-    else:
-        tau = route_budget(instance, demand, CYCLIC)
-        cycle = _CycleCheck(network, demand.origin, demand.destination, tau)
-        zone, served, shrink = cycle.corridor, cycle.served, cycle.shrink
-
-        def witness(inst, stations):
-            # the labeling search runs only for a served station set
-            if not served(inst, stations):
-                return None
-            return search_cycle(CycleQuery(inst, demand, stations, tau)).witness
-    check = network._checks[(demand, variant)] = (zone, served, witness,
-                                                  shrink)
+    key = (demand, variant, instance.travel_range)
+    check = network._checks.get(key)
+    if check is None:
+        require_variant(network, variant)
+        if demand.routes is not None:
+            check = _RouteCheck(network, demand, instance.travel_range)
+        elif variant == ORIGINAL:
+            check = _PathCheck(network, demand.origin, demand.destination,
+                               route_budget(instance, demand, ORIGINAL),
+                               instance.travel_range)
+        else:
+            check = _CycleCheck(instance, demand,
+                                route_budget(instance, demand, CYCLIC))
+        network._checks[key] = check
     return check
 
 
 def corridor(instance: Instance, demand: Demand, variant: str) -> frozenset:
     """Nodes that can lie on an admissible route of the demand; stations
     outside this set never change its servedness."""
-    return _check(instance, demand, variant)[0]
+    return _check(instance, demand, variant).corridor
 
 
 def is_served(instance: Instance, demand: Demand, stations,
               variant: str) -> bool:
     """True iff the demand is served by the station set under the variant."""
-    return _check(instance, demand, variant)[1](instance, frozenset(stations))
+    return _check(instance, demand, variant).served(frozenset(stations))
 
 
 def find_witness(instance: Instance, demand: Demand, stations,
@@ -651,7 +635,7 @@ def find_witness(instance: Instance, demand: Demand, stations,
     """A traversable admissible route of the demand under the variant, None
     iff `is_served` is False: the first such explicit route, the original
     variant's path or the labeling search's cycle."""
-    return _check(instance, demand, variant)[2](instance, frozenset(stations))
+    return _check(instance, demand, variant).witness(frozenset(stations))
 
 
 def shrink_cut(instance: Instance, demand: Demand, stations, closed,
@@ -662,5 +646,5 @@ def shrink_cut(instance: Instance, demand: Demand, stations, closed,
     the nodes dropped before it; the nodes kept are returned. Equal to that
     loop over `is_served`, one verdict per node, but answered inside the
     demand's check (module docstring)."""
-    return _check(instance, demand, variant)[3](instance, frozenset(stations),
-                                                closed)
+    return _check(instance, demand, variant).shrink(frozenset(stations),
+                                                    closed)

@@ -140,8 +140,9 @@ def _permutation_walk(n: int):
     visits contains n distinct nodes (a junction repeat would strengthen the
     covering family beyond its closed form): the last s nodes of one
     permutation stay disjoint from the first n-s of the next, for every s.
-    The walk starts at node id 2 (adjacent to the entry edge) and is padded
-    with one repeated permutation if needed so it also ends at id 2.
+    The walk starts at node id 2 (adjacent to the entry edge); for each n it
+    is built for (2 <= n <= 4) the greedy order also ends at id 2, and the
+    instance's build validation rejects a walk that does not.
     """
     middle = list(range(2, 2 * n + 2))
 
@@ -158,15 +159,6 @@ def _permutation_walk(n: int):
                 break
         else:
             raise RuntimeError("no junction-safe permutation ordering found")
-    if ordered[-1][-1] != 2:
-        # Repeat one permutation (harmless for the covering family) to close
-        # the middle section back at id 2.
-        for cand in itertools.permutations(middle):
-            if cand[-1] == 2 and compatible(ordered[-1], cand):
-                ordered.append(cand)
-                break
-        else:
-            raise RuntimeError("no junction-safe closing permutation found")
     walk = [0, 1]
     for perm in ordered:
         walk.extend(perm)

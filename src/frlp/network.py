@@ -3,6 +3,20 @@
 Node ids are dense 0-based integers internally; the JSON file format uses
 string names which are mapped to ids at parse time. Instances are immutable
 after construction and safe to share across workers.
+
+The parser reads every node reference as a node name, also when it is a
+number: with "nodes": [1, 2, 3] the edge {"u": 1, "v": 2} joins the nodes
+listed as 1 and 2. It takes only finite JSON numbers, `directed` only as a
+JSON boolean, and `nodes`, `edges`, `demands`, each demand's `routes` and
+each of its routes, and `placement.open`/`placement.closed` only as lists;
+any other document, one nested too deeply for the JSON reader included, is
+a `ParseError`. `build_instance` runs one structural check (alpha in
+[1, inf), range and edge lengths in (0, inf), volumes in [0, inf), so the
+library path accepts the numbers the parser accepts), then one pruning rule
+(edges longer than the range, the explicit routes over them, the demands
+left without a route), which `validate_instance` also reports.
+`require_variant` raises the routing-variant rule wherever a variant meets
+a network.
 """
 
 from __future__ import annotations
@@ -102,7 +116,7 @@ class Network:
 
     # Caches, each filled on first use: distance rows by source, their
     # shortest-path trees, distance columns by target, and the servedness
-    # checks of `feasibility` by (demand, variant).
+    # checks of `feasibility` by (demand, variant, travel range).
     @cached_property
     def _rows(self):
         return {}

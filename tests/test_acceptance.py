@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import pytest
 
-from frlp import (CYCLIC, DISAGG, MIN_STATIONS, ORIGINAL, AGG, CycleQuery,
+from frlp import (CYCLIC, DISAGG, MIN_STATIONS, ORIGINAL, AGG,
                   Demand, Edge, SolveRequest, UnservableError,
                   aggregate_cut_sets, brute_force_solve, build_instance,
                   build_model, cut_sets_for_cycle,
@@ -93,8 +93,7 @@ def test_criterion_03_behavioral_split():
         assert not is_served(inst, q, {3}, ORIGINAL)
         assert is_served(inst, q, {3}, CYCLIC)
         tau = route_budget(inst, q, CYCLIC)
-        witness = search_cycle(
-            CycleQuery(inst, q, frozenset({3}), tau)).witness
+        witness = search_cycle(inst, q, frozenset({3}), tau).witness
         assert witness.visits == (0, 1, 3, 0)
 
 
@@ -102,9 +101,8 @@ def test_criterion_04_trace_replay():
     with Budget(1.0):
         d = 3.0
         inst = gen_example("fig8", d)
-        query = CycleQuery(inst, inst.demands[0], frozenset({2}), d,
-                           dominance=False)
-        result = search_cycle(query)
+        result = search_cycle(inst, inst.demands[0], frozenset({2}), d,
+                              dominance=False)
         expected = [(0, 0, 0.0, 0.0, math.inf),
                     (0, 1, d / 3, d / 3, math.inf),
                     (0, 1, 2 * d / 3, 2 * d / 3, math.inf),
@@ -260,11 +258,10 @@ def test_criterion_10_dominance_soundness(small_pool):
                 tau = route_budget(inst, q, CYCLIC)
                 for bits in range(1 << n):
                     stations = frozenset(j for j in range(n) if bits >> j & 1)
-                    fast = search_cycle(
-                        CycleQuery(inst, q, stations, tau)).witness is not None
-                    slow = search_cycle(
-                        CycleQuery(inst, q, stations, tau,
-                                   dominance=False)).witness is not None
+                    fast = search_cycle(inst, q, stations,
+                                        tau).witness is not None
+                    slow = search_cycle(inst, q, stations, tau,
+                                        dominance=False).witness is not None
                     assert fast == slow, (q, sorted(stations))
 
 

@@ -39,6 +39,27 @@ def test_validate_malformed_file(tmp_path, capsys):
     assert "invalid JSON" in capsys.readouterr().out
 
 
+def long_edge_path(tmp_path):
+    """A three-node instance whose edge 1-2 is longer than the range."""
+    path = tmp_path / "long-edge.json"
+    path.write_text(json.dumps({
+        "range": 10, "nodes": ["1", "2", "3"],
+        "edges": [{"u": "1", "v": "2", "length": 15},
+                  {"u": "2", "v": "3", "length": 5},
+                  {"u": "1", "v": "3", "length": 5}],
+        "demands": [{"origin": "1", "destination": "3", "alpha": 1.0}]}))
+    return str(path)
+
+
+PRUNED_LONG_EDGE = "pruned edge 1-2 (length 15.0 exceeds range 10.0)"
+
+
+def test_validate_lists_what_pruning_removes(tmp_path, capsys):
+    assert run(["validate", long_edge_path(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"pruned: {PRUNED_LONG_EDGE}", "ok: 3 nodes, 2 edges, 1 demands"]
+
+
 def test_validate_reports_violations(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({
@@ -202,10 +223,27 @@ def test_cutsets_output(fig7_path, capsys):
 def test_check_with_trace(fig7_path, capsys):
     assert run(["check", fig7_path, "--stations", "4",
                 "--variant", "cyclic", "--trace"]) == 0
-    out = capsys.readouterr().out
-    assert "served: True" in out
-    assert "witness: (1,2,4,1)" in out
-    assert "sink:" in out
+    assert capsys.readouterr().out.splitlines() == [
+        "served: True",
+        "  step 1: node 1 label (0, 0, 0.0, 0.0, inf)",
+        "  step 2: node 2 label (0, 1, 4.0, 4.0, inf)",
+        "  step 3: node 1 label (0, 1, 8.0, 8.0, inf)",
+        "  step 4: node 3 label (0, 1, 7.0, 7.0, inf)",
+        "  step 5: node 1 label (0, 1, 10.0, 10.0, inf)",
+        "  step 6: node 4 label (1, 1, 8.0, 0.0, 8.0)",
+        "  step 7: node 1 label (1, 1, 12.0, 4.0, 8.0)",
+        "  sink: (1, 1, 12.0, 4.0, 8.0)",
+        "witness: (1,2,4,1)  length=12"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--demand", "3", "--stations", "4"], "demand index 3 out of range"),
+    (["--stations", "nosuch"], "unknown station name"),
+], ids=["demand-out-of-range", "unknown-station"])
+def test_check_rejects_a_demand_or_station_it_cannot_find(fig7_path, capsys,
+                                                         argv, message):
+    assert run(["check", fig7_path] + argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_check_searches_a_cyclic_demand_once(fig7_path, tmp_path, capsys,
@@ -214,9 +252,9 @@ def test_check_searches_a_cyclic_demand_once(fig7_path, tmp_path, capsys,
     calls = []
     search_cycle = feasibility.search_cycle
 
-    def counting_search_cycle(query):
-        calls.append(query)
-        return search_cycle(query)
+    def counting_search_cycle(*args, **kwargs):
+        calls.append(args)
+        return search_cycle(*args, **kwargs)
 
     monkeypatch.setattr(feasibility, "search_cycle", counting_search_cycle)
     monkeypatch.setattr(cli, "search_cycle", counting_search_cycle)
@@ -393,6 +431,18 @@ def test_debug_log_reports_solve_progress(fig7_path):
     assert re.findall(r"^DEBUG frlp\.solver: .*$", child.stderr, re.M) == [
         "DEBUG frlp.solver: node 1: bound 1, incumbent 1, pool 1, "
         "shrink checks 4"]
+
+
+def test_info_log_reports_pruning(tmp_path):
+    # FRLP_LOG=info: each load logs the pruning report to frlp
+    child = subprocess.run(
+        [sys.executable, "-m", "frlp.cli", "enumerate",
+         long_edge_path(tmp_path)],
+        capture_output=True, text=True, env=child_env(FRLP_LOG="info"),
+        timeout=120)
+    assert child.returncode == 0
+    assert re.findall(r"^INFO frlp: .*$", child.stderr, re.M) == [
+        f"INFO frlp: pruning: {PRUNED_LONG_EDGE}"]
 
 
 def test_usage_error_exit_code(capsys):

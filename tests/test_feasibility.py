@@ -3,8 +3,8 @@ from dataclasses import replace
 
 import pytest
 
-from frlp import (CYCLIC, MAX_COVER, ORIGINAL, CycleQuery, Demand, Edge,
-                  Label, SolveRequest, ValidationError, brute_force_solve,
+from frlp import (CYCLIC, MAX_COVER, ORIGINAL, Demand, Edge, Label,
+                  SolveRequest, ValidationError, brute_force_solve,
                   build_instance, enumerate_routes, find_traversable_path,
                   find_witness, gen_example, gen_random, is_served,
                   is_traversable, reevaluate, route_budget, solve)
@@ -23,8 +23,7 @@ def fig7():
 def test_fig8_trace():
     inst = gen_example("fig8", 3.0)
     q = inst.demands[0]
-    query = CycleQuery(inst, q, frozenset({2}), 3.0, dominance=False)
-    result = search_cycle(query)
+    result = search_cycle(inst, q, frozenset({2}), 3.0, dominance=False)
     expected = [(0, 0, 0.0, 0.0, INF),
                 (0, 1, 1.0, 1.0, INF),
                 (0, 1, 2.0, 2.0, INF),
@@ -39,11 +38,10 @@ def test_search_cycle_witness_example3():
     inst = fig7()
     q = inst.demands[0]
     tau = route_budget(inst, q, CYCLIC)
-    witness = search_cycle(CycleQuery(inst, q, frozenset({3}), tau)).witness
+    witness = search_cycle(inst, q, frozenset({3}), tau).witness
     assert witness.visits == (0, 1, 3, 0)
     assert witness.length == pytest.approx(D)
-    assert search_cycle(
-        CycleQuery(inst, q, frozenset(), tau)).witness is None
+    assert search_cycle(inst, q, frozenset(), tau).witness is None
 
 
 def test_find_traversable_path_goldens():
@@ -101,8 +99,7 @@ def test_witnesses_are_valid(small_pool):
             tau = route_budget(inst, q, CYCLIC)
             for bits in range(1 << n):
                 stations = frozenset(j for j in range(n) if bits >> j & 1)
-                witness = search_cycle(
-                    CycleQuery(inst, q, stations, tau)).witness
+                witness = search_cycle(inst, q, stations, tau).witness
                 if witness is not None:
                     assert witness.length <= tau + 1e-9
                     assert witness.visits[0] == witness.visits[-1] == q.origin
@@ -210,8 +207,8 @@ def test_superseded_label_does_not_hide_witness():
     assert exhaustive_served(inst, q, stations, CYCLIC)
     tau = route_budget(inst, q, CYCLIC)
     for dominance in (True, False):
-        assert search_cycle(CycleQuery(inst, q, stations, tau,
-                                       dominance=dominance)).witness is not None
+        assert search_cycle(inst, q, stations, tau,
+                            dominance=dominance).witness is not None
 
 
 PIN_CASES = ((469, 12), (23, 14), (57, 16))
@@ -233,8 +230,8 @@ def test_search_selects_the_pinned_labels(dominance, labels):
         for q in inst.demands:
             tau = route_budget(inst, q, CYCLIC)
             for stations in _pin_station_sets(n):
-                result = search_cycle(
-                    CycleQuery(inst, q, stations, tau, dominance=dominance))
+                result = search_cycle(inst, q, stations, tau,
+                                      dominance=dominance)
                 total += len(result.selected)
                 verdicts.append("1" if result.witness is not None else "0")
     assert total == labels
@@ -262,8 +259,7 @@ def test_search_builds_no_label_beyond_the_completion_bound(monkeypatch):
     to_origin = inst.network.distances_to(q.origin)
     for dominance in (True, False):
         built.clear()
-        search_cycle(CycleQuery(inst, q, frozenset({3, 4, 5}), tau,
-                                dominance=dominance))
+        search_cycle(inst, q, frozenset({3, 4, 5}), tau, dominance=dominance)
         assert built
         for lab in built:
             completion = (to_origin[lab.node] if lab.delta_dest
@@ -322,7 +318,7 @@ def test_cyclic_segment_of_exactly_the_range_is_served(lengths,
     inst = station_loop(lengths, travel_range)
     q = inst.demands[0]
     tau = route_budget(inst, q, CYCLIC)
-    witness = search_cycle(CycleQuery(inst, q, frozenset({1}), tau)).witness
+    witness = search_cycle(inst, q, frozenset({1}), tau).witness
     assert witness is not None and witness.visits == (0, 1, 2, 1, 0)
     assert is_served(inst, q, {1}, CYCLIC)
     assert exhaustive_served(inst, q, {1}, CYCLIC)
@@ -389,7 +385,7 @@ def test_cyclic_verdict_agrees_with_the_search_and_the_oracle():
             for bits in range(1 << n):
                 stations = frozenset(j for j in range(n) if bits >> j & 1)
                 verdict = is_served(inst, q, stations, CYCLIC)
-                search = search_cycle(CycleQuery(inst, q, stations, tau))
+                search = search_cycle(inst, q, stations, tau)
                 oracle = any(is_traversable(r, stations, inst.travel_range)
                              for r in routes)
                 assert verdict == (search.witness is not None) == oracle, \

@@ -1,9 +1,12 @@
+import math
+
 import pytest
 
 from frlp import (CYCLIC, ORIGINAL, enumerate_routes, gen_example, gen_prop5a,
                   gen_prop5b, gen_random, prepare_route_data,
                   prop5b_analytic_family, serialize_instance,
                   validate_instance)
+from frlp.generators import gen_prop5b_instance
 
 
 def test_fig7_structure():
@@ -69,6 +72,16 @@ def test_prop5b_cross_validates_analytic_family():
         inst, family = gen_prop5b(n)
         computed = prepare_route_data(inst, ORIGINAL)[0].aggregated
         assert set(computed.sets) == set(family.sets)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_prop5b_permutation_walk_builds(n):
+    # The walk visits every permutation of the 2n middle nodes and closes at
+    # id 2, the one middle node joined to the exit edge; build validation
+    # rejects a walk over a missing edge.
+    walk = gen_prop5b_instance(n).demands[0].routes[0]
+    assert walk[:3] == (0, 1, 2) and walk[-3:] == (2, 2 * n + 2, 2 * n + 3)
+    assert len(walk) == 4 + 2 * n * math.factorial(2 * n)
 
 
 def test_prop5b_large_n_uses_placeholder_route():

@@ -74,11 +74,11 @@ def test_infeasible_and_unbounded():
 
 
 def one_row_lp(objective=1.0, coef=1.0, rhs=1.0, bounds=((0.0, 1.0),),
-               columns=(0,)):
+               columns=(0,), sense=MAX, relation=LE):
     """max objective * x subject to coef * x <= rhs, x within `bounds`; the
     row names x once by each index of `columns`."""
-    lp = LinearProgram(MAX, [objective], bounds=list(bounds))
-    lp.add_row([(j, coef) for j in columns], LE, rhs)
+    lp = LinearProgram(sense, [objective], bounds=list(bounds))
+    lp.add_row([(j, coef) for j in columns], relation, rhs)
     return lp
 
 
@@ -96,10 +96,14 @@ def one_row_lp(objective=1.0, coef=1.0, rhs=1.0, bounds=((0.0, 1.0),),
     ({"columns": (0.0,)}, r"row 0 has column index 0.0, not an int in \[0, 1\)"),
     ({"columns": (0, 0), "coef": 1e308}, "row coefficients must be finite"),
     ({"coef": 1e300, "bounds": [(1e10, 2e10)]}, "right-hand sides must be finite"),
+    ({"bounds": [(1.0, 0.0)]}, "variable bounds must satisfy lower <= upper"),
+    ({"sense": "sideways"}, "unknown sense 'sideways'"),
+    ({"relation": "~"}, "unknown relation '~'"),
 ], ids=["nan-upper", "inf-upper", "nan-cost", "nan-coefficient",
         "minus-inf-coefficient", "inf-rhs", "no-bounds", "two-bounds",
         "column-minus-one", "column-n", "float-column", "coefficient-sum-overflows",
-        "rhs-shift-overflows"])
+        "rhs-shift-overflows", "lower-above-upper", "unknown-sense",
+        "unknown-relation"])
 def test_program_that_is_not_finite_and_boxed_is_rejected(change, message):
     # A negative column index is no alias of a column from the end, -inf * x
     # is rejected before it is multiplied by x's lower bound, and finite

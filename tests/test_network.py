@@ -233,8 +233,11 @@ def test_parse_rejects_budget_that_is_not_a_whole_number(budget):
     (("demands", 0, "alpha"), "x"),
     (("nodes",), "abc"),
     (("edges", 0, "directed"), "false"),
+    (("range",), 10 ** 400),
+    (("variant",), "sideways"),
 ], ids=["nan-length", "infinite-range", "nan-volume", "nan-alpha",
-        "string-alpha", "string-nodes", "string-directed"])
+        "string-alpha", "string-nodes", "string-directed", "huge-int-range",
+        "unknown-variant"])
 def test_parse_rejects_values_that_are_not_finite_typed_numbers(path, value):
     doc = json.loads(serialize_instance(fig7()))
     target = doc
@@ -245,6 +248,38 @@ def test_parse_rejects_values_that_are_not_finite_typed_numbers(path, value):
         parse_instance(json.dumps(doc))  # NaN and Infinity as JSON allows
 
 
+def _set(path, value):
+    """A change to the fig7 document: `value` at `path`."""
+    def change(doc):
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        return doc
+    return change
+
+
+@pytest.mark.parametrize("change, message", [
+    (_set(("edges", 0, "u"), True), r"edges\[0\]: invalid node reference True"),
+    (lambda doc: [doc], "top-level value must be an object"),
+    (_set(("nodes",), ["1", "1", "3", "4"]), "duplicate node names"),
+    (_set(("edges", 0), 5), r"edges\[0\]: must be an object"),
+    (_set(("demands", 0), ["1", "2"]), r"demands\[0\]: must be an object"),
+    (_set(("placement",), 5), "'placement' must be an object"),
+    (_set(("edges", 0), {"u": "1", "v": "2"}),
+     r"edges\[0\]: missing field 'length'"),
+    (_set(("demands", 0), {"destination": "2", "alpha": 1.5}),
+     r"demands\[0\]: missing field 'origin'"),
+], ids=["boolean-node-reference", "top-level-list", "duplicate-names",
+        "edge-not-an-object", "demand-not-an-object",
+        "placement-not-an-object", "edge-without-length",
+        "demand-without-origin"])
+def test_parse_rejects_a_document_of_the_wrong_shape(change, message):
+    doc = change(json.loads(serialize_instance(fig7())))
+    with pytest.raises(ParseError, match=message):
+        parse_instance(json.dumps(doc))
+
+
 def test_parse_accepts_whole_number_budget():
     doc = json.loads(serialize_instance(fig7()))
     for budget in (2, 2.0):
@@ -253,8 +288,11 @@ def test_parse_accepts_whole_number_budget():
 
 
 def test_serialize_round_trip():
+    placed = PlacementConstraints(budget=2, forced_open=frozenset({2}),
+                                  forced_closed=frozenset({3}))
     for builder in (lambda: fig7(), lambda: gen_example("fig2", 10.0),
-                    lambda: gen_random(5, num_nodes=6, num_demands=2)):
+                    lambda: gen_random(5, num_nodes=6, num_demands=2),
+                    lambda: replace(fig7(), placement=placed)):
         instance = builder()
         again = parse_instance(serialize_instance(instance))
         assert again.network == instance.network
@@ -293,6 +331,48 @@ def test_empty_explicit_route_is_a_violation():
     with pytest.raises(ValidationError, match="demand #0 route #0: is empty"):
         build_instance(["a", "b"], [Edge(0, 1, 1.0)],
                        [Demand(0, 1, 1.0, routes=((),))], 2.0)
+
+
+@pytest.mark.parametrize("route, variant, problem", [
+    ((1, 2), ORIGINAL, "must start at the origin and end at the destination"),
+    ((0, 1, 2), CYCLIC, "must start and end at the origin"),
+    ((0, 1, 0), CYCLIC, "must visit the destination"),
+    ((0, 2), ORIGINAL,
+     "has consecutive nodes not joined by a traversable edge"),
+], ids=["original-ends", "cyclic-ends", "cyclic-destination", "missing-edge"])
+def test_explicit_route_violations(route, variant, problem):
+    with pytest.raises(ValidationError) as exc:
+        build_instance(["a", "b", "c"], [Edge(0, 1, 1.0), Edge(1, 2, 1.0)],
+                       [Demand(0, 2, 1.0, routes=(route,))], 2.0,
+                       variant_default=variant)
+    assert exc.value.violations == [f"demand #0 route #0: {problem}"]
+
+
+@pytest.mark.parametrize("edges, demand, placement, violation", [
+    ((Edge(0, 5, 1.0),), None, None, "edge #1: references an unknown node"),
+    ((Edge(1, 1, 1.0),), None, None, "edge #1 (b-b): self-loop"),
+    ((), Demand(0, 9, 1.0, alpha=1.0), None,
+     "demand #0: unknown origin or destination node"),
+    ((), Demand(0, 2, 1.0, alpha=1.0, routes=((0, 1, 2),)), None,
+     "demand #0: exactly one of alpha/routes must be given"),
+    ((), Demand(0, 2, 1.0), None,
+     "demand #0: exactly one of alpha/routes must be given"),
+    ((), None, PlacementConstraints(forced_open=frozenset({1}),
+                                    forced_closed=frozenset({1})),
+     "forced_open and forced_closed overlap"),
+    ((), None, PlacementConstraints(forced_closed=frozenset({7})),
+     "placement references unknown node 7"),
+], ids=["unknown-edge-node", "self-loop", "unknown-origin", "alpha-and-routes",
+        "neither-alpha-nor-routes", "open-closed-overlap",
+        "unknown-placement-node"])
+def test_validate_lists_a_structural_violation(edges, demand, placement,
+                                               violation):
+    # a - b - c with one well-formed demand, then one flaw
+    probe = Instance(
+        Network(("a", "b", "c"), (Edge(0, 1, 1.0),) + edges),
+        (demand or Demand(0, 1, 1.0, alpha=1.0),), 2.0,
+        placement or PlacementConstraints())
+    assert validate_instance(probe) == [violation]
 
 
 def prunable_parts():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frlp import (AGG, CYCLIC, DISAGG, MAX_COVER, MIN_STATIONS, ORIGINAL,
-                  CycleQuery, Demand, Edge, PlacementConstraints, SolveRequest,
+                  Demand, Edge, PlacementConstraints, SolveRequest,
                   UnservableError, brute_force_solve, build_instance,
                   build_model, corridor, enumerate_routes, eval_v_agg,
                   eval_v_disagg, eval_v_tight, find_traversable_path,
@@ -66,8 +66,7 @@ def test_cyclic_servedness_matches_the_oracle(inst):
                            for r in routes)
             assert is_served(inst, q, stations, CYCLIC) == expected, \
                 (q, sorted(stations))
-            replay = search_cycle(
-                CycleQuery(inst, q, stations, tau, dominance=False))
+            replay = search_cycle(inst, q, stations, tau, dominance=False)
             assert (replay.witness is not None) == expected, \
                 (q, sorted(stations))
 
@@ -76,8 +75,8 @@ def test_cyclic_servedness_matches_the_oracle(inst):
 @given(directed_cyclic_instances())
 def test_cyclic_servedness_under_another_range_of_the_network(inst):
     # The cyclic twin of the original-variant case below: the second
-    # instance shares the network, and so the demands' cached checks, under
-    # a longer travel range, which the cached checks must not carry over.
+    # instance shares the network, and so its check cache, under a longer
+    # travel range, which must get checks of its own.
     n = inst.num_nodes
     routes = {q: enumerate_routes(inst, q, CYCLIC) for q in inst.demands}
     for instance in (inst, replace(inst, travel_range=1.5 * D)):
@@ -122,7 +121,7 @@ def test_cyclic_verdict_is_the_labeling_search(inst, data):
             tau = route_budget(instance, q, CYCLIC)
             for bits in station_sets:
                 stations = frozenset(j for j in range(n) if bits >> j & 1)
-                search = search_cycle(CycleQuery(instance, q, stations, tau))
+                search = search_cycle(instance, q, stations, tau)
                 assert is_served(instance, q, stations, CYCLIC) == \
                     (search.witness is not None), \
                     (instance.travel_range, q, sorted(stations))
@@ -180,8 +179,8 @@ def test_shrink_by_insertion_is_the_loop_over_verdicts(inst, data):
 def test_original_servedness_matches_the_oracle(inst):
     # Every station set: the refueling-network check, as a verdict and as a
     # witness, against enumerating the admissible paths. The second instance
-    # shares the network, and so the demands' cached checks, under another
-    # travel range, which the cached checks must not carry over.
+    # shares the network, and so its check cache, under another travel
+    # range, which must get checks of its own.
     n = inst.num_nodes
     routes = {q: enumerate_routes(inst, q, ORIGINAL) for q in inst.demands}
     for instance in (inst, replace(inst, travel_range=1.5 * D)):
