@@ -21,21 +21,20 @@ dominance against the node's kept labels, run on plain floats before a
 `_extension` is the one extension rule. The replay of `frlp check --trace`
 (dominance off) lists no label that cannot close within tau.
 
-Each demand gets one check per variant and travel range R, picked and
-built in one place on first use: explicit routes, the original hop-rule
-Dijkstra over the distance rows of the corridor's nodes, or the cyclic
-min-plus check over the distances between the corridor's nodes. It answers
-the corridor, the verdict, a witness route and separation's drop-one shrink
-(`shrink_cut`).
-For explicit routes the verdict is "a witness exists" and the shrink is a
-loop over verdicts; the original verdict is a Dijkstra with no parent map,
-and the cyclic one builds no route either, so solves, which ask only for
-verdicts, never search. The original witness is that Dijkstra with a
-parent map; the cyclic witness asks the verdict first and runs
-`search_cycle` at the demand's tau only for a served station set. The check
-is kept in the network's check cache, keyed by (demand, variant, R), so
-instances with other ranges that share a network get checks of their own.
-Pairing the original variant with a directed network raises
+Each demand gets one check per variant, picked and built in one place on
+first use: explicit routes, the original hop-rule Dijkstra over the
+distance rows of the corridor's nodes, or the cyclic min-plus check over
+the distances between the corridor's nodes. It answers the corridor, the
+verdict, a witness route and separation's drop-one shrink (`shrink_cut`).
+For explicit routes the verdict is "some route is traversable" and the
+shrink is a loop over verdicts; the original verdict is a Dijkstra with no
+parent map, and the cyclic one builds no route either, so solves, which ask
+only for verdicts, never search. The original witness is that Dijkstra with
+a parent map; the cyclic witness asks the verdict first and runs
+`search_cycle` at the demand's tau only for a served station set. A check
+holds numbers only; its witness is handed the instance for the graph. The
+check is kept in the instance's check cache, keyed by (demand, variant).
+An unknown variant, or the original one with a directed network, raises
 `ValidationError` (`network.require_variant`), here and in
 `routes.enumerate_routes`.
 
@@ -121,8 +120,8 @@ tau + DIST_TOL: the hop caps and the pre-check compare single distances,
 as the full verdict does.
 
 The original witness maps the source and the sink back to o and t and joins
-the places of the Dijkstra's route by shortest paths; `find_traversable_path`
-asks a check built at a given tau for it.
+the places of the Dijkstra's route by shortest paths of the network;
+`find_traversable_path` asks a check built at a given tau for it.
 """
 
 from __future__ import annotations
@@ -135,7 +134,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .network import (CYCLIC, DIST_TOL, ORIGINAL, Demand, Instance, Network,
+from .network import (DIST_TOL, ORIGINAL, Demand, Instance, Network,
                       require_variant)
 from .routes import CYCLE, PATH, Route, is_traversable, make_route, route_budget
 
@@ -303,17 +302,18 @@ class _RouteCheck:
 
     __slots__ = ("corridor", "routes", "travel_range")
 
-    def __init__(self, network: Network, demand: Demand, travel_range: float):
+    def __init__(self, instance: Instance, demand: Demand):
         self.corridor = frozenset(j for r in demand.routes for j in r)
-        self.routes = [make_route(network, r) for r in demand.routes]
-        self.travel_range = travel_range
+        self.routes = [make_route(instance.network, r) for r in demand.routes]
+        self.travel_range = instance.travel_range
 
-    def witness(self, stations) -> Optional[Route]:
+    def witness(self, instance: Instance, stations) -> Optional[Route]:
         return next((r for r in self.routes
                      if is_traversable(r, stations, self.travel_range)), None)
 
     def served(self, stations) -> bool:
-        return self.witness(stations) is not None
+        return any(is_traversable(r, stations, self.travel_range)
+                   for r in self.routes)
 
     def shrink(self, stations, closed) -> frozenset:
         # one verdict per closed node
@@ -334,12 +334,13 @@ class _PathCheck:
     distance rows (the network's cached ones) of those nodes, from which each
     hop is read forward or backward."""
 
-    __slots__ = ("network", "tau", "caps", "corridor", "places", "rows")
+    __slots__ = ("tau", "caps", "corridor", "places", "rows")
 
-    def __init__(self, network: Network, origin: int, dest: int, tau: float,
-                 travel_range: float):
-        half = travel_range / 2.0
-        self.network, self.tau = network, tau
+    def __init__(self, instance: Instance, demand: Demand, tau: float):
+        network, origin, dest = (instance.network, demand.origin,
+                                 demand.destination)
+        half = instance.travel_range / 2.0
+        self.tau = tau
         self.caps = (-INF, half + DIST_TOL, 2 * half + DIST_TOL)
         self.corridor = _detour_nodes(network, origin, dest, tau)
         self.places = {_SOURCE: origin, _SINK: dest}
@@ -388,7 +389,7 @@ class _PathCheck:
         return self._search(self.corridor.intersection(stations),
                             {_SOURCE: 0.0}, [(0.0, _SOURCE)], parent=parent)
 
-    def witness(self, stations) -> Optional[Route]:
+    def witness(self, instance: Instance, stations) -> Optional[Route]:
         """The verdict's route from the source to the sink, its places
         joined by shortest paths, or None when it is unserved."""
         parent = {}
@@ -398,7 +399,7 @@ class _PathCheck:
         while hops[-1] != _SOURCE:
             hops.append(parent[hops[-1]])
         places = [self.places.get(a, a) for a in reversed(hops)]
-        network, visits = self.network, [places[0]]
+        network, visits = instance.network, [places[0]]
         for a, b in zip(places, places[1:]):
             visits.extend(network.shortest_path(a, b)[1:])
         return make_route(network, visits, PATH)
@@ -442,9 +443,8 @@ def find_traversable_path(instance: Instance, demand: Demand, stations,
     at the destination at least half-charged, recharging at stations.
     Returns a witness path within `tau_path`, or None."""
     require_variant(instance.network, ORIGINAL)
-    check = _PathCheck(instance.network, demand.origin, demand.destination,
-                       tau_path, instance.travel_range)
-    return check.witness(frozenset(stations))
+    return _PathCheck(instance, demand, tau_path).witness(
+        instance, frozenset(stations))
 
 
 def _detour_nodes(network: Network, a: int, b: int, budget: float) -> frozenset:
@@ -462,13 +462,13 @@ class _CycleCheck:
     one charge: a (4, c, c) stack in the order of `nodes`, read once from the
     cached distance rows."""
 
-    __slots__ = ("instance", "demand", "tau", "limit", "corridor", "nodes",
-                 "index", "o", "t", "ends", "stack")
+    __slots__ = ("demand", "tau", "limit", "corridor", "nodes", "index", "o",
+                 "t", "ends", "stack")
 
     def __init__(self, instance: Instance, demand: Demand, tau: float):
         network, origin, dest = (instance.network, demand.origin,
                                  demand.destination)
-        self.instance, self.demand, self.tau = instance, demand, tau
+        self.demand, self.tau = demand, tau
         self.limit = instance.travel_range + 2 * DIST_TOL
         out = network.distances_to(dest)[origin]
         back = network.distances_to(origin)[dest]
@@ -535,13 +535,12 @@ class _CycleCheck:
         p = _closure(blocks[0])
         return bool(self._value(hubs, p, blocks) <= self.tau + DIST_TOL)
 
-    def witness(self, stations) -> Optional[Route]:
+    def witness(self, instance: Instance, stations) -> Optional[Route]:
         """`search_cycle`'s cycle at the demand's tau; the labeling search
         runs only for a served station set."""
         if not self.served(stations):
             return None
-        return search_cycle(self.instance, self.demand, stations,
-                            self.tau).witness
+        return search_cycle(instance, self.demand, stations, self.tau).witness
 
     def shrink(self, stations, closed) -> frozenset:
         """The drop-one pass by insertion (module docstring): the base hubs
@@ -595,26 +594,21 @@ def _min_plus(a, b):
 def _check(instance: Instance, demand: Demand, variant: str):
     """The demand's check under the variant at the instance's travel range:
     an object with the `corridor`, `served(stations)` for a verdict,
-    `witness(stations)` for a traversable admissible route or None, and
-    `shrink(stations, closed)` for the kept nodes of the drop-one pass
-    (`shrink_cut`). The one place that tells explicit routes, ORIGINAL and
-    CYCLIC apart. Built on first use and kept in the network's check cache,
-    keyed by (demand, variant, travel range)."""
-    network = instance.network
-    key = (demand, variant, instance.travel_range)
-    check = network._checks.get(key)
+    `witness(instance, stations)` for a traversable admissible route or
+    None, and `shrink(stations, closed)` for the kept nodes of the drop-one
+    pass (`shrink_cut`). The one place that tells explicit routes, ORIGINAL and
+    CYCLIC apart. Built on first use and kept in the instance's check cache,
+    keyed by (demand, variant)."""
+    check = instance._checks.get((demand, variant))
     if check is None:
-        require_variant(network, variant)
+        require_variant(instance.network, variant)
         if demand.routes is not None:
-            check = _RouteCheck(network, demand, instance.travel_range)
-        elif variant == ORIGINAL:
-            check = _PathCheck(network, demand.origin, demand.destination,
-                               route_budget(instance, demand, ORIGINAL),
-                               instance.travel_range)
+            check = _RouteCheck(instance, demand)
         else:
-            check = _CycleCheck(instance, demand,
-                                route_budget(instance, demand, CYCLIC))
-        network._checks[key] = check
+            kind = _PathCheck if variant == ORIGINAL else _CycleCheck
+            check = kind(instance, demand,
+                         route_budget(instance, demand, variant))
+        instance._checks[demand, variant] = check
     return check
 
 
@@ -635,7 +629,8 @@ def find_witness(instance: Instance, demand: Demand, stations,
     """A traversable admissible route of the demand under the variant, None
     iff `is_served` is False: the first such explicit route, the original
     variant's path or the labeling search's cycle."""
-    return _check(instance, demand, variant).witness(frozenset(stations))
+    return _check(instance, demand, variant).witness(instance,
+                                                     frozenset(stations))
 
 
 def shrink_cut(instance: Instance, demand: Demand, stations, closed,
@@ -645,6 +640,8 @@ def shrink_cut(instance: Instance, demand: Demand, stations, closed,
     iff the demand stays unserved when it is opened besides `stations` and
     the nodes dropped before it; the nodes kept are returned. Equal to that
     loop over `is_served`, one verdict per node, but answered inside the
-    demand's check (module docstring)."""
-    return _check(instance, demand, variant).shrink(frozenset(stations),
-                                                    closed)
+    demand's check (module docstring); a node outside the corridor is
+    dropped without one, since opening it never serves the demand."""
+    check = _check(instance, demand, variant)
+    return check.shrink(frozenset(stations),
+                        [j for j in closed if j in check.corridor])

@@ -58,6 +58,7 @@ PRIMAL_TOL = 1e-7
 DUAL_TOL = 1e-6
 PIVOT_TOL = 1e-9
 REFACTOR_EVERY = 64  # basis updates between two inversions of the basis
+BLAND_AFTER = 10  # degenerate pivots per row and column before the Bland rule
 
 TIGHT_NODE_CAP = 18
 
@@ -392,7 +393,7 @@ class _Simplex:
         movable = self.ub > 0.0
         tol = DUAL_TOL * (1.0 + float(np.abs(c).max(initial=0.0)))
         degenerate = 0
-        bland_trigger = 10 * (m + n)
+        bland_trigger = BLAND_AFTER * (m + n)
         max_iter = 50 * (m + n) + 10000
         reduced = None
         for _ in range(max_iter):

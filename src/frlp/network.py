@@ -115,8 +115,7 @@ class Network:
         return any(e.directed for e in self.edges)
 
     # Caches, each filled on first use: distance rows by source, their
-    # shortest-path trees, distance columns by target, and the servedness
-    # checks of `feasibility` by (demand, variant, travel range).
+    # shortest-path trees and distance columns by target.
     @cached_property
     def _rows(self):
         return {}
@@ -127,10 +126,6 @@ class Network:
 
     @cached_property
     def _columns(self):
-        return {}
-
-    @cached_property
-    def _checks(self):
         return {}
 
     def _check_node(self, node: int):
@@ -227,6 +222,11 @@ class Instance:
     def num_nodes(self) -> int:
         return self.network.num_nodes
 
+    # `feasibility`'s servedness checks by (demand, variant), built on use
+    @cached_property
+    def _checks(self):
+        return {}
+
 
 def _route_walks_network(network: Network, route: Iterable[int]) -> bool:
     route = tuple(route)
@@ -255,7 +255,10 @@ def _explicit_route_violations(network: Network, demand: Demand, route, variant:
 def trip_length(network: Network, demand: Demand, variant: str) -> float:
     """Length of the demand's shortest trip, which its admissible routes may
     exceed by the factor alpha: d(o,t), plus the return leg d(t,o) under
-    CYCLIC; math.inf when either leg is unreachable."""
+    CYCLIC; math.inf when either leg is unreachable. ValidationError for a
+    variant outside VARIANTS."""
+    if variant not in VARIANTS:
+        raise ValidationError(variant_violations(network, variant))
     length = shortest_distance(network, demand.origin, demand.destination)
     if variant == CYCLIC:
         length += shortest_distance(network, demand.destination, demand.origin)
@@ -281,8 +284,11 @@ def budget_violations(budget: Optional[int], placement: PlacementConstraints):
 
 
 def variant_violations(network: Network, variant: Optional[str]):
-    """The routing variant rule (no rule when `variant` is None): the
-    original variant requires an undirected network."""
+    """The routing variant rule (no rule when `variant` is None): a variant
+    is one of VARIANTS, and the original one requires an undirected
+    network."""
+    if variant is not None and variant not in VARIANTS:
+        return [f"unknown routing variant {variant!r}, not one of {VARIANTS}"]
     if variant == ORIGINAL and network.has_directed_edge:
         return ["original variant requires an undirected network"]
     return []

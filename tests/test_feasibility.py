@@ -1,13 +1,16 @@
+import gc
 import math
+import weakref
 from dataclasses import replace
 
 import pytest
 
-from frlp import (CYCLIC, MAX_COVER, ORIGINAL, Demand, Edge, Label,
-                  SolveRequest, ValidationError, brute_force_solve,
+from frlp import (CYCLIC, MAX_COVER, MIN_STATIONS, ORIGINAL, Demand, Edge,
+                  Label, SolveRequest, ValidationError, brute_force_solve,
                   build_instance, enumerate_routes, find_traversable_path,
                   find_witness, gen_example, gen_random, is_served,
-                  is_traversable, reevaluate, route_budget, solve)
+                  is_traversable, reevaluate, route_budget, solve,
+                  trip_length)
 from frlp import feasibility
 from frlp.feasibility import corridor, search_cycle
 from frlp.oracle import exhaustive_served
@@ -187,7 +190,7 @@ def test_explicit_routes_are_made_once(monkeypatch):
 
 
 def test_checks_are_kept_per_variant():
-    # On a fresh network the cyclic check is built first; the original
+    # On a fresh instance the cyclic check is built first; the original
     # variant must get its own check, not the cached cyclic one.
     inst = fig7()
     q = inst.demands[0]
@@ -341,6 +344,46 @@ def test_original_variant_on_a_directed_network_is_rejected(call):
         call(inst, inst.demands[0])
     # the cyclic variant takes the same network
     assert corridor(inst, inst.demands[0], CYCLIC)
+
+
+@pytest.mark.parametrize("variant", ["Cyclic", "bogus"])
+@pytest.mark.parametrize("call", [
+    lambda inst, variant: is_served(inst, inst.demands[0], {3}, variant),
+    lambda inst, variant: enumerate_routes(inst, inst.demands[0], variant),
+    lambda inst, variant: solve(SolveRequest(inst, variant, MIN_STATIONS)),
+    lambda inst, variant: build_instance(
+        inst.network.node_names, inst.network.edges, inst.demands,
+        inst.travel_range, variant_default=variant),
+    lambda inst, variant: trip_length(inst.network, inst.demands[0], variant),
+], ids=["is_served", "enumerate_routes", "solve", "build_instance",
+        "trip_length"])
+def test_an_unknown_variant_is_rejected(call, variant):
+    # Not read as either variant: every entry point raises the one rule
+    inst = fig7()
+    with pytest.raises(ValidationError, match="unknown routing variant"):
+        call(inst, variant)
+
+
+@pytest.mark.parametrize("variant", [CYCLIC, ORIGINAL])
+def test_a_solved_network_is_freed_with_its_instance(variant):
+    # The checks live on the instance and hold numbers only, so no
+    # reference cycle keeps a solved network alive: it goes with its
+    # instance, the cyclic collector off
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        inst = gen_random(4, 12, density=0.25, num_demands=12,
+                          variant=variant, budget=3)
+        solution = solve(SolveRequest(inst, variant, MAX_COVER, budget=3))
+        witnesses = [find_witness(inst, q, solution.stations, variant)
+                     for q in inst.demands]
+        assert [w is not None for w in witnesses] == list(solution.served)
+        network = weakref.ref(inst.network)
+        del inst
+        assert network() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def unit_triangle():

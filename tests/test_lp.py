@@ -16,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 from frlp import (AGG, CYCLIC, DISAGG, ORIGINAL, Demand, Edge, LinearProgram,
                   PlacementConstraints, ValidationError, build_instance, build_model,
                   covering_lp, eval_v_agg, eval_v_disagg, eval_v_tight,
-                  gen_example, gen_prop5a, gen_random, lp_bound,
+                  gen_example, gen_prop5a, gen_random, is_served, lp_bound,
                   prepare_route_data, solve_lp)
 from frlp import lp as lp_module
 from frlp import solver as solver_module
@@ -705,6 +705,39 @@ def test_original_solve_is_pinned():
                                      budget=request.budget).optimal_sets
     assert set(optimal_sets) == {frozenset({3, 4, 10}), frozenset({3, 8, 10})}
     assert solution.stations in optimal_sets
+
+
+def test_the_bland_rule_from_the_first_degenerate_pivot(monkeypatch):
+    # With BLAND_AFTER at 0 the dual simplex takes the lowest-index leaving
+    # row and entering column after its first degenerate pivot. The optima
+    # hold; the trees may not, and a tie may end at another placement (as
+    # cyc-max-n32-s0 does), so only the objectives are pinned, the served
+    # flags must be the verdicts of the placement found, and some solve's
+    # iteration count must move to show the rule ran
+    shapes = [(CYCLIC, MAX_COVER, 24, 0), (CYCLIC, MIN_STATIONS, 24, 1),
+              (CYCLIC, MAX_COVER, 32, 0), (CYCLIC, MIN_STATIONS, 32, 0),
+              (ORIGINAL, MAX_COVER, 60, 0), (ORIGINAL, MAX_COVER, 40, 2),
+              (ORIGINAL, MIN_STATIONS, 40, 0), (ORIGINAL, MIN_STATIONS, 60, 0)]
+
+    def solve_all():
+        results = []
+        for variant, objective, n, seed in shapes:
+            budget = 5 if objective == MAX_COVER else None
+            inst = gen_random(seed, n, density=0.15, num_demands=n,
+                              variant=variant, budget=budget)
+            solution = solve(SolveRequest(inst, variant, objective, budget))
+            assert solution.optimal
+            assert solution.served == tuple(
+                is_served(inst, q, solution.stations, variant)
+                for q in inst.demands)
+            results.append((solution.objective, solution.stats.lp_iterations))
+        return results
+
+    default = solve_all()
+    monkeypatch.setattr(lp_module, "BLAND_AFTER", 0)
+    bland = solve_all()
+    assert [r[0] for r in bland] == [r[0] for r in default]
+    assert any(b[1] != d[1] for b, d in zip(bland, default))
 
 
 def solved_simplex(lp, monkeypatch):

@@ -75,8 +75,9 @@ def test_cyclic_servedness_matches_the_oracle(inst):
 @given(directed_cyclic_instances())
 def test_cyclic_servedness_under_another_range_of_the_network(inst):
     # The cyclic twin of the original-variant case below: the second
-    # instance shares the network, and so its check cache, under a longer
-    # travel range, which must get checks of its own.
+    # instance shares the network and its distances under a longer travel
+    # range, while the checks are cached on each instance, keyed by
+    # (demand, variant).
     n = inst.num_nodes
     routes = {q: enumerate_routes(inst, q, CYCLIC) for q in inst.demands}
     for instance in (inst, replace(inst, travel_range=1.5 * D)):
@@ -179,8 +180,8 @@ def test_shrink_by_insertion_is_the_loop_over_verdicts(inst, data):
 def test_original_servedness_matches_the_oracle(inst):
     # Every station set: the refueling-network check, as a verdict and as a
     # witness, against enumerating the admissible paths. The second instance
-    # shares the network, and so its check cache, under another travel
-    # range, which must get checks of its own.
+    # shares the network and its distances under another travel range, while
+    # the checks are cached on each instance, keyed by (demand, variant).
     n = inst.num_nodes
     routes = {q: enumerate_routes(inst, q, ORIGINAL) for q in inst.demands}
     for instance in (inst, replace(inst, travel_range=1.5 * D)):

@@ -195,7 +195,9 @@ def test_shrink_cut_is_the_loop_over_verdicts():
     # base's closure (cyclic) and cost maps (original) must take in the
     # routes through it. Under the original variant, a closed origin or
     # destination also comes first and last, as one more hub insertion
-    # before and after the others
+    # before and after the others. Every closed node, the corridor's and the
+    # others, is one more input: opening a node outside the corridor never
+    # serves the demand, so the pass drops it
     for seed in range(80):
         rng = random.Random(seed)
         inst = gen_random(seed, 16, density=0.2, num_demands=4,
@@ -219,6 +221,7 @@ def test_shrink_cut_is_the_loop_over_verdicts():
                             rest = [j for j in closed if j not in ends]
                             orders += [ends + rest, rest + ends,
                                        ends[::-1] + rest, rest + ends[::-1]]
+                        orders.append(sorted(set(range(16)) - stations))
                         for order in orders:
                             assert shrink_cut(instance, q, stations, order,
                                               variant) == \
